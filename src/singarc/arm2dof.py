@@ -132,9 +132,8 @@ class FullyActuatedSystem(abc.ABC):
             det = m11 * m22 - m12 * m12
             dv = value(det)
             scale = abs(value(m11 * m22)) + abs(value(m12 * m12))
-            bad = (abs(dv) <= _DET_RTOL * scale) if type(dv) is float \
-                else np.any(np.abs(dv) <= _DET_RTOL * scale)
-            if bad:
+            bad = abs(dv) <= _DET_RTOL * scale
+            if (np.any(bad) if type(bad) is np.ndarray else bad):
                 raise LinearSolveFailure("mass matrix numerically singular")
             l11 = m22 / det
             l12 = -m12 / det

@@ -13,6 +13,19 @@ Two representations of the same algebra:
 
 Components of one expression must stay within one representation; the two
 are never mixed in a single evaluation.
+
+A third scalar, ``Rec``, carries no number at all: it records every float
+operation the dual arithmetic performs on it into a ``Tape``, which then
+compiles the live operations into one straight-line Python function.  Only
+rewrites that cannot change a finite result are made while recording:
+identical operations are shared (``+`` and ``*`` with canonical operand
+order), ``x*0`` becomes the structural zero ``0.0``, ``x*1`` and ``x+-0``
+become ``x``, and operations no output needs are dropped.  Nothing is
+reassociated or simplified algebraically.  So on inputs at which the
+replayed evaluation stays finite the compiled function returns the same
+numbers (``==``, bit for bit except possibly the sign of a zero); on
+non-finite input a structural zero stays ``0.0`` where the replayed
+evaluation would give ``nan``.
 """
 from __future__ import annotations
 
@@ -139,6 +152,201 @@ class HyperDual:
         return HyperDual(-self.a, -self.b, -self.c, -self.d)
 
 
+class OffTrace(ArithmeticError):
+    """A compiled tape met a recorded condition that holds at run time."""
+
+
+_CONSTANT = (int, float)   # plain scalars a Rec may meet; np.float64 is a float
+_INLINED = ("+", "-", "*", "neg", "abs", "<=")
+
+
+class Rec:
+    """Recording scalar: operations on it append to its Tape, not compute.
+
+    A comparison records a condition node.  Testing it for truth (as in
+    ``if bad: raise ...``) records a check and answers False, so the tape
+    follows the branch on which every tested condition is false; the
+    compiled function raises OffTrace where a check holds.
+    """
+
+    __slots__ = ("tape", "idx")
+    __array_ufunc__ = None
+
+    def __init__(self, tape, idx):
+        self.tape = tape
+        self.idx = idx
+
+    def __add__(self, o):
+        if type(o) is not Rec and o == 0:
+            return self
+        return self.tape.op("+", self, o)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if type(o) is not Rec and o == 0:
+            return self
+        return self.tape.op("-", self, o)
+
+    def __rsub__(self, o):
+        return self.tape.op("-", o, self)
+
+    def __mul__(self, o):
+        if type(o) is not Rec:
+            if o == 0:
+                return 0.0
+            if o == 1:
+                return self
+        return self.tape.op("*", self, o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        return self.tape.op("/", self, o)
+
+    def __rtruediv__(self, o):
+        return self.tape.op("/", o, self)
+
+    def __neg__(self):
+        return self.tape.op("neg", self)
+
+    def __abs__(self):
+        return self.tape.op("abs", self)
+
+    def __le__(self, o):
+        return self.tape.op("<=", self, o)
+
+    def __bool__(self):
+        if self.tape.ops[self.idx][0] != "<=":
+            raise TypeError("only a recorded comparison can be tested")
+        self.tape.op("check", self)
+        return False
+
+
+def _key(a):
+    """Identity of an operand for sharing: node index or typed constant."""
+    if type(a) is Rec:
+        return (1, a.idx)
+    if not isinstance(a, _CONSTANT):
+        raise TypeError(f"cannot record an operation on {type(a).__name__}")
+    return (0, type(a).__name__, repr(a))
+
+
+class Tape:
+    """Operations recorded from Rec inputs, in program order.
+
+    ops[i] = (name, operands) defines node i; an operand is a Rec or a
+    constant.  Inputs are nodes named "in".
+    """
+
+    def __init__(self):
+        self.ops: list[tuple[str, tuple]] = []
+        self._names: dict[int, str] = {}
+        self._shared: dict[tuple, Rec] = {}
+
+    def input(self, name: str) -> Rec:
+        node = Rec(self, len(self.ops))
+        self.ops.append(("in", ()))
+        self._names[node.idx] = name
+        return node
+
+    def op(self, name: str, *args) -> Rec:
+        keys = tuple(map(_key, args))
+        if name in ("+", "*") and keys[1] < keys[0]:
+            args, keys = args[::-1], keys[::-1]
+        key = (name, *keys)
+        node = self._shared.get(key)
+        if node is None:
+            node = self._shared[key] = Rec(self, len(self.ops))
+            self.ops.append((name, args))
+        return node
+
+    def compile(self, outputs, name: str = "kernel"):
+        """Python function of the inputs returning ``outputs``.
+
+        outputs is a nest of lists and tuples over Recs and constants; the
+        function builds the same nest of floats.  Emitted in recorded
+        order: every node an output needs, every check, and every division
+        by a node (it can raise ZeroDivisionError, as the replayed
+        evaluation would).  Operations that cannot raise and have one
+        consumer are written inline into it.  The source is kept as
+        ``fn.source``.
+        """
+        live = [False] * len(self.ops)
+        uses = [0] * len(self.ops)       # references from live code
+        stack = [r.idx for r in _recs(outputs)]
+        for i in stack:
+            uses[i] += 1
+        stack += [i for i, (op, args) in enumerate(self.ops)
+                  if op == "check" or (op == "/" and type(args[1]) is Rec)]
+        while stack:
+            i = stack.pop()
+            if not live[i]:
+                live[i] = True
+                for a in self.ops[i][1]:
+                    if type(a) is Rec:
+                        uses[a.idx] += 1
+                        stack.append(a.idx)
+
+        env = {"sin": math.sin, "cos": math.cos, "OffTrace": OffTrace}
+        names = dict(self._names)
+        inline: dict[int, str] = {}
+
+        def ref(a):
+            if type(a) is Rec:
+                return names.get(a.idx) or f"({inline[a.idx]})"
+            if type(a) in _CONSTANT and math.isfinite(a):
+                return repr(a)
+            key = f"k{len(env)}"
+            env[key] = a
+            return key
+
+        def nest(v):
+            if isinstance(v, list):
+                return "[" + ", ".join(map(nest, v)) + "]"
+            if isinstance(v, tuple):
+                return "(" + "".join(nest(e) + ", " for e in v) + ")"
+            return ref(v)
+
+        lines = []
+        for i, (op, args) in enumerate(self.ops):
+            if not live[i] or op == "in":
+                continue
+            a = [ref(x) for x in args]
+            if op == "check":
+                lines.append(f"    if {a[0]}: raise OffTrace")
+                continue
+            if op in ("sin", "cos", "abs"):
+                expr = f"{op}({a[0]})"
+            elif op == "neg":
+                expr = f"-{a[0]}"
+            else:
+                expr = f"{a[0]} {op} {a[1]}"
+            # a single-use operation that cannot raise is written into its
+            # consumer: the same float operations in fewer statements; the
+            # "(" count bounds the nesting far below the parser's limit
+            if uses[i] == 1 and op in _INLINED and expr.count("(") < 40:
+                inline[i] = expr
+            else:
+                names[i] = f"t{i}"
+                lines.append(f"    t{i} = {expr}")
+        params = ", ".join(self._names.values())
+        source = (f"def {name}({params}):\n" + "\n".join(lines)
+                  + f"\n    return {nest(outputs)}\n")
+        exec(compile(source, f"<{name}>", "exec"), env)
+        fn = env[name]
+        fn.source = source
+        return fn
+
+
+def _recs(v):
+    if isinstance(v, (list, tuple)):
+        for e in v:
+            yield from _recs(e)
+    elif type(v) is Rec:
+        yield v
+
+
 def sin(v):
     if type(v) is float:
         return math.sin(v)
@@ -147,6 +355,8 @@ def sin(v):
     if type(v) is HyperDual:
         s, co = sin(v.a), cos(v.a)
         return HyperDual(s, v.b * co, v.c * co, v.d * co - v.b * v.c * s)
+    if type(v) is Rec:
+        return v.tape.op("sin", v)
     return np.sin(v)
 
 
@@ -158,6 +368,8 @@ def cos(v):
     if type(v) is HyperDual:
         s, co = sin(v.a), cos(v.a)
         return HyperDual(co, -v.b * s, -v.c * s, -v.d * s - v.b * v.c * co)
+    if type(v) is Rec:
+        return v.tape.op("cos", v)
     return np.cos(v)
 
 

@@ -22,8 +22,8 @@ import numpy as np
 from .arm2dof import ControlBounds, FullyActuatedSystem
 from .errors import (CostateDegenerate, MissingCostates, MonotonicityError,
                      NaNError, OutOfBounds, RkViolation, SchemaError)
-from .liegeom import u1_singular_brackets
-from .pmp import LAMBDA4_RTOL, _law_terms
+from .liegeom import fused_reference, fused_terms
+from .pmp import LAMBDA4_RTOL
 
 STATE_COLUMNS = ("q1", "q2", "qd1", "qd2")
 CONTROL_COLUMNS = ("u1", "u2")
@@ -181,16 +181,13 @@ def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
     ls = np.empty((nsteps + 1, 4))
 
     def rhs(x, lam):
-        tab = u1_singular_brackets(sys, x)
-        r, s = _law_terms(tab, c)[3:5]
-        u1 = r * (lam[1] / lam[3]) + s
-        f = tab.f
-        L0, L1 = tab.L
+        # off the kernel's recorded branch the reference raises
+        out = fused_terms(sys, x, c) or fused_reference(sys, x, c)
+        f, *_, (L0, L1), cols, (dL0, dL1), law = out
+        u1 = law[3] * (lam[1] / lam[3]) + law[4]
         xdot = (f[0], f[1],
                 f[2] + L0[0] * u1 + L0[1] * c,
                 f[3] + L1[0] * u1 + L1[1] * c)
-        dL0, dL1 = tab.dL
-        cols = tab.df_cols
         ldot = tuple(
             -(cols[i][0] * lam[0] + cols[i][1] * lam[1]
               + cols[i][2] * lam[2] + cols[i][3] * lam[3]

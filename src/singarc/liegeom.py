@@ -8,17 +8,29 @@ test oracles.
 Fields evaluate on component lists whose entries may be floats, numpy
 arrays (batched sweeps) or dual numbers (nesting), so a bracket is itself a
 field that can be bracketed again, up to words of length 4.
+
+The fused tableau of the singular law has two evaluations.  The reference
+is the hand-written Dual/HyperDual code in ``fused_reference`` (tableau,
+then ``pmp._law_terms``); arrays and nested duals always take it.  For
+plain floats, ``fused_kernel`` replays it: on a plant's first scalar call
+the reference is recorded once on ``duals.Rec`` inputs and compiled into a
+straight-line function, cached per plant instance (never at import).  The
+kernel returns the reference's numbers (equal as floats, bit for bit up to
+the sign of a zero) wherever the reference stays finite; see ``duals``.
+Where it stops (singular mass matrix, exact zero divisor), the callers
+re-run the reference, which raises what it always raised.
 """
 from __future__ import annotations
 
 import re as _re
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .arm2dof import FullyActuatedSystem, _components
-from .duals import Dual, HyperDual, seed, value
+from .duals import Dual, HyperDual, OffTrace, Tape, seed, value
 from .errors import DerivativeUnavailable, SpanViolation
 
 MAX_WORD = 4
@@ -255,14 +267,25 @@ class BracketTableau:
 def u1_singular_brackets(sys: FullyActuatedSystem, x) -> BracketTableau:
     """Fused evaluation of the brackets needed by the u1-singular law.
 
+    Plain-float states go through the compiled kernel; arrays and nested
+    duals through the Dual/HyperDual reference it is traced from.
+    """
+    comps = list(_components(x))
+    out = fused_terms(sys, comps, 0.0)
+    if out is not None:
+        return BracketTableau(*out[:-1])
+    return _dual_tableau(sys, comps)
+
+
+def _dual_tableau(sys: FullyActuatedSystem, comps) -> BracketTableau:
+    """The reference tableau over any scalar algebra of ``duals``.
+
     One plain, four first-order (basis directions, giving the full
     Jacobians of f and G) and four second-order evaluations of sys.dyn;
-    all remaining brackets are assembled by matrix-vector work.  This is
-    the integration hot path.
+    all remaining brackets are assembled by matrix-vector work.
     """
     if sys.n != 2:
         raise ValueError("fused tableau implemented for n = 2")
-    comps = list(_components(x))
     zero = comps[0] * 0.0
     one = zero + 1.0
     f0, L0 = sys.dyn(comps)
@@ -343,3 +366,45 @@ def u1_singular_brackets(sys: FullyActuatedSystem, x) -> BracketTableau:
     return BracketTableau(f=f0, g1=g1, g2=g2, fg1=fg1, fg2=fg2,
                           ffg1=ffg1, g1fg1=g1fg1, g1fg2=g1fg2, L=L0,
                           df_cols=df_cols, dL=dL)
+
+
+def fused_reference(sys: FullyActuatedSystem, comps, c):
+    """Tableau fields in BracketTableau order, then the law terms at c.
+
+    The Dual/HyperDual evaluation the kernel is recorded from.
+    """
+    from .pmp import _law_terms   # pmp builds on this module
+    tab = _dual_tableau(sys, comps)
+    return (tab.f, tab.g1, tab.g2, tab.fg1, tab.fg2, tab.ffg1, tab.g1fg1,
+            tab.g1fg2, tab.L, tab.df_cols, tab.dL, _law_terms(tab, c))
+
+
+_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def fused_kernel(sys: FullyActuatedSystem):
+    """``(x0, x1, x2, x3, c) -> fused_reference(sys, [x0..x3], c)`` as
+    straight-line float code, recorded and compiled on first use per plant.
+
+    Raises OffTrace at the singular-mass guard and ZeroDivisionError at an
+    exact zero divisor, at the point where the reference raises.  A plant
+    must not change after its first scalar call.
+    """
+    kernel = _KERNELS.get(sys)
+    if kernel is None:
+        tape = Tape()
+        comps = [tape.input(f"x{i}") for i in range(4)]
+        outputs = fused_reference(sys, comps, tape.input("c"))
+        kernel = _KERNELS[sys] = tape.compile(outputs, "fused_kernel")
+    return kernel
+
+
+def fused_terms(sys: FullyActuatedSystem, comps, c):
+    """fused_kernel at four plain floats, or None where it does not apply:
+    other scalar types, or a state off the recorded branch."""
+    if all(type(v) is float for v in comps):
+        try:
+            return fused_kernel(sys)(*comps, c)
+        except (OffTrace, ZeroDivisionError):
+            pass
+    return None

@@ -18,7 +18,8 @@ from .arm2dof import ControlBounds, FullyActuatedSystem, _components
 from .duals import Dual
 from .errors import (CostateDegenerate, DegenerateSystem, RkViolation)
 from .liegeom import (AlphaTensor, BracketTableau, _stacked_fields,
-                      alpha_coefficients, u1_singular_brackets, word_field)
+                      alpha_coefficients, fused_terms, u1_singular_brackets,
+                      word_field)
 
 LAMBDA4_RTOL = 1e-9
 DEGENERACY_TOL = 1e-12
@@ -189,7 +190,11 @@ def in_Rk(x, exclusion: float = 1e-3):
     vsum = np.asarray(comps[2], dtype=float) + np.asarray(comps[3],
                                                           dtype=float)
     quarter = math.pi / 2.0
-    dist = np.abs(np.mod(theta2 + quarter / 2.0, quarter) - quarter / 2.0)
+    # |math.remainder(theta2, quarter)| exactly, as the integrator's guard
+    # computes it: fmod is exact, and quarter - dist is exact (Sterbenz)
+    # wherever dist >= quarter/2, the only place the minimum picks it
+    dist = np.abs(np.fmod(theta2, quarter))
+    dist = np.minimum(dist, quarter - dist)
     ok = (dist > exclusion) & (np.abs(vsum) > exclusion)
     return bool(ok) if ok.ndim == 0 else ok
 
@@ -249,15 +254,22 @@ def singular_law_coeffs(sys: FullyActuatedSystem, x, c: float,
 
     Raises RkViolation outside the admissible set (band `exclusion`) or
     when any denominator (mu, alpha1, <b, g2>) degenerates numerically.
+    Plain-float states take the compiled kernel, which returns the same
+    terms as the Dual path, so the regularizer's u1 equals the
+    integrator's bit for bit.
     """
     if not in_Rk(x, exclusion):
         raise RkViolation(f"state {np.asarray(x)} outside the admissible "
                           "set for the singular law")
-    tab = u1_singular_brackets(sys, x)
-    mu = tab.L[0][0]
+    comps = list(_components(x))
+    out = fused_terms(sys, comps, c)
+    if out is None:
+        tab = u1_singular_brackets(sys, comps)
+    mu = tab.L[0][0] if out is None else out[-1][0]
     if abs(mu) <= DEGENERACY_TOL:
         raise RkViolation("mu = 0: costate decomposition undefined")
-    mu, nu, gamma, r, s, alpha1, alpha2, b_g2 = _law_terms(tab, c)
+    law = _law_terms(tab, c) if out is None else out[-1]
+    mu, nu, gamma, r, s, alpha1, alpha2, b_g2 = law
     if abs(alpha1) <= DEGENERACY_TOL:
         raise RkViolation("alpha1 = 0: singular law undefined")
     if abs(b_g2) <= DEGENERACY_TOL:

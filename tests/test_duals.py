@@ -5,8 +5,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from singarc.duals import (Dual, HyperDual, cos, gauss_solve, seed, sin,
-                           tangent, value)
+from singarc.duals import (Dual, HyperDual, OffTrace, Tape, cos, gauss_solve,
+                           seed, sin, tangent, value)
 from singarc.errors import LinearSolveFailure
 
 
@@ -149,3 +149,35 @@ def test_gauss_solve_propagates_dual_entries():
     npt.assert_allclose(got, expect, rtol=1e-10, atol=1e-12)
     vals = np.array([[X[i][0].re] for i in range(2)])
     npt.assert_allclose(vals, np.linalg.solve(A0, b0), rtol=1e-12)
+
+
+def test_tape_rewrites_only_exact_identities():
+    tape = Tape()
+    x, y = tape.input("x"), tape.input("y")
+    assert type(x * 0.0) is float and x * 0.0 == 0.0   # structural zero
+    assert x * 1.0 is x and x + 0.0 is x and x - 0.0 is x
+    assert x * y is y * x and x + y is y + x          # shared, canonical
+    assert x - y is not y - x and x / y is not y / x
+    assert type(0.0 / x) is not float    # 0/x may raise: never folded
+    sin(x) * 3.0                                       # recorded, unused
+    fn = tape.compile([x * y + 2.0, (x / y, 0.0 - x, cos(y))])
+    assert fn(3.0, 4.0) == [14.0, (0.75, -3.0, math.cos(4.0))]
+    assert "sin" not in fn.source and "3.0" not in fn.source
+
+
+def test_tape_checks_and_divisions_stay_in_recorded_order():
+    tape = Tape()
+    x, y = tape.input("x"), tape.input("y")
+    if abs(x) <= y:          # records a check; the trace takes the else
+        raise AssertionError("a recorded condition answers False")
+    _dead = 1.0 / y          # unused, but it can raise like the original
+    fn = tape.compile(x + y)
+    assert fn(2.0, 1.0) == 3.0
+    with pytest.raises(OffTrace):
+        fn(0.5, 1.0)
+    with pytest.raises(ZeroDivisionError):
+        fn(-2.0, 0.0)
+    with pytest.raises(TypeError):
+        bool(x + y)          # only comparisons can steer a trace
+    with pytest.raises(TypeError):
+        x * Dual(1.0, 2.0)   # a Rec records plain-scalar operations only

@@ -8,6 +8,7 @@ import pytest
 import reference as ref
 from oracles import fd_adjoint
 from singarc.errors import CostateDegenerate, DegenerateSystem, RkViolation
+from singarc.integrate import _outside_law_domain
 from singarc.liegeom import iterated_bracket
 from singarc.pmp import (SwitchingRecord, adjoint_rhs, bang_control,
                          costate_on_surface, general_singular_solve,
@@ -119,6 +120,29 @@ def test_admissible_set_membership():
     assert in_Rk(x, exclusion=1e-4) is True
     X = np.array([[0.1, 0.1], [0.4, math.pi], [0.3, 0.3], [0.5, 0.5]])
     npt.assert_array_equal(in_Rk(X), [True, False])
+
+
+def test_admissibility_predicates_agree_at_the_band_edge():
+    """pmp.in_Rk and the integrator's scalar guard draw the same edge: at
+    +-40 ulps around every k*pi/2 +- band, for both bands in use."""
+    for band in (1e-6, 1e-3):
+        edges = [k * math.pi / 2 + sign * band
+                 for k in range(-4, 5) for sign in (-1.0, 1.0)]
+        theta2 = []
+        for edge in edges:
+            below = above = edge
+            theta2.append(edge)
+            for _ in range(40):
+                below = math.nextafter(below, -math.inf)
+                above = math.nextafter(above, math.inf)
+                theta2 += [below, above]
+        X = np.array([np.full(len(theta2), 0.1), theta2,
+                      np.full(len(theta2), 0.3), np.full(len(theta2), 0.5)])
+        inside = in_Rk(X, band)
+        outside = [_outside_law_domain(x, band) for x in X.T.tolist()]
+        npt.assert_array_equal(inside, np.logical_not(outside))
+        # the band edge is really crossed inside the sweep
+        assert inside.any() and not inside.all()
 
 
 def test_sk_rank_positive_and_validated(arm):
