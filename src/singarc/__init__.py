@@ -5,9 +5,7 @@ a singular arc, and repairs singular intervals in trajectories imported
 from external optimal-control solvers by substituting the closed-form
 singular feedback law.
 """
-from .arm2dof import (Arm2DOF, ArmParams, ControlBounds, FullyActuatedSystem,
-                      MechState, as_state_vector, coriolis, drift,
-                      input_columns, mass_matrix)
+from .arm2dof import Arm2DOF, ArmParams, ControlBounds, FullyActuatedSystem
 from .duals import Dual, HyperDual
 from .errors import (CostateDegenerate, DegenerateSystem,
                      DerivativeUnavailable, LinearSolveFailure,
@@ -18,8 +16,8 @@ from .integrate import (IntegratorConfig, Trajectory, hamiltonian_trace,
                         integrate_extremal, load_trajectory, model_signature,
                         resimulate, save_trajectory)
 from .liegeom import (AlphaTensor, alpha_coefficients, b_set_certificate,
-                      beta_matrix, frame_rank, iterated_bracket, lie_bracket,
-                      parse_word, word_field)
+                      frame_rank, iterated_bracket, lie_bracket, parse_word,
+                      word_field)
 from .pmp import (GeneralSingularSystem, SingularLawCoeffs, SwitchingRecord,
                   bang_control, costate_on_surface, general_singular_solve,
                   general_singular_system, hamiltonian, in_Rk,

@@ -1,6 +1,6 @@
 """Planar 2-DOF manipulator dynamics behind a generic mechanical-system interface.
 
-State is x = (q, qdot) in R^{2n} and the dynamics are control-affine,
+State is x = (q, qdot) in R^4 and the dynamics are control-affine,
 
     xdot = f(x) + g(x) u,    f = [qdot; -M(q)^-1 C(q, qdot)],   g = [0; M(q)^-1].
 
@@ -67,86 +67,46 @@ class ControlBounds:
         return lo if abs(u - lo) <= abs(u - hi) else hi
 
 
-@dataclass(frozen=True)
-class MechState:
-    """Generalized coordinates and velocities."""
-
-    q: tuple[float, ...]
-    qdot: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.q) != len(self.qdot):
-            raise ValueError("q and qdot must have equal length")
-        if not all(np.isfinite(v) for v in self.q + self.qdot):
-            raise ValueError("state entries must be finite")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(self.q + self.qdot, dtype=float)
-
-    @classmethod
-    def from_vector(cls, x) -> "MechState":
-        x = np.asarray(x, dtype=float)
-        n = x.size // 2
-        return cls(tuple(x[:n]), tuple(x[n:]))
-
-
-def as_state_vector(x) -> np.ndarray:
-    """Normalize MechState or array-like into a flat 2n float vector."""
-    if isinstance(x, MechState):
-        return x.as_vector()
-    return np.asarray(x, dtype=float)
-
-
 class FullyActuatedSystem(abc.ABC):
     """Fully actuated mechanical system contract consumed by the Lie/PMP layers.
 
     Subclasses provide the inertia and Coriolis entries as dual-generic
-    expressions; drift and input columns follow from them.  n is the number
-    of degrees of freedom (= number of independent inputs).
+    expressions; drift and input columns follow from them.  Two degrees of
+    freedom, one input each (n = 2): the bracket tableau, the integrator,
+    the B-set certificate and the CSV schema all assume it.
     """
 
     n: int
 
     @abc.abstractmethod
     def mass_entries(self, q):
-        """n x n nested list of inertia entries over the duals algebra."""
+        """2 x 2 nested list of inertia entries over the duals algebra."""
 
     @abc.abstractmethod
     def coriolis_entries(self, q, qd):
-        """Length-n list of Coriolis torques over the duals algebra."""
+        """Length-2 list of Coriolis torques over the duals algebra."""
 
     def dyn(self, x):
         """Drift components and inverse-inertia rows at x, in one evaluation.
 
-        x: sequence of 2n scalar-like components.  Returns (f, L) where f is
-        the 2n drift list and L the n x n nested list with L = M(q)^-1.
+        x: sequence of 4 scalar-like components.  Returns (f, L) where f is
+        the drift list and L the 2 x 2 nested list with L = M(q)^-1.
         Shared by drift/input_columns so the hot paths pay one solve.
         """
-        n = self.n
-        q, qd = x[:n], x[n:]
-        M = self.mass_entries(q)
+        q, qd = x[:2], x[2:]
+        (m11, m12), (_, m22) = self.mass_entries(q)
         C = self.coriolis_entries(q, qd)
-        if n == 2:
-            m11, m12 = M[0]
-            _, m22 = M[1]
-            det = m11 * m22 - m12 * m12
-            dv = value(det)
-            scale = abs(value(m11 * m22)) + abs(value(m12 * m12))
-            bad = abs(dv) <= _DET_RTOL * scale
-            if (np.any(bad) if type(bad) is np.ndarray else bad):
-                raise LinearSolveFailure("mass matrix numerically singular")
-            l11 = m22 / det
-            l12 = -m12 / det
-            l22 = m11 / det
-            L = [[l11, l12], [l12, l22]]
-            acc = [-(l11 * C[0] + l12 * C[1]), -(l12 * C[0] + l22 * C[1])]
-        else:
-            from .duals import gauss_solve
-            rhs = [[(1.0 if i == j else 0.0) for j in range(n)] + [-C[i]]
-                   for i in range(n)]
-            sol = gauss_solve(M, rhs)
-            L = [row[:n] for row in sol]
-            acc = [row[n] for row in sol]
+        det = m11 * m22 - m12 * m12
+        dv = value(det)
+        scale = abs(value(m11 * m22)) + abs(value(m12 * m12))
+        bad = abs(dv) <= _DET_RTOL * scale
+        if (np.any(bad) if type(bad) is np.ndarray else bad):
+            raise LinearSolveFailure("mass matrix numerically singular")
+        l11 = m22 / det
+        l12 = -m12 / det
+        l22 = m11 / det
+        L = [[l11, l12], [l12, l22]]
+        acc = [-(l11 * C[0] + l12 * C[1]), -(l12 * C[0] + l22 * C[1])]
         return list(qd) + acc, L
 
     # numpy facades (plain float or batched-array input)
@@ -158,9 +118,8 @@ class FullyActuatedSystem(abc.ABC):
     def input_columns(self, x) -> np.ndarray:
         comps = list(_components(x))
         _, L = self.dyn(comps)
-        n = self.n
         zero = comps[0] * 0.0  # matches the batch shape under array input
-        top = [[zero] * n for _ in range(n)]
+        top = [[zero, zero], [zero, zero]]
         return np.asarray(top + [list(r) for r in L])
 
     def mass_matrix(self, q) -> np.ndarray:
@@ -172,13 +131,11 @@ class FullyActuatedSystem(abc.ABC):
 
 
 def _components(x):
-    """Turn MechState / array-like into a component list (floats or arrays).
+    """Turn an array-like into a component list (floats or arrays).
 
     1-D arrays become plain floats: python-float arithmetic is several
     times faster than numpy scalars on the feedback-integration hot path.
     """
-    if isinstance(x, MechState):
-        return list(x.q) + list(x.qdot)
     if isinstance(x, np.ndarray):
         if x.ndim == 1:
             return [float(v) for v in x]
@@ -216,20 +173,3 @@ class Arm2DOF(FullyActuatedSystem):
         td1, td2 = qd[0], qd[1]
         return [-h * td2 * td2 - 2.0 * h * td1 * td2, h * td1 * td1]
 
-
-# module-level facades matching the operation signatures
-
-def mass_matrix(params: ArmParams, q) -> np.ndarray:
-    return Arm2DOF(params).mass_matrix(q)
-
-
-def coriolis(params: ArmParams, q, qd) -> np.ndarray:
-    return Arm2DOF(params).coriolis(q, qd)
-
-
-def drift(params: ArmParams, x) -> np.ndarray:
-    return Arm2DOF(params).drift(x)
-
-
-def input_columns(params: ArmParams, x) -> np.ndarray:
-    return Arm2DOF(params).input_columns(x)

@@ -16,13 +16,13 @@ from importlib import resources
 import numpy as np
 
 from .arm2dof import Arm2DOF, ArmParams, ControlBounds
-from .errors import (EXIT_CODES, EXIT_OK, EXIT_PARTIAL_REGULARIZATION,
-                     EXIT_VIOLATIONS_REMAIN, MissingCostates, SingArcError,
-                     exit_code_for)
+from .errors import (ERRORS_BY_NAME, EXIT_CODES, EXIT_OK,
+                     EXIT_PARTIAL_REGULARIZATION, EXIT_VIOLATIONS_REMAIN,
+                     MissingCostates, SingArcError, exit_code_for)
 from .integrate import (IntegratorConfig, hamiltonian_trace,
                         integrate_extremal, resimulate, save_trajectory)
 from .liegeom import alpha_coefficients, b_set_certificate, frame_rank
-from .pmp import costate_on_surface, in_Rk
+from .pmp import LAMBDA4_RTOL, costate_on_surface, in_Rk
 from .regularize import (LABEL_VIOLATION, Tolerances, detect_singular_arcs,
                          ingest, pmp_audit, regularize_u1, switching_series)
 
@@ -143,8 +143,7 @@ def cmd_construct(cfg: RunConfig, out: str) -> int:
     abort = traj.meta.get("abort")
     if abort:
         print(f"aborted early: {abort}")
-        by_name = {cls.__name__: code for cls, code in EXIT_CODES.items()}
-        return by_name.get(abort["flag"], 1)
+        return EXIT_CODES[ERRORS_BY_NAME[abort["flag"]]]
     return EXIT_OK
 
 
@@ -170,7 +169,7 @@ def cmd_diagnose(traj_path: str, cfg: RunConfig, out: str) -> int:
     H = hamiltonian_trace(sys_, traj)
     member = np.asarray(in_Rk(traj.x.T), dtype=bool)
     norms = np.linalg.norm(traj.lam, axis=1)
-    safe = np.abs(traj.lam[:, 3]) > 1e-9 * np.maximum(1.0, norms)
+    safe = np.abs(traj.lam[:, 3]) > LAMBDA4_RTOL * np.maximum(1.0, norms)
     ratio = np.where(safe, traj.lam[:, 1] /
                      np.where(safe, traj.lam[:, 3], 1.0), np.nan)
     audit = pmp_audit(sys_, traj, cfg.bounds, cfg.tolerances)

@@ -33,9 +33,6 @@ import math
 
 import numpy as np
 
-_NUMERIC = (int, float, np.floating, np.ndarray)
-
-
 class Dual:
     """Number carrying a value and one tangent (derivative) slot."""
 
@@ -388,35 +385,3 @@ def seed(x, v):
     """Lift point x along direction v: list of Dual(x_i, v_i)."""
     return [Dual(xi, vi) for xi, vi in zip(x, v)]
 
-
-def tangent(ys):
-    """Tangent parts of a list of Dual values."""
-    return [y.im if type(y) is Dual else y * 0.0 for y in ys]
-
-
-def gauss_solve(A, B):
-    """Solve A X = B over the dual algebra by elimination with partial pivoting.
-
-    A: n x n nested list, B: n x m nested list; returns X as nested lists.
-    Pivoting compares stripped values, so components must be scalar (the
-    batched-array path uses the closed 2x2 form instead).  Raises
-    LinearSolveFailure on a vanishing pivot.
-    """
-    from .errors import LinearSolveFailure
-
-    n = len(A)
-    m = len(B[0])
-    rows = [list(A[i]) + list(B[i]) for i in range(n)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(value(rows[r][col])))
-        if abs(value(rows[piv][col])) < 1e-300:
-            raise LinearSolveFailure("singular system in gauss_solve")
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1.0 / rows[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = rows[r][col] * inv
-            rows[r] = [rows[r][k] - factor * rows[col][k] for k in range(n + m)]
-    return [[rows[i][n + j] / rows[i][i] for j in range(m)] for i in range(n)]

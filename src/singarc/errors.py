@@ -75,6 +75,10 @@ EXIT_CODES: dict[type, int] = {
 }
 
 
+# Abort flags in trajectory metadata are error class names.
+ERRORS_BY_NAME: dict[str, type] = {cls.__name__: cls for cls in EXIT_CODES}
+
+
 def exit_code_for(exc: BaseException) -> int:
     """Exit code for an exception instance (distinct per error class)."""
     for cls, code in EXIT_CODES.items():

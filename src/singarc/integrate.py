@@ -15,15 +15,15 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .arm2dof import ControlBounds, FullyActuatedSystem
-from .errors import (CostateDegenerate, MissingCostates, MonotonicityError,
-                     NaNError, OutOfBounds, RkViolation, SchemaError)
+from .errors import (ERRORS_BY_NAME, CostateDegenerate, MissingCostates,
+                     MonotonicityError, NaNError, OutOfBounds, RkViolation,
+                     SchemaError)
 from .liegeom import fused_reference, fused_terms
-from .pmp import LAMBDA4_RTOL
+from .pmp import LAMBDA4_RTOL, costate_rate, hamiltonian, state_rate
 
 STATE_COLUMNS = ("q1", "q2", "qd1", "qd2")
 CONTROL_COLUMNS = ("u1", "u2")
@@ -32,7 +32,7 @@ COSTATE_COLUMNS = ("l1", "l2", "l3", "l4")
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step controls for both the extremal integrator and replays.
+    """Step controls for both the extremal integrator and replays (RK4).
 
     rk_exclusion is the operative admissibility band: the run aborts when
     the state comes that close to the singular-law breakdown set.  It is
@@ -43,7 +43,6 @@ class IntegratorConfig:
 
     step: float = 1e-4
     horizon: float = 0.7
-    method: str = "rk4"
     interp: str = "zoh"
     rk_exclusion: float = 1e-6
     record_costates: bool = True
@@ -53,8 +52,6 @@ class IntegratorConfig:
             raise ValueError(f"step must be positive, got {self.step}")
         if not (self.horizon >= 0.0 and math.isfinite(self.horizon)):
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        if self.method != "rk4":
-            raise ValueError(f"unknown method {self.method!r}")
         if self.interp not in ("zoh", "linear"):
             raise ValueError(f"unknown interpolation {self.interp!r}")
         if self.rk_exclusion < 0.0:
@@ -133,7 +130,7 @@ def _config_snapshot(config: IntegratorConfig) -> dict:
     return {
         "step": config.step,
         "horizon": config.horizon,
-        "method": config.method,
+        "method": "rk4",
         "interp": config.interp,
         "rk_exclusion": config.rk_exclusion,
         "record_costates": config.record_costates,
@@ -183,32 +180,24 @@ def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
     def rhs(x, lam):
         # off the kernel's recorded branch the reference raises
         out = fused_terms(sys, x, c) or fused_reference(sys, x, c)
-        f, *_, (L0, L1), cols, (dL0, dL1), law = out
-        u1 = law[3] * (lam[1] / lam[3]) + law[4]
-        xdot = (f[0], f[1],
-                f[2] + L0[0] * u1 + L0[1] * c,
-                f[3] + L1[0] * u1 + L1[1] * c)
-        ldot = tuple(
-            -(cols[i][0] * lam[0] + cols[i][1] * lam[1]
-              + cols[i][2] * lam[2] + cols[i][3] * lam[3]
-              + (dL0[0][i] * u1 + dL0[1][i] * c) * lam[2]
-              + (dL1[0][i] * u1 + dL1[1][i] * c) * lam[3])
-            for i in range(4))
-        return xdot, ldot, u1
+        f, *_, L, df_cols, dL, law = out
+        u = (law[3] * (lam[1] / lam[3]) + law[4], c)
+        return state_rate(f, L, u), costate_rate(df_cols, dL, u, lam), u[0]
 
     x = list(x0)
     lam = list(lam0)
     abort = None
     kept = 0
     for k in range(nsteps + 1):
-        lam_norm = math.sqrt(lam[0] ** 2 + lam[1] ** 2
-                             + lam[2] ** 2 + lam[3] ** 2)
         if not all(map(math.isfinite, x + lam)):
-            abort = {"flag": "NaN", "t": k * h}
+            abort = {"flag": NaNError.__name__, "t": k * h}
             break
         if _outside_law_domain(x, band):
             abort = {"flag": RkViolation.__name__, "t": k * h}
             break
+        # products, not ** 2: a huge finite entry overflows to inf
+        lam_norm = math.sqrt(lam[0] * lam[0] + lam[1] * lam[1]
+                             + lam[2] * lam[2] + lam[3] * lam[3])
         if abs(lam[3]) <= LAMBDA4_RTOL * max(1.0, lam_norm):
             abort = {"flag": CostateDegenerate.__name__, "t": k * h}
             break
@@ -223,15 +212,21 @@ def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
         kept = k + 1
         if k == nsteps:
             break
-        xa = [x[i] + 0.5 * h * k1x[i] for i in range(4)]
-        la = [lam[i] + 0.5 * h * k1l[i] for i in range(4)]
-        k2x, k2l, _ = rhs(xa, la)
-        xb = [x[i] + 0.5 * h * k2x[i] for i in range(4)]
-        lb = [lam[i] + 0.5 * h * k2l[i] for i in range(4)]
-        k3x, k3l, _ = rhs(xb, lb)
-        xc = [x[i] + h * k3x[i] for i in range(4)]
-        lc = [lam[i] + h * k3l[i] for i in range(4)]
-        k4x, k4l, _ = rhs(xc, lc)
+        try:
+            xa = [x[i] + 0.5 * h * k1x[i] for i in range(4)]
+            la = [lam[i] + 0.5 * h * k1l[i] for i in range(4)]
+            k2x, k2l, _ = rhs(xa, la)
+            xb = [x[i] + 0.5 * h * k2x[i] for i in range(4)]
+            lb = [lam[i] + 0.5 * h * k2l[i] for i in range(4)]
+            k3x, k3l, _ = rhs(xb, lb)
+            xc = [x[i] + h * k3x[i] for i in range(4)]
+            lc = [lam[i] + h * k3l[i] for i in range(4)]
+            k4x, k4l, _ = rhs(xc, lc)
+        except ValueError:
+            # math.sin of a stage state that overflowed to inf: the step
+            # has no finite result
+            abort = {"flag": NaNError.__name__, "t": (k + 1) * h}
+            break
         x = [x[i] + (h / 6.0) * (k1x[i] + 2.0 * (k2x[i] + k3x[i]) + k4x[i])
              for i in range(4)]
         lam = [lam[i] + (h / 6.0) * (k1l[i] + 2.0 * (k2l[i] + k3l[i]) + k4l[i])
@@ -239,11 +234,8 @@ def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
 
     if kept == 0:
         # even the initial sample was inadmissible; surface it as an error
-        flag = abort["flag"]
-        exc = {RkViolation.__name__: RkViolation,
-               CostateDegenerate.__name__: CostateDegenerate,
-               OutOfBounds.__name__: OutOfBounds}.get(flag, RkViolation)
-        raise exc(f"initial sample inadmissible: {abort}")
+        raise ERRORS_BY_NAME[abort["flag"]](
+            f"initial sample inadmissible: {abort}")
 
     meta = {
         "source": "constructed",
@@ -307,10 +299,7 @@ def resimulate(sys: FullyActuatedSystem, x0, control,
     nsteps = round(horizon / h)
 
     def xdot(x, u):
-        f, L = sys.dyn(x)
-        return (f[0], f[1],
-                f[2] + L[0][0] * u[0] + L[0][1] * u[1],
-                f[3] + L[1][0] * u[0] + L[1][1] * u[1])
+        return state_rate(*sys.dyn(x), u)
 
     ts = np.empty(nsteps + 1)
     xs = np.empty((nsteps + 1, 4))
@@ -347,18 +336,7 @@ def hamiltonian_trace(sys: FullyActuatedSystem, traj: Trajectory) -> np.ndarray:
     """H(t) = <lambda, xdot> - 1 along a recorded trajectory."""
     if traj.lam is None:
         raise MissingCostates("trajectory carries no costates")
-    out = np.empty(len(traj))
-    for k in range(len(traj)):
-        x = traj.x[k]
-        u = traj.u[k]
-        f, L = sys.dyn([float(v) for v in x])
-        xdot = (f[0], f[1],
-                f[2] + L[0][0] * u[0] + L[0][1] * u[1],
-                f[3] + L[1][0] * u[0] + L[1][1] * u[1])
-        lam = traj.lam[k]
-        out[k] = (lam[0] * xdot[0] + lam[1] * xdot[1]
-                  + lam[2] * xdot[2] + lam[3] * xdot[3]) - 1.0
-    return out
+    return hamiltonian(sys, traj.x.T, traj.u.T, traj.lam.T)
 
 
 def save_trajectory(traj: Trajectory, path: str) -> None:
@@ -377,26 +355,48 @@ def save_trajectory(traj: Trajectory, path: str) -> None:
 
 
 def load_trajectory(path: str) -> Trajectory:
-    """Inverse of save_trajectory; validates schema and time axis."""
-    with open(path) as fh:
-        header = fh.readline().strip()
+    """Inverse of save_trajectory; validates schema and time axis.
+
+    Text that is not UTF-8, a file without sample rows, a non-numeric cell,
+    a row of the wrong length and a sidecar that is not a JSON object all
+    raise SchemaError.
+    """
     plain = ",".join(["t", *STATE_COLUMNS, *CONTROL_COLUMNS])
     with_costates = plain + "," + ",".join(COSTATE_COLUMNS)
-    if header == with_costates:
-        ncols, has_lam = 11, True
-    elif header == plain:
-        ncols, has_lam = 7, False
-    else:
-        raise SchemaError(f"unrecognized trajectory header: {header!r}")
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with open(path) as fh:
+        try:
+            header = fh.readline().strip()
+            start = fh.tell()
+            empty = not any(line.strip() for line in fh)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"trajectory file is not UTF-8 text: {exc}") \
+                from None
+        if header == with_costates:
+            ncols, has_lam = 11, True
+        elif header == plain:
+            ncols, has_lam = 7, False
+        else:
+            raise SchemaError(f"unrecognized trajectory header: {header!r}")
+        if empty:
+            raise SchemaError("trajectory file has no samples")
+        fh.seek(start)
+        try:
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # a UnicodeDecodeError is one too
+            raise SchemaError(f"malformed trajectory table: {exc}") from None
     if table.shape[1] != ncols:
         raise SchemaError(
             f"expected {ncols} columns, found {table.shape[1]}")
-    meta = {}
     sidecar = _sidecar_path(path)
     if os.path.exists(sidecar):
         with open(sidecar) as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:
+                raise SchemaError(f"malformed metadata sidecar: {exc}") \
+                    from None
+        if not isinstance(meta, dict):
+            raise SchemaError("metadata sidecar is not a JSON object")
     else:
         meta = {"source": "ingested", "flags": ["no-metadata"]}
     lam = table[:, 7:11] if has_lam else None

@@ -149,10 +149,6 @@ class AlphaTensor:
         return np.einsum("j,ijk...->ik...", u, self.values)
 
 
-def beta_matrix(alpha: AlphaTensor, u) -> np.ndarray:
-    return alpha.beta(u)
-
-
 def alpha_coefficients(sys: FullyActuatedSystem, x, rtol: float = 1e-9) -> AlphaTensor:
     """Solve the bottom-block systems (g_i f g_j) = sum_k alpha_ijk g_k.
 

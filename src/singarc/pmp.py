@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arm2dof import ControlBounds, FullyActuatedSystem, _components
-from .duals import Dual
 from .errors import (CostateDegenerate, DegenerateSystem, RkViolation)
 from .liegeom import (AlphaTensor, BracketTableau, _stacked_fields,
                       alpha_coefficients, fused_terms, u1_singular_brackets,
@@ -77,45 +76,41 @@ def _dot(lam, vec) -> float:
     return total
 
 
-def hamiltonian(sys: FullyActuatedSystem, x, u, lam) -> float:
-    """<lambda, f + G u> - 1; constant along autonomous extremals."""
-    n = sys.n
-    comps = list(_components(x))
-    lc = list(_components(lam))
-    uc = list(_components(np.asarray(u))) if not isinstance(u, (list, tuple)) \
-        else list(u)
-    fv, L = sys.dyn(comps)
-    total = _dot(lc, fv)
-    for r in range(n):
-        gu = L[r][0] * uc[0]
-        for j in range(1, n):
-            gu = gu + L[r][j] * uc[j]
-        total = total + lc[n + r] * gu
-    return total - 1.0
+def state_rate(f, L, u):
+    """xdot = f + G u from dyn's (f, L); floats or batched arrays."""
+    return (f[0], f[1],
+            f[2] + L[0][0] * u[0] + L[0][1] * u[1],
+            f[3] + L[1][0] * u[0] + L[1][1] * u[1])
+
+
+def costate_rate(df_cols, dL, u, lam):
+    """lambda' = -(d(f + G u)/dx)^T lambda from first-order Jacobian data.
+
+    df_cols[i] = Df . e_i and dL[r][c][i] = d L_rc / d x_i, as in
+    BracketTableau; the integrator's association order.
+    """
+    return tuple(
+        -(col[0] * lam[0] + col[1] * lam[1] + col[2] * lam[2] + col[3] * lam[3]
+          + (dL[0][0][i] * u[0] + dL[0][1][i] * u[1]) * lam[2]
+          + (dL[1][0][i] * u[0] + dL[1][1][i] * u[1]) * lam[3])
+        for i, col in enumerate(df_cols))
+
+
+def hamiltonian(sys: FullyActuatedSystem, x, u, lam):
+    """<lambda, f + G u> - 1; constant along autonomous extremals.
+
+    Batched x (4, N), u (2, N) and lam (4, N) give one value per sample.
+    """
+    xdot = state_rate(*sys.dyn(_components(x)), _components(u))
+    return _dot(_components(lam), xdot) - 1.0
 
 
 def adjoint_rhs(sys: FullyActuatedSystem, x, u, lam) -> np.ndarray:
-    """-(d(f + Gu)/dx)^T lambda, column by column through dual seeds."""
-    n = sys.n
-    comps = list(_components(x))
-    lc = list(_components(lam))
-    uc = [float(v) for v in np.ravel(np.asarray(u, dtype=float))] \
-        if np.asarray(u).ndim == 1 else list(_components(u))
-    zero = comps[0] * 0.0
-    one = zero + 1.0
-    out = []
-    for i in range(2 * n):
-        pt = [Dual(comps[j], one if j == i else zero) for j in range(2 * n)]
-        fD, LD = sys.dyn(pt)
-        col_dot = 0.0
-        for r in range(2 * n):
-            d = fD[r].im
-            if r >= n:
-                for j in range(n):
-                    d = d + LD[r - n][j].im * uc[j]
-            col_dot = col_dot + lc[r] * d
-        out.append(-col_dot)
-    return np.asarray(out)
+    """-(d(f + Gu)/dx)^T lambda: the integrator's costate equation, on the
+    Jacobian data of the bracket tableau."""
+    tab = u1_singular_brackets(sys, x)
+    return np.asarray(costate_rate(tab.df_cols, tab.dL, _components(u),
+                                   _components(lam)))
 
 
 def switching(sys: FullyActuatedSystem, x, lam) -> SwitchingRecord:

@@ -19,12 +19,12 @@ from .arm2dof import ControlBounds, FullyActuatedSystem
 from .errors import (CostateDegenerate, DegenerateSystem, MissingCostates,
                      RkViolation)
 from .integrate import IntegratorConfig, Trajectory, resimulate
-from .liegeom import word_field
-from .pmp import LAMBDA4_RTOL, singular_u1
+from .pmp import LAMBDA4_RTOL, singular_u1, switching
 
 LABEL_UPPER = "upper-bang"
 LABEL_LOWER = "lower-bang"
 LABEL_SINGULAR = "singular"
+LABEL_UNCHECKED = "singular-unchecked"
 LABEL_VIOLATION = "violation"
 
 
@@ -134,21 +134,11 @@ def ingest(path: str) -> Trajectory:
 
 
 def switching_series(sys: FullyActuatedSystem, traj: Trajectory):
-    """phi and phi' for every channel at every sample, vectorized."""
+    """phi and phi' (samples x channels): pmp.switching over the run."""
     if traj.lam is None:
         raise MissingCostates("switching series needs costates")
-    comps = [traj.x[:, i] for i in range(traj.x.shape[1])]
-    _, L = sys.dyn(comps)
-    lam = traj.lam
-    n = sys.n
-    lam_v = [lam[:, n + r] for r in range(n)]
-    phi = np.stack(
-        [sum(lam_v[r] * L[r][k] for r in range(n)) for k in range(n)], axis=1)
-    phi_dot = np.empty_like(phi)
-    for k in range(n):
-        fgk = word_field(sys, f"fg{k + 1}")(comps)
-        phi_dot[:, k] = sum(lam[:, i] * fgk[i] for i in range(2 * n))
-    return phi, phi_dot
+    rec = switching(sys, traj.x.T, traj.lam.T)
+    return rec.phi.T, rec.phi_dot.T
 
 
 def _band_value(sys, traj, tol: Tolerances) -> float:
@@ -349,10 +339,11 @@ def pmp_audit(sys: FullyActuatedSystem, traj: Trajectory,
 
     Sign rule: positive switching function demands the upper bound,
     negative the lower.  In the singular band, channel 1 must match the
-    closed-form law; a law that is undefined at a sample (outside the
-    admissible set) leaves the singular label unverified rather than
-    inventing a violation.  Zero costate rows prove nothing and are flagged
-    as violations.
+    closed-form law.  Where nothing could be checked -- the law is
+    undefined at the sample (outside the admissible set), or channel 2,
+    which has no law here -- the label is singular-unchecked rather than
+    an invented verdict either way.  Zero costate rows prove nothing and
+    are flagged as violations.
     """
     if traj.lam is None:
         raise MissingCostates("audit needs costates")
@@ -364,7 +355,7 @@ def pmp_audit(sys: FullyActuatedSystem, traj: Trajectory,
     band = _band_value(sys, traj, tol)
     n_samples = len(traj)
     n = sys.n
-    labels = np.full((n_samples, n), LABEL_VIOLATION, dtype="<U10")
+    labels = np.full((n_samples, n), LABEL_VIOLATION, dtype="<U18")
     lam_norms = np.linalg.norm(traj.lam, axis=1)
     degenerate = lam_norms <= 0.0
 
@@ -386,7 +377,7 @@ def pmp_audit(sys: FullyActuatedSystem, traj: Trajectory,
                                            bounds.nearest(1, traj.u[i, 1]),
                                            exclusion=tol.law_exclusion)
                     except (RkViolation, CostateDegenerate, DegenerateSystem):
-                        labels[i, k] = LABEL_SINGULAR
+                        labels[i, k] = LABEL_UNCHECKED
                         continue
                     if abs(u - want) <= tol.law_tol:
                         labels[i, k] = LABEL_SINGULAR
@@ -396,6 +387,6 @@ def pmp_audit(sys: FullyActuatedSystem, traj: Trajectory,
                 elif abs(u - bounds.lower[k]) <= tol.u_tol:
                     labels[i, k] = LABEL_LOWER
                 elif k != 0 and abs(phi_dot[i, k]) <= band:
-                    labels[i, k] = LABEL_SINGULAR
+                    labels[i, k] = LABEL_UNCHECKED
     return AuditResult(labels=labels,
                        lambda_degenerate=tuple(np.flatnonzero(degenerate)))

@@ -11,7 +11,7 @@ import numpy as np
 
 from singarc.arm2dof import Arm2DOF
 from singarc.integrate import Trajectory
-from singarc.pmp import adjoint_rhs
+from singarc.pmp import adjoint_rhs, state_rate
 
 # start of the reference singular extremal
 X0 = np.array([math.pi / 20.0, math.pi / 20.0, 0.3, 0.5])
@@ -53,11 +53,8 @@ def bang_run(sys_, x_start, lam_start, u, step, nsteps, forward=True):
     u = [float(v) for v in u]
 
     def rhs(x, lam):
-        f, L = sys_.dyn(list(x))
-        xdot = [f[0], f[1],
-                f[2] + L[0][0] * u[0] + L[0][1] * u[1],
-                f[3] + L[1][0] * u[0] + L[1][1] * u[1]]
-        return xdot, list(adjoint_rhs(sys_, x, u, lam))
+        return (state_rate(*sys_.dyn(list(x)), u),
+                list(adjoint_rhs(sys_, x, u, lam)))
 
     xs = np.empty((nsteps + 1, 4))
     ls = np.empty((nsteps + 1, 4))

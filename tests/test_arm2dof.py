@@ -5,8 +5,7 @@ import pytest
 
 import reference as ref
 from oracles import invert_2x2
-from singarc.arm2dof import (Arm2DOF, ArmParams, ControlBounds, MechState,
-                             coriolis, drift, input_columns, mass_matrix)
+from singarc.arm2dof import Arm2DOF, ArmParams, ControlBounds
 
 
 def test_mass_matrix_at_right_angle(arm):
@@ -86,25 +85,6 @@ def test_batched_evaluation_matches_per_sample_loop(arm):
         npt.assert_array_equal(batch_G[:, :, k], arm.input_columns(x))
 
 
-def test_mech_state_input_is_equivalent_to_vectors(arm):
-    state = MechState(q=(0.1, -0.2), qdot=(0.5, 0.25))
-    x = state.as_vector()
-    npt.assert_array_equal(arm.drift(state), arm.drift(x))
-    npt.assert_array_equal(arm.mass_matrix(state.q), arm.mass_matrix(x[:2]))
-    round_trip = MechState.from_vector(x)
-    assert round_trip == state
-
-
-def test_module_level_facades_match_the_methods(arm):
-    params = ArmParams()
-    x = np.array([0.15, 0.7, -0.3, 0.6])
-    npt.assert_array_equal(mass_matrix(params, x[:2]), arm.mass_matrix(x[:2]))
-    npt.assert_array_equal(coriolis(params, x[:2], x[2:]),
-                           arm.coriolis(x[:2], x[2:]))
-    npt.assert_array_equal(drift(params, x), arm.drift(x))
-    npt.assert_array_equal(input_columns(params, x), arm.input_columns(x))
-
-
 def test_nondefault_parameters_change_the_inertia():
     light = Arm2DOF(ArmParams(mass=(5.0, 3.0)))
     M = light.mass_matrix([0.0, 0.0])
@@ -121,13 +101,6 @@ def test_nondefault_parameters_change_the_inertia():
 def test_arm_params_reject_nonpositive_or_nonfinite(bad):
     with pytest.raises(ValueError):
         ArmParams(**bad)
-
-
-def test_mech_state_validation():
-    with pytest.raises(ValueError):
-        MechState(q=(0.0, 0.0), qdot=(0.0,))
-    with pytest.raises(ValueError):
-        MechState(q=(float("nan"), 0.0), qdot=(0.0, 0.0))
 
 
 def test_control_bounds_validation_and_queries():

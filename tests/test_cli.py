@@ -1,6 +1,7 @@
 """Command-line front end, exercised in-process through main(argv)."""
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,23 @@ def test_construct_reports_aborts_with_the_matching_exit_code(
     assert load_trajectory(str(tmp_path / "partial_run.csv")).horizon < 0.7
 
 
+@pytest.mark.parametrize("step, overlay", [
+    # u1 left free: the second step's state overflows
+    ("10", "[bounds]\nlower = -1e300, -10.0\nupper = 1e300, 10.0\n"
+           "[integrator]\nhorizon = 20.0\n"),
+    # the first step's stage states reach inf
+    ("1e100", "[integrator]\nhorizon = 2e100\n"),
+], ids=["free-u1", "stage-overflow"])
+def test_construct_reports_a_nan_abort_with_its_exit_code(step, overlay,
+                                                          tmp_path, capsys):
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text(overlay)
+    rc = main(["construct", "--step", step, "--config", str(cfg),
+               "--out", str(tmp_path / "nan.csv")])
+    assert rc == 5  # NaNError
+    assert "'flag': 'NaNError'" in capsys.readouterr().out
+
+
 def test_construct_rejects_inadmissible_starts(tmp_path, capsys):
     overlay = tmp_path / "wall.cfg"
     overlay.write_text(
@@ -170,6 +188,34 @@ def test_diagnose_rejects_malformed_files(tmp_path, capsys):
     rc = main(["diagnose", str(tmp_path / "missing.csv"),
                "--out", str(tmp_path / "s.csv")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("case", ["cell", "short-row", "encoding",
+                                  "header-only", "sidecar-json",
+                                  "sidecar-not-object"])
+def test_malformed_trajectory_files_exit_with_schema_error(
+        case, extremal_file, tmp_path, capsys):
+    with open(extremal_file, "rb") as fh:
+        header, *rows = fh.readlines()[:6]
+    cells = rows[2].split(b",")
+    if case == "cell":
+        rows[2] = b",".join([cells[0], b"abc"] + cells[2:])
+    elif case == "short-row":
+        rows[2] = b",".join(cells[:-1]) + b"\n"
+    elif case == "encoding":
+        header = header.replace(b"q1", b"q\xff")
+    elif case == "header-only":
+        rows = []
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(header + b"".join(rows))
+    if case.startswith("sidecar"):
+        meta = b"{not json" if case == "sidecar-json" else b"5"
+        (tmp_path / "bad.csv.meta.json").write_bytes(meta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's empty-input warning too
+        rc = main(["diagnose", str(bad), "--out", str(tmp_path / "s.csv")])
+    assert rc == 3  # SchemaError
+    assert "SchemaError" in capsys.readouterr().err
 
 
 def test_regularize_restores_the_spiked_file(spiked_file, extremal, tmp_path,

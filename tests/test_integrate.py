@@ -15,13 +15,13 @@ from singarc.integrate import (IntegratorConfig, Trajectory,
                                hamiltonian_trace, integrate_extremal,
                                load_trajectory, model_signature, resimulate,
                                save_trajectory)
+from singarc.pmp import hamiltonian
 
 
 @pytest.mark.parametrize("bad", [
     {"step": 0.0},
     {"step": float("inf")},
     {"horizon": -0.1},
-    {"method": "euler"},
     {"interp": "cubic"},
     {"rk_exclusion": -1e-9},
 ])
@@ -81,6 +81,13 @@ def test_hamiltonian_trace_is_affine_in_the_costate(arm, extremal):
     twice = Trajectory(t=base.t, x=base.x, u=base.u, lam=2.0 * base.lam)
     npt.assert_allclose(hamiltonian_trace(arm, twice), 2.0 * H1 + 1.0,
                         rtol=1e-14, atol=1e-14)
+
+
+def test_hamiltonian_trace_is_the_pointwise_hamiltonian(arm, extremal):
+    H = hamiltonian_trace(arm, extremal)
+    pointwise = [hamiltonian(arm, extremal.x[k], extremal.u[k],
+                             extremal.lam[k]) for k in range(len(extremal))]
+    npt.assert_allclose(H, pointwise, rtol=1e-13)
 
 
 def test_hamiltonian_trace_needs_costates(arm, extremal):
@@ -263,6 +270,26 @@ def test_inadmissible_initial_samples_raise(arm, lam0):
         integrate_extremal(arm, ref.X0, lam0, c=-11.0)
     with pytest.raises(SchemaError):
         integrate_extremal(arm, [0.1, 0.2, 0.3], lam0)
+    with pytest.raises(NaNError):
+        integrate_extremal(arm, [np.nan, 0.1, 0.3, 0.5], lam0)
+    with pytest.raises(NaNError):
+        integrate_extremal(arm, ref.X0, [np.inf, -3.0, -10.0, -6.0])
+
+
+def test_overflow_mid_run_is_a_nan_abort(arm, lam0):
+    # u1 left free: the second step's state overflows to non-finite values
+    free = ControlBounds(lower=(-1e300, -10.0), upper=(1e300, 10.0))
+    traj = integrate_extremal(arm, ref.X0, lam0,
+                              IntegratorConfig(step=10.0, horizon=20.0),
+                              c=ref.U2_BANG, bounds=free)
+    assert len(traj) == 2
+    assert traj.meta["abort"] == {"flag": "NaNError", "t": 20.0}
+    # a stage state at inf makes math.sin raise; still a NaN abort
+    traj = integrate_extremal(arm, ref.X0, lam0,
+                              IntegratorConfig(step=1e100, horizon=2e100),
+                              c=ref.U2_BANG)
+    assert len(traj) == 1
+    assert traj.meta["abort"] == {"flag": "NaNError", "t": 1e100}
 
 
 def test_model_signature_tracks_plant_and_bounds(arm, bounds):

@@ -31,11 +31,14 @@ def test_adjoint_vanishes_for_zero_costate(arm):
     npt.assert_array_equal(rhs, np.zeros(4))
 
 
-def test_adjoint_matches_finite_differences(arm):
+def test_adjoint_matches_finite_differences(arm, extremal):
     rng = np.random.default_rng(30)
-    for x in ref.sample_states(rng, 6):
-        lam = rng.normal(size=4)
-        u = rng.uniform(-20.0, 20.0, size=2)
+    cases = [(x, rng.uniform(-20.0, 20.0, size=2), rng.normal(size=4))
+             for x in ref.sample_states(rng, 6)]
+    # the integrator's own costate equation, on the reference extremal
+    cases += [(extremal.x[k], extremal.u[k], extremal.lam[k])
+              for k in range(0, len(extremal), 1000)]
+    for x, u, lam in cases:
         got = adjoint_rhs(arm, x, u, lam)
         want = fd_adjoint(arm, x, u, lam)
         assert np.linalg.norm(got - want) <= 1e-6 * max(

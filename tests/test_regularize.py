@@ -11,11 +11,12 @@ from singarc.errors import CostateDegenerate, MissingCostates
 from singarc.integrate import (IntegratorConfig, Trajectory,
                                integrate_extremal, save_trajectory)
 from singarc.pmp import switching
-from singarc.regularize import (LABEL_LOWER, LABEL_SINGULAR, LABEL_UPPER,
-                                LABEL_VIOLATION, AuditResult, SingularInterval,
-                                Tolerances, costate_ratio_trace,
-                                detect_singular_arcs, ingest, pmp_audit,
-                                regularize_u1, switching_series)
+from singarc.regularize import (LABEL_LOWER, LABEL_SINGULAR, LABEL_UNCHECKED,
+                                LABEL_UPPER, LABEL_VIOLATION, AuditResult,
+                                SingularInterval, Tolerances,
+                                costate_ratio_trace, detect_singular_arcs,
+                                ingest, pmp_audit, regularize_u1,
+                                switching_series)
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -50,15 +51,12 @@ def test_ingest_flags_missing_costates(extremal, tmp_path):
 
 
 def test_switching_series_matches_pointwise_evaluation(arm, extremal):
-    rows = slice(0, 25)
-    sub = Trajectory(t=extremal.t[rows], x=extremal.x[rows],
-                     u=extremal.u[rows], lam=extremal.lam[rows])
-    phi, phi_dot = switching_series(arm, sub)
-    assert phi.shape == (25, 2)
-    for i in range(25):
-        rec = switching(arm, sub.x[i], sub.lam[i])
-        npt.assert_allclose(phi[i], rec.phi, rtol=1e-13, atol=1e-16)
-        npt.assert_allclose(phi_dot[i], rec.phi_dot, rtol=1e-13, atol=1e-16)
+    phi, phi_dot = switching_series(arm, extremal)
+    assert phi.shape == (len(extremal), 2)
+    for i in range(0, len(extremal), 5):
+        rec = switching(arm, extremal.x[i], extremal.lam[i])
+        npt.assert_allclose(phi[i], rec.phi, rtol=1e-13)
+        npt.assert_allclose(phi_dot[i], rec.phi_dot, rtol=1e-13)
 
 
 def test_switching_series_needs_costates(arm, extremal):
@@ -278,6 +276,23 @@ def test_audit_accepts_bounds_at_transversal_crossings(arm):
     audit = pmp_audit(arm, traj)
     assert audit.count(LABEL_UPPER, channel=1) == n
     assert audit.count(LABEL_VIOLATION, channel=1) == 0
+
+
+def test_audit_marks_samples_it_could_not_check(arm):
+    """Everything in the band, nothing to check against: channel 1 sits on
+    theta2 = pi/2, outside the law's domain, and channel 2 is off its
+    bounds, with no law of its own.  Neither is verified, and neither is a
+    violation."""
+    n = 12
+    traj = Trajectory(t=np.arange(n) * 1e-3,
+                      x=np.tile([0.1, np.pi / 2, 0.3, 0.5], (n, 1)),
+                      u=np.tile([ref.U1_START, 0.0], (n, 1)),
+                      lam=np.tile(ref.LAM0, (n, 1)))
+    audit = pmp_audit(arm, traj, tol=Tolerances(phi_band=1e6))
+    assert audit.count(LABEL_UNCHECKED, channel=1) == n
+    assert audit.count(LABEL_UNCHECKED, channel=2) == n
+    assert audit.count(LABEL_SINGULAR) == 0
+    assert audit.count(LABEL_VIOLATION) == 0
 
 
 def test_tolerances_validation():
