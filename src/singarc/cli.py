@@ -23,8 +23,9 @@ from .integrate import (IntegratorConfig, hamiltonian_trace,
                         integrate_extremal, resimulate, save_trajectory)
 from .liegeom import alpha_coefficients, b_set_certificate, frame_rank
 from .pmp import LAMBDA4_RTOL, costate_on_surface, in_Rk
-from .regularize import (LABEL_VIOLATION, Tolerances, detect_singular_arcs,
-                         ingest, pmp_audit, regularize_u1, switching_series)
+from .regularize import (AUDIT_LABELS, LABEL_VIOLATION, Tolerances,
+                         detect_singular_arcs, ingest, pmp_audit,
+                         regularize_u1, switching_series)
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,8 @@ def load_config(path: str | None = None,
     lambda0 = _floats(initial["lambda0"]) if "lambda0" in initial else None
     integ = parser["integrator"]
     integrator = IntegratorConfig(
-        step=overrides.get("step") or integ.getfloat("step"),
+        step=integ.getfloat("step") if overrides.get("step") is None
+        else overrides["step"],
         horizon=integ.getfloat("horizon"),
         interp=integ.get("interp"),
         rk_exclusion=integ.getfloat("rk_exclusion"),
@@ -102,6 +104,10 @@ def load_config(path: str | None = None,
         law_tol=tols.getfloat("law_tol"),
     )
     sampling = parser["sampling"]
+    samples = sampling.getint("samples") if overrides.get("samples") is None \
+        else overrides["samples"]
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     return RunConfig(
         params=params,
         bounds=bounds,
@@ -114,7 +120,7 @@ def load_config(path: str | None = None,
         tolerances=tolerances,
         box_low=_floats(sampling["box_low"]),
         box_high=_floats(sampling["box_high"]),
-        samples=overrides.get("samples") or sampling.getint("samples"),
+        samples=samples,
         seed=sampling.getint("seed") if overrides.get("seed") is None
         else overrides["seed"],
     )
@@ -182,7 +188,9 @@ def cmd_diagnose(traj_path: str, cfg: RunConfig, out: str) -> int:
                 _g(phi[i, 1]), _g(phi_dot[i, 1]), _g(H[i]),
                 str(int(member[i])), _g(ratio[i]),
                 audit.labels[i, 0], audit.labels[i, 1]]) + "\n")
-    labels, counts = np.unique(audit.labels, return_counts=True)
+    # counted label by label: sorting the label strings (np.unique) is
+    # the command's largest transient allocation
+    counts = {label: audit.count(label) for label in AUDIT_LABELS}
     summary = {
         "costates": True,
         "samples": len(traj),
@@ -190,7 +198,7 @@ def cmd_diagnose(traj_path: str, cfg: RunConfig, out: str) -> int:
         "max_abs_phi1_dot": float(np.abs(phi_dot[:, 0]).max()),
         "H_variation": float(H.max() - H.min()),
         "in_rk_fraction": float(member.mean()),
-        "classification": {str(l): int(c) for l, c in zip(labels, counts)},
+        "classification": {l: c for l, c in counts.items() if c},
         "lambda_degenerate_rows": [int(i) for i in audit.lambda_degenerate],
         "series": out,
     }

@@ -25,7 +25,9 @@ reassociated or simplified algebraically.  So on inputs at which the
 replayed evaluation stays finite the compiled function returns the same
 numbers (``==``, bit for bit except possibly the sign of a zero); on
 non-finite input a structural zero stays ``0.0`` where the replayed
-evaluation would give ``nan``.
+evaluation would give ``nan``.  The same tape also compiles to a batched
+function over numpy arrays (one sample per element) that masks, per
+sample, every place where the float function raises.
 """
 from __future__ import annotations
 
@@ -258,7 +260,7 @@ class Tape:
             self.ops.append((name, args))
         return node
 
-    def compile(self, outputs, name: str = "kernel"):
+    def compile(self, outputs, name: str = "kernel", batched: bool = False):
         """Python function of the inputs returning ``outputs``.
 
         outputs is a nest of lists and tuples over Recs and constants; the
@@ -268,6 +270,15 @@ class Tape:
         evaluation would).  Operations that cannot raise and have one
         consumer are written inline into it.  The source is kept as
         ``fn.source``.
+
+        batched=True emits the same operations for numpy array inputs, one
+        sample per element (run it under ``np.errstate(all="ignore")``),
+        and returns ``(outputs, bad)``.  Where the float function raises,
+        the batched one ORs the sample into the mask ``bad`` instead: a
+        check that holds, an exact zero divisor, an infinite argument of
+        sin/cos.  sin/cos apply math.sin/math.cos element by element, so
+        every unmasked sample gets the float function's numbers bit for
+        bit.  A masked sample's outputs are meaningless.
         """
         live = [False] * len(self.ops)
         uses = [0] * len(self.ops)       # references from live code
@@ -285,7 +296,15 @@ class Tape:
                         uses[a.idx] += 1
                         stack.append(a.idx)
 
-        env = {"sin": math.sin, "cos": math.cos, "OffTrace": OffTrace}
+        # a batched mask tests these operands, so they are computed once
+        tested = set()
+        if batched:
+            tested = {args[-1].idx for op, args in self.ops
+                      if op in ("/", "sin", "cos") and type(args[-1]) is Rec}
+            env = {"sin": _elementwise(math.sin),
+                   "cos": _elementwise(math.cos), "isinf": np.isinf}
+        else:
+            env = {"sin": math.sin, "cos": math.cos, "OffTrace": OffTrace}
         names = dict(self._names)
         inline: dict[int, str] = {}
 
@@ -305,14 +324,21 @@ class Tape:
                 return "(" + "".join(nest(e) + ", " for e in v) + ")"
             return ref(v)
 
-        lines = []
+        lines = ["    bad = False"] if batched else []
         for i, (op, args) in enumerate(self.ops):
             if not live[i] or op == "in":
                 continue
             a = [ref(x) for x in args]
             if op == "check":
-                lines.append(f"    if {a[0]}: raise OffTrace")
+                lines.append(f"    bad = bad | {a[0]}" if batched
+                             else f"    if {a[0]}: raise OffTrace")
                 continue
+            if (batched and op in ("/", "sin", "cos")
+                    and type(args[-1]) is Rec):
+                test = "isinf({})" if op in ("sin", "cos") else "({} == 0.0)"
+                test = "    bad = bad | " + test.format(a[-1])
+                if test not in lines:       # one test per operand
+                    lines.append(test)
             if op in ("sin", "cos", "abs"):
                 expr = f"{op}({a[0]})"
             elif op == "neg":
@@ -322,18 +348,29 @@ class Tape:
             # a single-use operation that cannot raise is written into its
             # consumer: the same float operations in fewer statements; the
             # "(" count bounds the nesting far below the parser's limit
-            if uses[i] == 1 and op in _INLINED and expr.count("(") < 40:
+            if (uses[i] == 1 and op in _INLINED and i not in tested
+                    and expr.count("(") < 40):
                 inline[i] = expr
             else:
                 names[i] = f"t{i}"
                 lines.append(f"    t{i} = {expr}")
         params = ", ".join(self._names.values())
+        result = f"{nest(outputs)}, bad" if batched else nest(outputs)
         source = (f"def {name}({params}):\n" + "\n".join(lines)
-                  + f"\n    return {nest(outputs)}\n")
+                  + f"\n    return {result}\n")
         exec(compile(source, f"<{name}>", "exec"), env)
         fn = env[name]
         fn.source = source
         return fn
+
+
+def _elementwise(fn):
+    """math.sin or math.cos of every element of a 1-D array; nan at an
+    infinite element, where fn raises and the batched code masks."""
+    def apply(v):
+        return np.array([fn(e) if e - e == 0.0 else math.nan
+                         for e in v.tolist()])
+    return apply
 
 
 def _recs(v):

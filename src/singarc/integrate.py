@@ -23,7 +23,8 @@ from .errors import (ERRORS_BY_NAME, CostateDegenerate, MissingCostates,
                      MonotonicityError, NaNError, OutOfBounds, RkViolation,
                      SchemaError)
 from .liegeom import fused_reference, fused_terms
-from .pmp import LAMBDA4_RTOL, costate_rate, hamiltonian, state_rate
+from .pmp import (LAMBDA4_RTOL, costate_rate, hamiltonian, law_u1,
+                  state_rate)
 
 STATE_COLUMNS = ("q1", "q2", "qd1", "qd2")
 CONTROL_COLUMNS = ("u1", "u2")
@@ -181,7 +182,7 @@ def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
         # off the kernel's recorded branch the reference raises
         out = fused_terms(sys, x, c) or fused_reference(sys, x, c)
         f, *_, L, df_cols, dL, law = out
-        u = (law[3] * (lam[1] / lam[3]) + law[4], c)
+        u = (law_u1(law, lam), c)
         return state_rate(f, L, u), costate_rate(df_cols, dL, u, lam), u[0]
 
     x = list(x0)

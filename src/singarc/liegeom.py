@@ -18,7 +18,10 @@ straight-line function, cached per plant instance (never at import).  The
 kernel returns the reference's numbers (equal as floats, bit for bit up to
 the sign of a zero) wherever the reference stays finite; see ``duals``.
 Where it stops (singular mass matrix, exact zero divisor), the callers
-re-run the reference, which raises what it always raised.
+re-run the reference, which raises what it always raised.  The law terms
+also compile, from the same recorded operations, to
+``batched_law_kernel`` over arrays of samples; it masks the samples where
+the float kernel stops.
 """
 from __future__ import annotations
 
@@ -376,6 +379,18 @@ def fused_reference(sys: FullyActuatedSystem, comps, c):
 
 
 _KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_BATCH_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _recording(sys: FullyActuatedSystem):
+    """(tape, outputs) of fused_reference recorded on Rec inputs.
+
+    Not kept: a plant records once per kernel it compiles (~3 ms), and
+    holding the tape for the plant's lifetime would cost more memory.
+    """
+    tape = Tape()
+    comps = [tape.input(f"x{i}") for i in range(4)]
+    return tape, fused_reference(sys, comps, tape.input("c"))
 
 
 def fused_kernel(sys: FullyActuatedSystem):
@@ -388,10 +403,25 @@ def fused_kernel(sys: FullyActuatedSystem):
     """
     kernel = _KERNELS.get(sys)
     if kernel is None:
-        tape = Tape()
-        comps = [tape.input(f"x{i}") for i in range(4)]
-        outputs = fused_reference(sys, comps, tape.input("c"))
+        tape, outputs = _recording(sys)
         kernel = _KERNELS[sys] = tape.compile(outputs, "fused_kernel")
+    return kernel
+
+
+def batched_law_kernel(sys: FullyActuatedSystem):
+    """``(x0, x1, x2, x3, c) -> (law terms, bad)`` over numpy arrays.
+
+    The law-terms block of fused_kernel, recorded the same way and
+    compiled as a batched function (``Tape.compile(batched=True)``) on the
+    first batched call per plant: bit for bit fused_kernel's law terms at
+    every sample outside the mask ``bad``, which holds the samples where
+    fused_kernel raises.
+    """
+    kernel = _BATCH_KERNELS.get(sys)
+    if kernel is None:
+        tape, outputs = _recording(sys)
+        kernel = _BATCH_KERNELS[sys] = tape.compile(
+            outputs[-1], "batched_law_kernel", batched=True)
     return kernel
 
 

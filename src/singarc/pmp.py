@@ -17,11 +17,23 @@ import numpy as np
 from .arm2dof import ControlBounds, FullyActuatedSystem, _components
 from .errors import (CostateDegenerate, DegenerateSystem, RkViolation)
 from .liegeom import (AlphaTensor, BracketTableau, _stacked_fields,
-                      alpha_coefficients, fused_terms, u1_singular_brackets,
-                      word_field)
+                      alpha_coefficients, batched_law_kernel, fused_terms,
+                      u1_singular_brackets, word_field)
 
 LAMBDA4_RTOL = 1e-9
 DEGENERACY_TOL = 1e-12
+LAW_CHUNK = 1024      # samples per batched kernel call
+
+# per-sample outcome of the singular law: "ok", or the guard that tripped
+LAW_REASONS = ("ok", "domain", "lambda4", "mu", "alpha1", "b_g2")
+_LAW_ERRORS = {
+    "lambda4": (CostateDegenerate, "lambda4 too small for the singular law"),
+    "domain": (RkViolation, "state {} outside the admissible set for the "
+                            "singular law"),
+    "mu": (RkViolation, "mu = 0: costate decomposition undefined"),
+    "alpha1": (RkViolation, "alpha1 = 0: singular law undefined"),
+    "b_g2": (RkViolation, "<b, g2> = 0: law denominator vanished"),
+}
 
 
 @dataclass(frozen=True)
@@ -243,6 +255,66 @@ def _law_terms(tab: BracketTableau, c: float):
     return mu, nu, gamma, r, s, alpha1, alpha2, b_g2
 
 
+def _law_guards(x, lam, exclusion, mu, law):
+    """The singular law's guards in the order they apply, as (reason,
+    tripped) pairs: floats give one flag, (4, N) columns one per sample.
+
+    mu() and law() give the tableau's mu and the _law_terms tuple; each is
+    called only once every earlier guard has been yielded, so a scalar
+    caller that stops at the first trip evaluates nothing a guard rules
+    out.  lam None skips the costate guard.  The costate norm is the
+    integrator's sum of products.
+    """
+    if lam is not None:
+        norm = np.sqrt(lam[0] * lam[0] + lam[1] * lam[1] + lam[2] * lam[2]
+                       + lam[3] * lam[3])
+        yield "lambda4", abs(lam[3]) <= LAMBDA4_RTOL * np.fmax(1.0, norm)
+    yield "domain", np.logical_not(in_Rk(x, exclusion))
+    yield "mu", abs(mu()) <= DEGENERACY_TOL
+    terms = law()
+    yield "alpha1", abs(terms[5]) <= DEGENERACY_TOL
+    yield "b_g2", abs(terms[7]) <= DEGENERACY_TOL
+
+
+def _law_at(sys: FullyActuatedSystem, x, lam, c: float, exclusion: float):
+    """(reason, law terms) at one state: the first guard that trips and
+    None, or "ok" and the _law_terms tuple.
+
+    Plain floats take the compiled kernel; off its branch, or for other
+    scalars, the reference, which raises what it always raised (mu is
+    guarded before its law divides by it).
+    """
+    comps = list(_components(x))
+    out = tab = None
+
+    def mu():
+        nonlocal out, tab
+        out = fused_terms(sys, comps, c)
+        if out is not None:
+            return out[-1][0]
+        tab = u1_singular_brackets(sys, comps)
+        return tab.L[0][0]
+
+    def law():
+        return out[-1] if out is not None else _law_terms(tab, c)
+
+    for reason, tripped in _law_guards(comps, lam, exclusion, mu, law):
+        if tripped:
+            return reason, None
+    return "ok", law()
+
+
+def law_u1(law, lam):
+    """u1 = r * lambda2/lambda4 + s from the _law_terms tuple; floats or
+    arrays, in the one association order every caller shares."""
+    return law[3] * (lam[1] / lam[3]) + law[4]
+
+
+def _law_error(reason: str, x) -> Exception:
+    cls, message = _LAW_ERRORS[reason]
+    return cls(message.format(np.asarray(x)))
+
+
 def singular_law_coeffs(sys: FullyActuatedSystem, x, c: float,
                         exclusion: float = 1e-3) -> SingularLawCoeffs:
     """Closed-form law coefficients at x with the second control at c.
@@ -253,22 +325,10 @@ def singular_law_coeffs(sys: FullyActuatedSystem, x, c: float,
     terms as the Dual path, so the regularizer's u1 equals the
     integrator's bit for bit.
     """
-    if not in_Rk(x, exclusion):
-        raise RkViolation(f"state {np.asarray(x)} outside the admissible "
-                          "set for the singular law")
-    comps = list(_components(x))
-    out = fused_terms(sys, comps, c)
-    if out is None:
-        tab = u1_singular_brackets(sys, comps)
-    mu = tab.L[0][0] if out is None else out[-1][0]
-    if abs(mu) <= DEGENERACY_TOL:
-        raise RkViolation("mu = 0: costate decomposition undefined")
-    law = _law_terms(tab, c) if out is None else out[-1]
+    reason, law = _law_at(sys, x, None, c, exclusion)
+    if law is None:
+        raise _law_error(reason, x)
     mu, nu, gamma, r, s, alpha1, alpha2, b_g2 = law
-    if abs(alpha1) <= DEGENERACY_TOL:
-        raise RkViolation("alpha1 = 0: singular law undefined")
-    if abs(b_g2) <= DEGENERACY_TOL:
-        raise RkViolation("<b, g2> = 0: law denominator vanished")
     ratio = nu / mu
     a_basis = np.array([-ratio, 1.0, 0.0, 0.0])
     b_basis = np.array([gamma / mu, 0.0, -ratio, 1.0])
@@ -281,10 +341,58 @@ def singular_u1(sys: FullyActuatedSystem, x, lam, c: float,
                 exclusion: float = 1e-3) -> float:
     """u1 = r(x) * lambda2/lambda4 + s(x) on a u1-singular arc."""
     lam = np.asarray(lam, dtype=float)
-    if abs(lam[3]) <= LAMBDA4_RTOL * max(1.0, float(np.linalg.norm(lam))):
-        raise CostateDegenerate("lambda4 too small for the singular law")
-    coeffs = singular_law_coeffs(sys, x, c, exclusion)
-    return coeffs.r * (lam[1] / lam[3]) + coeffs.s
+    reason, law = _law_at(sys, x, lam, c, exclusion)
+    if law is None:
+        raise _law_error(reason, x)
+    return law_u1(law, lam)
+
+
+def singular_u1_batch(sys: FullyActuatedSystem, X, Lam, c,
+                      exclusion: float = 1e-3):
+    """singular_u1 at every column of X and Lam (4, N), without raising.
+
+    c is one float or one per sample.  Returns (u1, reason): reason holds
+    the LAW_REASONS name of the guard singular_u1 would raise for, or
+    "ok"; u1 is nan where it is not "ok".  The batched kernel runs over
+    chunks of LAW_CHUNK samples and gives singular_u1's numbers bit for
+    bit.  Samples it masks, where the float kernel would stop, are re-run
+    through singular_u1's own path, so they get, or raise, exactly what
+    singular_u1 does.
+    """
+    X = np.asarray(X, dtype=float)
+    Lam = np.asarray(Lam, dtype=float)
+    n = X.shape[1]
+    cs = np.broadcast_to(np.asarray(c, dtype=float), (n,))
+    kernel = batched_law_kernel(sys)
+    u1 = np.empty(n)
+    code = np.zeros(n, dtype=np.int8)
+    redo = np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        for start in range(0, n, LAW_CHUNK):
+            part = slice(start, start + LAW_CHUNK)
+            x = np.ascontiguousarray(X[:, part])
+            lam = np.ascontiguousarray(Lam[:, part])
+            terms, bad = kernel(*x, cs[part])
+            first = code[part]
+
+            def at_kernel():
+                # the samples the scalar path runs the kernel for, and
+                # where it stops there
+                redo[part] = bad & (first == 0)
+                return terms[0]
+
+            for reason, tripped in _law_guards(x, lam, exclusion, at_kernel,
+                                               lambda: terms):
+                first[(first == 0) & tripped] = LAW_REASONS.index(reason)
+            u1[part] = law_u1(terms, lam)
+    for i in np.flatnonzero(redo):
+        reason, law = _law_at(sys, X[:, i], Lam[:, i], float(cs[i]),
+                              exclusion)
+        code[i] = LAW_REASONS.index(reason)
+        if law is not None:
+            u1[i] = law_u1(law, Lam[:, i])
+    u1[code != 0] = np.nan
+    return u1, np.asarray(LAW_REASONS)[code]
 
 
 def general_singular_system(sys: FullyActuatedSystem, x, lam, k: int,

@@ -16,16 +16,17 @@ from typing import Sequence
 import numpy as np
 
 from .arm2dof import ControlBounds, FullyActuatedSystem
-from .errors import (CostateDegenerate, DegenerateSystem, MissingCostates,
-                     RkViolation)
+from .errors import CostateDegenerate, MissingCostates
 from .integrate import IntegratorConfig, Trajectory, resimulate
-from .pmp import LAMBDA4_RTOL, singular_u1, switching
+from .pmp import LAMBDA4_RTOL, singular_u1_batch, switching
 
 LABEL_UPPER = "upper-bang"
 LABEL_LOWER = "lower-bang"
 LABEL_SINGULAR = "singular"
 LABEL_UNCHECKED = "singular-unchecked"
 LABEL_VIOLATION = "violation"
+AUDIT_LABELS = (LABEL_UPPER, LABEL_LOWER, LABEL_SINGULAR, LABEL_UNCHECKED,
+                LABEL_VIOLATION)
 
 
 @dataclass(frozen=True)
@@ -80,12 +81,26 @@ class SingularInterval:
 
 @dataclass(frozen=True)
 class RegularizationReport:
+    """What regularize_u1 did to a run.
+
+    max_deviation holds, per interval, the largest |law - recorded u1|
+    over the rewritten samples.  endpoint_error compares the replay of the
+    rewritten controls with the recorded final state (relative, and
+    absolute in endpoint_error_abs).  pmp_consistency scores the *input*
+    controls, before any rewrite, against the sign rule: u1 outside the
+    singular intervals and u2 everywhere, per channel as agree / total /
+    fraction.  skipped_samples are the interval samples left as recorded,
+    in order, and skipped_reasons names why for each: a pmp.LAW_REASONS
+    guard, or "out-of-bounds" for a law value outside the u1 bounds.
+    """
+
     intervals: tuple[SingularInterval, ...]
     max_deviation: tuple[float, ...]
     endpoint_error: float
     endpoint_error_abs: float
     pmp_consistency: dict
     skipped_samples: tuple[int, ...] = ()
+    skipped_reasons: tuple[str, ...] = ()
     flags: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
@@ -100,6 +115,7 @@ class RegularizationReport:
             "endpoint_error_abs": self.endpoint_error_abs,
             "pmp_consistency": self.pmp_consistency,
             "skipped_samples": list(self.skipped_samples),
+            "skipped_reasons": list(self.skipped_reasons),
             "flags": list(self.flags),
         }
 
@@ -264,26 +280,25 @@ def regularize_u1(sys: FullyActuatedSystem, traj: Trajectory,
     new_u = np.array(traj.u)
     inside = np.zeros(n_samples, dtype=bool)
     skipped: list[int] = []
+    reasons: list[str] = []
     flags: list[str] = []
     deviations: list[float] = []
     lo1, hi1 = bounds.lower[0], bounds.upper[0]
 
     for iv in intervals:
-        inside[iv.indices] = True
-        dev = 0.0
-        for i in range(iv.start, iv.stop + 1):
-            try:
-                u1 = singular_u1(sys, traj.x[i], traj.lam[i],
-                                 iv.u2_bang_value, exclusion=tol.law_exclusion)
-            except (RkViolation, CostateDegenerate, DegenerateSystem):
-                skipped.append(i)
-                continue
-            if not (lo1 <= u1 <= hi1):
-                skipped.append(i)
-                continue
-            dev = max(dev, abs(u1 - traj.u[i, 0]))
-            new_u[i, 0] = u1
-        deviations.append(dev)
+        window = iv.indices
+        inside[window] = True
+        u1, reason = singular_u1_batch(sys, traj.x[window].T,
+                                       traj.lam[window].T, iv.u2_bang_value,
+                                       exclusion=tol.law_exclusion)
+        ok = (reason == "ok") & (lo1 <= u1) & (u1 <= hi1)
+        rows = np.arange(iv.start, iv.stop + 1)
+        skipped += rows[~ok].tolist()
+        reasons += ["out-of-bounds" if why == "ok" else why
+                    for why in reason[~ok].tolist()]
+        deviations.append(float(np.abs(u1[ok] - traj.u[rows[ok], 0]).max(
+            initial=0.0)))
+        new_u[rows[ok], 0] = u1[ok]
 
     outside = ~inside
     phi1 = phi[:, 0]
@@ -327,6 +342,7 @@ def regularize_u1(sys: FullyActuatedSystem, traj: Trajectory,
         endpoint_error_abs=err_abs,
         pmp_consistency=agree,
         skipped_samples=tuple(skipped),
+        skipped_reasons=tuple(reasons),
         flags=tuple(flags),
     )
     return out, report
@@ -353,40 +369,37 @@ def pmp_audit(sys: FullyActuatedSystem, traj: Trajectory,
         tol = Tolerances()
     phi, phi_dot = switching_series(sys, traj)
     band = _band_value(sys, traj, tol)
-    n_samples = len(traj)
-    n = sys.n
-    labels = np.full((n_samples, n), LABEL_VIOLATION, dtype="<U18")
-    lam_norms = np.linalg.norm(traj.lam, axis=1)
-    degenerate = lam_norms <= 0.0
+    labels = np.full(phi.shape, LABEL_VIOLATION, dtype="<U18")
+    degenerate = np.linalg.norm(traj.lam, axis=1) <= 0.0
 
-    for i in range(n_samples):
-        if degenerate[i]:
+    for k in range(sys.n):
+        u = traj.u[:, k]
+        at_upper = np.abs(u - bounds.upper[k]) <= tol.u_tol
+        at_lower = np.abs(u - bounds.lower[k]) <= tol.u_tol
+        above = phi[:, k] > band
+        below = ~above & (phi[:, k] < -band)
+        in_band = ~degenerate & ~above & ~below
+        flat = in_band & (np.abs(phi_dot[:, k]) <= band)
+        # channel 1 must match the law where phi1' vanishes too; elsewhere
+        # in the band a bound is still legitimate (transversal crossing)
+        crossing = in_band & ~flat if k == 0 else in_band
+        labels[~degenerate & (above | crossing) & at_upper, k] = LABEL_UPPER
+        labels[~degenerate & (below | crossing & ~at_upper) & at_lower,
+               k] = LABEL_LOWER
+        if k != 0:
+            labels[flat & ~at_upper & ~at_lower, k] = LABEL_UNCHECKED
             continue
-        for k in range(n):
-            u = traj.u[i, k]
-            if phi[i, k] > band:
-                if abs(u - bounds.upper[k]) <= tol.u_tol:
-                    labels[i, k] = LABEL_UPPER
-            elif phi[i, k] < -band:
-                if abs(u - bounds.lower[k]) <= tol.u_tol:
-                    labels[i, k] = LABEL_LOWER
-            else:
-                if k == 0 and abs(phi_dot[i, k]) <= band:
-                    try:
-                        want = singular_u1(sys, traj.x[i], traj.lam[i],
-                                           bounds.nearest(1, traj.u[i, 1]),
-                                           exclusion=tol.law_exclusion)
-                    except (RkViolation, CostateDegenerate, DegenerateSystem):
-                        labels[i, k] = LABEL_UNCHECKED
-                        continue
-                    if abs(u - want) <= tol.law_tol:
-                        labels[i, k] = LABEL_SINGULAR
-                elif abs(u - bounds.upper[k]) <= tol.u_tol:
-                    # transversal crossing: a bound is still legitimate
-                    labels[i, k] = LABEL_UPPER
-                elif abs(u - bounds.lower[k]) <= tol.u_tol:
-                    labels[i, k] = LABEL_LOWER
-                elif k != 0 and abs(phi_dot[i, k]) <= band:
-                    labels[i, k] = LABEL_UNCHECKED
+        rows = np.flatnonzero(flat)
+        # bounds.nearest(1, u2) at every row: the u2 bang the law assumes
+        u2 = traj.u[rows, 1]
+        lo2, hi2 = bounds.lower[1], bounds.upper[1]
+        c = np.where(np.abs(u2 - lo2) <= np.abs(u2 - hi2), lo2, hi2)
+        want, reason = singular_u1_batch(sys, traj.x[rows].T,
+                                         traj.lam[rows].T, c,
+                                         exclusion=tol.law_exclusion)
+        checked = reason == "ok"
+        labels[rows[~checked], k] = LABEL_UNCHECKED
+        labels[rows[checked & (np.abs(u[rows] - want) <= tol.law_tol)],
+               k] = LABEL_SINGULAR
     return AuditResult(labels=labels,
                        lambda_degenerate=tuple(np.flatnonzero(degenerate)))

@@ -1,13 +1,23 @@
-"""Finite-difference oracles, independent of the dual-number engine.
+"""Reference implementations the package is checked against.
 
-Everything here differentiates plain float evaluations of the plant with
-fourth-order central stencils; nothing imports from singarc.duals or
-singarc.liegeom, so agreement with the package is a genuine two-route
-check.  Step sizes are fixed per derivative depth (tuned once against the
-arm's magnitudes; worst observed error ~5e-9 for depth-3 words, well under
-the 1e-6 tolerance the tests assert).
+The finite-difference oracles are independent of the dual-number engine:
+they differentiate plain float evaluations of the plant with fourth-order
+central stencils and use nothing from singarc.duals or singarc.liegeom,
+so agreement with the package is a genuine two-route check.  Step sizes
+are fixed per derivative depth (tuned once against the arm's magnitudes;
+worst observed error ~5e-9 for depth-3 words, well under the 1e-6
+tolerance the tests assert).
+
+``audit_labels`` is the per-sample form of ``regularize.pmp_audit``: one
+scalar ``singular_u1`` call per sample, the labels decided by branches.
 """
 import numpy as np
+
+from singarc.errors import CostateDegenerate, RkViolation
+from singarc.pmp import singular_u1
+from singarc.regularize import (LABEL_LOWER, LABEL_SINGULAR, LABEL_UNCHECKED,
+                                LABEL_UPPER, LABEL_VIOLATION, _band_value,
+                                switching_series)
 
 H_JACOBIAN = 1e-5
 H_DEPTH2 = 1e-4
@@ -99,3 +109,41 @@ def rel_err(approx, exact, floor=1.0):
     approx = np.asarray(approx, dtype=float)
     return float(np.linalg.norm(approx - exact)
                  / max(np.linalg.norm(exact), floor))
+
+
+def audit_labels(sys_, traj, bounds, tol):
+    """pmp_audit's labels, sample by sample and channel by channel."""
+    phi, phi_dot = switching_series(sys_, traj)
+    band = _band_value(sys_, traj, tol)
+    n_samples, n = phi.shape
+    labels = np.full((n_samples, n), LABEL_VIOLATION, dtype="<U18")
+    degenerate = np.linalg.norm(traj.lam, axis=1) <= 0.0
+    for i in range(n_samples):
+        if degenerate[i]:
+            continue
+        for k in range(n):
+            u = traj.u[i, k]
+            if phi[i, k] > band:
+                if abs(u - bounds.upper[k]) <= tol.u_tol:
+                    labels[i, k] = LABEL_UPPER
+            elif phi[i, k] < -band:
+                if abs(u - bounds.lower[k]) <= tol.u_tol:
+                    labels[i, k] = LABEL_LOWER
+            else:
+                if k == 0 and abs(phi_dot[i, k]) <= band:
+                    try:
+                        want = singular_u1(sys_, traj.x[i], traj.lam[i],
+                                           bounds.nearest(1, traj.u[i, 1]),
+                                           exclusion=tol.law_exclusion)
+                    except (RkViolation, CostateDegenerate):
+                        labels[i, k] = LABEL_UNCHECKED
+                        continue
+                    if abs(u - want) <= tol.law_tol:
+                        labels[i, k] = LABEL_SINGULAR
+                elif abs(u - bounds.upper[k]) <= tol.u_tol:
+                    labels[i, k] = LABEL_UPPER
+                elif abs(u - bounds.lower[k]) <= tol.u_tol:
+                    labels[i, k] = LABEL_LOWER
+                elif k != 0 and abs(phi_dot[i, k]) <= band:
+                    labels[i, k] = LABEL_UNCHECKED
+    return labels

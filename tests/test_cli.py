@@ -78,6 +78,22 @@ def test_missing_config_file_fails_cleanly(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "--step", "0"], "step must be positive, got 0.0"),
+    (["construct", "--step", "-1"], "step must be positive, got -1.0"),
+    (["certify", "--samples", "0"], "samples must be >= 1, got 0"),
+    (["certify", "--samples", "-5"], "samples must be >= 1, got -5"),
+], ids=["step-0", "step-negative", "samples-0", "samples-negative"])
+def test_zero_and_negative_overrides_are_rejected(argv, message, tmp_path,
+                                                  capsys):
+    """An explicit 0 is a value, not "use the default"."""
+    rc = main(argv + ["--out", str(tmp_path / "never")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "never").exists()
+
+
 def test_cli_requires_a_command():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -2,6 +2,7 @@
 import math
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 import reference as ref
 from singarc.arm2dof import Arm2DOF, ArmParams
 from singarc.duals import OffTrace, cos
-from singarc.errors import LinearSolveFailure
-from singarc.liegeom import (_KERNELS, fused_kernel, fused_reference,
-                             u1_singular_brackets)
-from singarc.pmp import in_Rk, singular_law_coeffs
+from singarc.errors import CostateDegenerate, LinearSolveFailure, RkViolation
+from singarc.liegeom import (_BATCH_KERNELS, _KERNELS, fused_kernel,
+                             fused_reference, u1_singular_brackets)
+from singarc.pmp import (LAMBDA4_RTOL, LAW_CHUNK, in_Rk, singular_law_coeffs,
+                         singular_u1, singular_u1_batch)
 
 LAW_TERMS = ("mu", "nu", "gamma", "r", "s", "alpha1", "alpha2", "b_g2")
 
@@ -89,6 +91,9 @@ class SingularAtElbow(Arm2DOF):
         return [[m11, m12], [m12, m22]]
 
 
+SINGULAR_PLANT = SingularAtElbow()
+
+
 def test_mass_guard_survives_code_generation():
     plant = SingularAtElbow()
     x = [0.1, SingularAtElbow.Q2, 0.3, 0.5]
@@ -124,3 +129,171 @@ def test_law_coefficients_match_the_reference_terms(arm):
     got = tuple(getattr(coeffs, name if name != "b_g2" else "b_dot_g2")
                 for name in LAW_TERMS)
     assert got == want
+
+
+# -- the batched law against per-sample singular_u1 ------------------------
+
+def _reason_of(exc):
+    """The reason code naming the guard a scalar singular_u1 raised for."""
+    if isinstance(exc, CostateDegenerate):
+        return "lambda4"
+    assert type(exc) is RkViolation, exc
+    for reason, key in (("domain", "admissible"), ("mu", "mu = 0"),
+                        ("alpha1", "alpha1 = 0"), ("b_g2", "<b, g2>")):
+        if key in str(exc):
+            return reason
+    raise AssertionError(f"unnamed guard: {exc}")
+
+
+def _assert_batch_is_per_sample(plant, X, Lam, c, exclusion):
+    """Bit-equal u1 where the law is defined, the reason the scalar path
+    raises for where a guard trips, and LinearSolveFailure from the batch
+    if the scalar path raises it at any sample."""
+    cs = np.broadcast_to(c, (X.shape[1],))
+    want = []
+    for i in range(X.shape[1]):
+        try:
+            want.append(("ok", singular_u1(plant, X[:, i], Lam[:, i], cs[i],
+                                           exclusion)))
+        except (RkViolation, CostateDegenerate) as exc:
+            want.append((_reason_of(exc), None))
+        except LinearSolveFailure:
+            with pytest.raises(LinearSolveFailure):
+                singular_u1_batch(plant, X, Lam, c, exclusion)
+            return None
+    u1, reason = singular_u1_batch(plant, X, Lam, c, exclusion)
+    for i, (why, value) in enumerate(want):
+        assert reason[i] == why, (i, reason[i], why)
+        if value is None:
+            assert math.isnan(u1[i])
+        else:
+            assert np.float64(value).tobytes() == u1[i].tobytes(), i
+    return reason
+
+
+def _nudged(v, ulps):
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.inf if ulps > 0 else -math.inf)
+    return v
+
+
+ULPS = st.integers(-40, 40)
+SIGNS = st.sampled_from((-1.0, 1.0))
+
+
+def _band_edges(exclusion):
+    return st.builds(
+        lambda k, s, n: _nudged(k * math.pi / 2 + s * exclusion, n),
+        st.integers(-4, 4), SIGNS, ULPS)
+
+
+@st.composite
+def law_sample(draw, exclusion, edges=_band_edges):
+    """(x, lambda, c), each coordinate the law guards test either free or
+    within 40 ulps of its edge; edges(exclusion) gives theta2's edges."""
+    theta2 = draw(st.one_of(angles, edges(exclusion)))
+    qd1 = draw(rates)
+    qd2 = draw(st.one_of(
+        rates,
+        st.builds(lambda s, n: _nudged(s * exclusion, n) - qd1,
+                  SIGNS, ULPS)))
+    lam = [draw(st.floats(-20.0, 20.0)) for _ in range(3)]
+    floor = LAMBDA4_RTOL * max(1.0, math.sqrt(sum(v * v for v in lam)))
+    free = st.floats(-20.0, 20.0)
+    lam.append(draw(st.one_of(
+        free, free, st.just(0.0),
+        st.builds(lambda s, n: _nudged(s * floor, n), SIGNS, ULPS))))
+    c = draw(st.one_of(st.sampled_from((-10.0, 10.0)),
+                       st.floats(-10.0, 10.0)))
+    return [draw(angles), theta2, qd1, qd2], lam, c
+
+
+@st.composite
+def law_batches(draw, edges=_band_edges):
+    exclusion = draw(st.sampled_from((1e-3, 1e-6)))
+    samples = draw(st.lists(law_sample(exclusion, edges), min_size=1,
+                            max_size=12))
+    X, Lam, c = (np.array(v, dtype=float).T for v in zip(*samples))
+    return X, Lam, c, exclusion
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(batch=law_batches())
+def test_batched_law_equals_singular_u1_at_the_band_edges(arm, batch):
+    X, Lam, c, exclusion = batch
+    _assert_batch_is_per_sample(arm, X, Lam, c, exclusion)
+    # one c for the whole batch is the same as that c per sample
+    _assert_batch_is_per_sample(arm, X, Lam, float(c[0]), exclusion)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batch=law_batches(edges=lambda exclusion: st.builds(
+    lambda k: SingularAtElbow.Q2 + k * 1e-14, st.integers(-300, 300))))
+def test_batched_law_equals_singular_u1_near_a_singular_mass(batch):
+    """Around the elbow where the test plant's mass matrix loses rank (the
+    guard trips within about 7e-13 of it): the masked samples go through
+    the scalar path and raise what it raises."""
+    X, Lam, c, exclusion = batch
+    _assert_batch_is_per_sample(SINGULAR_PLANT, X, Lam, c, exclusion)
+
+
+def test_band_edge_batches_reach_every_state_guard(arm):
+    """The sweep of the property test crosses each state guard's edge."""
+    seen = set()
+    for theta2 in (math.pi / 2 + 1e-6, _nudged(math.pi / 2 + 1e-6, 1)):
+        for l4 in (LAMBDA4_RTOL * 1.0, _nudged(LAMBDA4_RTOL, 1)):
+            X = np.array([[0.1, theta2, 0.3, 0.5]]).T
+            Lam = np.array([[0.0, 0.5, 0.5, l4]]).T
+            seen |= set(_assert_batch_is_per_sample(arm, X, Lam, -10.0,
+                                                    1e-6))
+    assert seen == {"ok", "domain", "lambda4"}
+
+
+def test_batched_law_on_the_extremal_is_the_integrators_u1(arm, extremal):
+    """Several chunks, one kernel call each: bit for bit the integrator's
+    u1 at every sample."""
+    assert len(extremal) > 2 * LAW_CHUNK
+    u1, reason = singular_u1_batch(arm, extremal.x.T, extremal.lam.T,
+                                   ref.U2_BANG, 1e-6)
+    assert set(reason) == {"ok"}
+    npt.assert_array_equal(u1.view(np.int64),
+                           extremal.u[:, 0].view(np.int64))
+
+
+def test_batched_law_kernel_is_built_lazily_and_apart():
+    plant = Arm2DOF()
+    singular_u1(plant, ref.X0, ref.LAM0, ref.U2_BANG)
+    assert plant in _KERNELS and plant not in _BATCH_KERNELS
+    other = Arm2DOF()
+    singular_u1_batch(other, np.asarray(ref.X0)[:, None],
+                      np.asarray(ref.LAM0)[:, None], ref.U2_BANG)
+    assert other in _BATCH_KERNELS and other not in _KERNELS
+
+
+def test_batched_law_masks_the_singular_mass_guard():
+    """A sample at the singular elbow is re-run on the scalar path: it
+    raises what singular_u1 raises there, unless a guard before the
+    kernel trips first; the regular samples around it are unaffected."""
+    plant = SingularAtElbow()
+    X = np.array([[0.1, 1.2, 0.3, 0.5], [0.1, SingularAtElbow.Q2, 0.3, 0.5],
+                  [0.2, 1.0, -0.4, 0.9]]).T
+    Lam = np.tile(np.array(ref.LAM0)[:, None], (1, 3))
+    with pytest.raises(LinearSolveFailure):
+        singular_u1(plant, X[:, 1], Lam[:, 1], -10.0)
+    with pytest.raises(LinearSolveFailure):
+        singular_u1_batch(plant, X, Lam, -10.0)
+    Lam[3, 1] = 0.0
+    reason = _assert_batch_is_per_sample(plant, X, Lam, -10.0, 1e-3)
+    assert list(reason) == ["ok", "lambda4", "ok"]
+    _assert_batch_is_per_sample(plant, X[:, [0, 2]], Lam[:, [0, 2]], -10.0,
+                                1e-3)
+
+
+def test_batched_law_reports_a_vanishing_mu():
+    """Inertia 1e13 times the arm's puts M^-1 inside the degeneracy band."""
+    heavy = Arm2DOF(ArmParams(mass=(5e14, 3e14), inertia_z=(5e13, 3e13)))
+    X = np.tile(np.array(ref.X0)[:, None], (1, 4))
+    X[1] += np.linspace(0.0, 0.3, 4)
+    Lam = np.tile(np.array(ref.LAM0)[:, None], (1, 4))
+    reason = _assert_batch_is_per_sample(heavy, X, Lam, -10.0, 1e-3)
+    assert set(reason) == {"mu"}

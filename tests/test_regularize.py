@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import reference as ref
+from oracles import audit_labels
 from singarc.arm2dof import ControlBounds
 from singarc.errors import CostateDegenerate, MissingCostates
 from singarc.integrate import (IntegratorConfig, Trajectory,
@@ -213,9 +214,25 @@ def test_regularization_skips_samples_the_law_cannot_cover(arm, extremal):
     assert len(intervals) == 1  # the two bad rows sit inside the gap bridge
     fixed, report = regularize_u1(arm, traj, intervals)
     assert report.skipped_samples == (3000, 3001)
+    assert report.skipped_reasons == ("lambda4", "lambda4")
     assert "partial" in report.flags
     assert "partial" in fixed.meta["flags"]
     npt.assert_array_equal(fixed.u[3000:3002, 0], traj.u[3000:3002, 0])
+
+
+def test_law_values_outside_the_bounds_are_skipped_and_named(arm,
+                                                              extremal):
+    """The closed form is never clamped: below a raised u1 floor it keeps
+    the recorded value and says why."""
+    bounds = ControlBounds(lower=(-17.0, -10.0), upper=(20.0, 10.0))
+    intervals = detect_singular_arcs(arm, extremal, bounds)
+    fixed, report = regularize_u1(arm, extremal, intervals, bounds)
+    low = np.flatnonzero(extremal.u[:, 0] < -17.0)
+    assert low.size > 0
+    assert report.skipped_samples == tuple(low)
+    assert report.skipped_reasons == ("out-of-bounds",) * low.size
+    assert "partial" in report.flags
+    npt.assert_array_equal(fixed.u[:, 0], extremal.u[:, 0])
 
 
 def test_regularize_rejects_channel_two_intervals(arm, extremal):
@@ -252,6 +269,25 @@ def test_audit_pinpoints_the_spiked_samples(arm, spiked):
     bad = np.flatnonzero(audit.labels[:, 0] == LABEL_VIOLATION)
     npt.assert_array_equal(bad, rows)
     assert audit.count(LABEL_VIOLATION, channel=2) == 0
+
+
+@pytest.mark.parametrize("case", ["extremal", "spiked", "partial",
+                                  "sat-sing-sat"])
+def test_audit_labels_match_the_per_sample_reference(case, arm, extremal,
+                                                     spiked, sat_sing_sat):
+    if case == "extremal":
+        traj = extremal
+    elif case == "spiked":
+        traj = spiked[0]
+    elif case == "partial":
+        lam = np.array(extremal.lam)
+        lam[3000:3002, 3] = 0.0
+        traj = Trajectory(t=extremal.t, x=extremal.x, u=extremal.u, lam=lam)
+    else:
+        traj = sat_sing_sat[0]
+    bounds, tol = ControlBounds(), Tolerances()
+    npt.assert_array_equal(pmp_audit(arm, traj, bounds, tol).labels,
+                           audit_labels(arm, traj, bounds, tol))
 
 
 def test_audit_flags_zero_costate_rows(arm, extremal):
