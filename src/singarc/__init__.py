@@ -6,7 +6,7 @@ from external optimal-control solvers by substituting the closed-form
 singular feedback law.
 """
 from .arm2dof import Arm2DOF, ArmParams, ControlBounds, FullyActuatedSystem
-from .duals import Dual, HyperDual
+from .duals import Dual
 from .errors import (CostateDegenerate, DegenerateSystem,
                      DerivativeUnavailable, LinearSolveFailure,
                      MissingCostates, MonotonicityError, NaNError,
@@ -19,14 +19,41 @@ from .liegeom import (AlphaTensor, alpha_coefficients, b_set_certificate,
                       frame_rank, iterated_bracket, lie_bracket, parse_word,
                       word_field)
 from .pmp import (GeneralSingularSystem, SingularLawCoeffs, SwitchingRecord,
-                  bang_control, costate_on_surface, general_singular_solve,
+                  costate_on_surface, costate_ratio, general_singular_solve,
                   general_singular_system, hamiltonian, in_Rk,
-                  lemma1_certificate, phi_second_derivative, singular_law_coeffs,
+                  lambda4_degenerate, lemma1_certificate,
+                  phi_second_derivative, sign_rule, singular_law_coeffs,
                   singular_u1, sk_rank, switching)
 from .regularize import (AuditResult, RegularizationReport, SingularInterval,
-                         Tolerances, costate_ratio_trace, detect_singular_arcs,
-                         ingest, pmp_audit, regularize_u1, switching_series)
+                         Tolerances, detect_singular_arcs, ingest, pmp_audit,
+                         regularize_u1, switching_series)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # plant
+    "Arm2DOF", "ArmParams", "ControlBounds", "FullyActuatedSystem", "Dual",
+    # errors
+    "SingArcError", "CostateDegenerate", "DegenerateSystem",
+    "DerivativeUnavailable", "LinearSolveFailure", "MissingCostates",
+    "MonotonicityError", "NaNError", "OutOfBounds", "RkViolation",
+    "SchemaError", "SpanViolation",
+    # integration and trajectory files
+    "IntegratorConfig", "Trajectory", "integrate_extremal", "resimulate",
+    "hamiltonian_trace", "load_trajectory", "save_trajectory",
+    "model_signature",
+    # Lie brackets and certificates
+    "AlphaTensor", "alpha_coefficients", "b_set_certificate", "frame_rank",
+    "iterated_bracket", "lie_bracket", "parse_word", "word_field",
+    # maximum-principle rules and the singular laws
+    "SwitchingRecord", "SingularLawCoeffs", "GeneralSingularSystem",
+    "hamiltonian", "switching", "sign_rule", "in_Rk", "lambda4_degenerate",
+    "costate_ratio", "lemma1_certificate", "sk_rank", "costate_on_surface",
+    "singular_law_coeffs", "singular_u1", "general_singular_system",
+    "general_singular_solve", "phi_second_derivative",
+    # detection, repair and audit
+    "Tolerances", "SingularInterval", "RegularizationReport", "AuditResult",
+    "ingest", "switching_series", "detect_singular_arcs", "regularize_u1",
+    "pmp_audit",
+    "__version__",
+]

@@ -58,13 +58,16 @@ class ControlBounds:
     def n(self) -> int:
         return len(self.lower)
 
-    def contains(self, i: int, u: float) -> bool:
-        return self.lower[i] <= u <= self.upper[i]
+    def contains(self, i: int, u):
+        """lower[i] <= u <= upper[i]; elementwise on arrays, False on nan."""
+        return (self.lower[i] <= u) & (u <= self.upper[i])
 
-    def nearest(self, i: int, u: float) -> float:
-        """The bound of channel i closest to u (used for bang inference)."""
+    def nearest(self, i: int, u):
+        """The bound of channel i closest to u (used for bang inference),
+        the lower one on a tie; elementwise on arrays, a float for a float."""
         lo, hi = self.lower[i], self.upper[i]
-        return lo if abs(u - lo) <= abs(u - hi) else hi
+        out = np.where(np.abs(u - lo) <= np.abs(u - hi), lo, hi)
+        return float(out) if out.ndim == 0 else out
 
 
 class FullyActuatedSystem(abc.ABC):

@@ -22,7 +22,7 @@ from .errors import (ERRORS_BY_NAME, EXIT_CODES, EXIT_OK,
 from .integrate import (IntegratorConfig, hamiltonian_trace,
                         integrate_extremal, resimulate, save_trajectory)
 from .liegeom import alpha_coefficients, b_set_certificate, frame_rank
-from .pmp import LAMBDA4_RTOL, costate_on_surface, in_Rk
+from .pmp import costate_on_surface, costate_ratio, in_Rk
 from .regularize import (AUDIT_LABELS, LABEL_VIOLATION, Tolerances,
                          detect_singular_arcs, ingest, pmp_audit,
                          regularize_u1, switching_series)
@@ -90,7 +90,6 @@ def load_config(path: str | None = None,
         step=integ.getfloat("step") if overrides.get("step") is None
         else overrides["step"],
         horizon=integ.getfloat("horizon"),
-        interp=integ.get("interp"),
         rk_exclusion=integ.getfloat("rk_exclusion"),
     )
     tols = parser["tolerances"]
@@ -128,6 +127,11 @@ def load_config(path: str | None = None,
 
 def _g(v: float) -> str:
     return "%.17g" % v
+
+
+# t, phi1, phi1', phi2, phi2', H, in_rk (0/1), lam_ratio, label_u1, label_u2
+_SERIES_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g,%s,%s\n"
+_SERIES_CHUNK = 1024
 
 
 def cmd_construct(cfg: RunConfig, out: str) -> int:
@@ -173,21 +177,20 @@ def cmd_diagnose(traj_path: str, cfg: RunConfig, out: str) -> int:
         return EXIT_OK
     phi, phi_dot = switching_series(sys_, traj)
     H = hamiltonian_trace(sys_, traj)
-    member = np.asarray(in_Rk(traj.x.T), dtype=bool)
-    norms = np.linalg.norm(traj.lam, axis=1)
-    safe = np.abs(traj.lam[:, 3]) > LAMBDA4_RTOL * np.maximum(1.0, norms)
-    ratio = np.where(safe, traj.lam[:, 1] /
-                     np.where(safe, traj.lam[:, 3], 1.0), np.nan)
+    member = in_Rk(traj.x.T)
+    ratio = costate_ratio(traj.lam.T)
     audit = pmp_audit(sys_, traj, cfg.bounds, cfg.tolerances)
+    columns = (traj.t, phi[:, 0], phi_dot[:, 0], phi[:, 1], phi_dot[:, 1], H,
+               member, ratio, audit.labels[:, 0], audit.labels[:, 1])
     with open(out, "w") as fh:
         fh.write("t,phi1,phi1_dot,phi2,phi2_dot,H,in_rk,lam_ratio,"
                  "label_u1,label_u2\n")
-        for i in range(len(traj)):
-            fh.write(",".join([
-                _g(traj.t[i]), _g(phi[i, 0]), _g(phi_dot[i, 0]),
-                _g(phi[i, 1]), _g(phi_dot[i, 1]), _g(H[i]),
-                str(int(member[i])), _g(ratio[i]),
-                audit.labels[i, 0], audit.labels[i, 1]]) + "\n")
+        # tolist() by chunks: over the whole run it would hold ten Python
+        # objects per sample at once (~2 MB of peak RSS on 7001 samples)
+        for start in range(0, len(traj), _SERIES_CHUNK):
+            part = slice(start, start + _SERIES_CHUNK)
+            fh.writelines(_SERIES_ROW % row for row in zip(
+                *(col[part].tolist() for col in columns)))
     # counted label by label: sorting the label strings (np.unique) is
     # the command's largest transient allocation
     counts = {label: audit.count(label) for label in AUDIT_LABELS}

@@ -23,8 +23,8 @@ from .errors import (ERRORS_BY_NAME, CostateDegenerate, MissingCostates,
                      MonotonicityError, NaNError, OutOfBounds, RkViolation,
                      SchemaError)
 from .liegeom import fused_reference, fused_terms
-from .pmp import (LAMBDA4_RTOL, costate_rate, hamiltonian, law_u1,
-                  state_rate)
+from .pmp import (costate_rate, hamiltonian, in_Rk, lambda4_degenerate,
+                  law_u1, state_rate)
 
 STATE_COLUMNS = ("q1", "q2", "qd1", "qd2")
 CONTROL_COLUMNS = ("u1", "u2")
@@ -138,16 +138,6 @@ def _config_snapshot(config: IntegratorConfig) -> dict:
     }
 
 
-_QUARTER_PI2 = math.pi / 2.0
-
-
-def _outside_law_domain(x, band: float) -> bool:
-    # same predicate as pmp.in_Rk, scalar fast path for the step loop
-    if abs(math.remainder(x[1], _QUARTER_PI2)) <= band:
-        return True
-    return abs(x[2] + x[3]) <= band
-
-
 def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
                        config: IntegratorConfig | None = None,
                        c: float = -10.0,
@@ -172,7 +162,6 @@ def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
     h = config.step
     nsteps = config.n_steps
     band = config.rk_exclusion
-    lo1, hi1 = bounds.lower[0], bounds.upper[0]
     ts = np.empty(nsteps + 1)
     xs = np.empty((nsteps + 1, 4))
     us = np.empty((nsteps + 1, 2))
@@ -193,17 +182,14 @@ def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
         if not all(map(math.isfinite, x + lam)):
             abort = {"flag": NaNError.__name__, "t": k * h}
             break
-        if _outside_law_domain(x, band):
+        if not in_Rk(x, band):
             abort = {"flag": RkViolation.__name__, "t": k * h}
             break
-        # products, not ** 2: a huge finite entry overflows to inf
-        lam_norm = math.sqrt(lam[0] * lam[0] + lam[1] * lam[1]
-                             + lam[2] * lam[2] + lam[3] * lam[3])
-        if abs(lam[3]) <= LAMBDA4_RTOL * max(1.0, lam_norm):
+        if lambda4_degenerate(lam):
             abort = {"flag": CostateDegenerate.__name__, "t": k * h}
             break
         k1x, k1l, u1 = rhs(x, lam)
-        if not (lo1 <= u1 <= hi1):
+        if not bounds.contains(0, u1):
             abort = {"flag": OutOfBounds.__name__, "t": k * h, "u1": u1}
             break
         ts[k] = k * h

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arm2dof import ControlBounds, FullyActuatedSystem, _components
+from .arm2dof import FullyActuatedSystem, _components
 from .errors import (CostateDegenerate, DegenerateSystem, RkViolation)
 from .liegeom import (AlphaTensor, BracketTableau, _stacked_fields,
                       alpha_coefficients, batched_law_kernel, fused_terms,
@@ -143,30 +143,12 @@ def switching(sys: FullyActuatedSystem, x, lam) -> SwitchingRecord:
                            lambda_norm=norm)
 
 
-def bang_control(switch: SwitchingRecord, bounds: ControlBounds,
-                 tol: float = 1e-6):
-    """Sign rule u_i = upper if phi_i > 0, lower if phi_i < 0.
-
-    Channels with |phi_i| inside tol*max(1, ||lambda||) are tagged
-    'singular-undetermined' and get nan: the maximum principle does not
-    select a value there, and silently picking one would hide exactly the
-    situation this package exists to handle.
-    """
-    band = tol * max(1.0, float(switch.lambda_norm))
-    values = np.empty(bounds.n)
-    tags = []
-    for i in range(bounds.n):
-        p = float(switch.phi[i])
-        if abs(p) <= band:
-            values[i] = math.nan
-            tags.append("singular-undetermined")
-        elif p > 0:
-            values[i] = bounds.upper[i]
-            tags.append("upper")
-        else:
-            values[i] = bounds.lower[i]
-            tags.append("lower")
-    return values, tuple(tags)
+def sign_rule(phi, lower, upper, band=0.0):
+    """The bound the maximum principle selects: upper where phi > band,
+    lower where phi < -band, and nan where |phi| <= band, since the sign
+    of phi picks no value there.  Floats or arrays, elementwise."""
+    out = np.where(phi > band, upper, np.where(phi < -band, lower, np.nan))
+    return float(out) if out.ndim == 0 else out
 
 
 def lemma1_certificate(sys: FullyActuatedSystem, x, lam,
@@ -189,21 +171,37 @@ def in_Rk(x, exclusion: float = 1e-3):
     """Admissible-set membership for the arm's singular law.
 
     Excludes theta2 within `exclusion` of any multiple of pi/2 and
-    |thetadot1 + thetadot2| below `exclusion`; batched input gives a
-    boolean array.
+    |thetadot1 + thetadot2| up to `exclusion`.  x is 4 floats, or 4
+    arrays (columns of a (4, N) block) for one boolean per sample.
     """
-    comps = list(_components(x))
-    theta2 = np.asarray(comps[1], dtype=float)
-    vsum = np.asarray(comps[2], dtype=float) + np.asarray(comps[3],
-                                                          dtype=float)
     quarter = math.pi / 2.0
-    # |math.remainder(theta2, quarter)| exactly, as the integrator's guard
-    # computes it: fmod is exact, and quarter - dist is exact (Sterbenz)
-    # wherever dist >= quarter/2, the only place the minimum picks it
-    dist = np.abs(np.fmod(theta2, quarter))
-    dist = np.minimum(dist, quarter - dist)
-    ok = (dist > exclusion) & (np.abs(vsum) > exclusion)
+    # |math.remainder(theta2, quarter)| is min(dist, quarter - dist)
+    # exactly: fmod is exact, and quarter - dist is exact (Sterbenz)
+    # wherever dist >= quarter/2, the only place it is the minimum; the
+    # minimum clears the band iff both do
+    dist = np.abs(np.fmod(x[1], quarter))
+    ok = ((dist > exclusion) & (quarter - dist > exclusion)
+          & (np.abs(x[2] + x[3]) > exclusion))
     return bool(ok) if ok.ndim == 0 else ok
+
+
+def lambda4_degenerate(lam):
+    """The law's costate guard: |lambda4| <= LAMBDA4_RTOL * max(1, ||lambda||).
+
+    Floats or (4, N) columns.  The norm is a sum of products, not ** 2,
+    so a huge finite entry overflows to inf and trips the guard.
+    """
+    norm = np.sqrt(lam[0] * lam[0] + lam[1] * lam[1] + lam[2] * lam[2]
+                   + lam[3] * lam[3])
+    return abs(lam[3]) <= LAMBDA4_RTOL * np.fmax(1.0, norm)
+
+
+def costate_ratio(lam):
+    """lambda2/lambda4, the law's only costate dependence, with nan
+    wherever lambda4_degenerate trips; floats or (4, N) columns."""
+    bad = lambda4_degenerate(lam)
+    out = np.where(bad, np.nan, lam[1] / np.where(bad, 1.0, lam[3]))
+    return float(out) if out.ndim == 0 else out
 
 
 def sk_rank(sys: FullyActuatedSystem, x, k: int):
@@ -262,13 +260,10 @@ def _law_guards(x, lam, exclusion, mu, law):
     mu() and law() give the tableau's mu and the _law_terms tuple; each is
     called only once every earlier guard has been yielded, so a scalar
     caller that stops at the first trip evaluates nothing a guard rules
-    out.  lam None skips the costate guard.  The costate norm is the
-    integrator's sum of products.
+    out.  lam None skips the costate guard.
     """
     if lam is not None:
-        norm = np.sqrt(lam[0] * lam[0] + lam[1] * lam[1] + lam[2] * lam[2]
-                       + lam[3] * lam[3])
-        yield "lambda4", abs(lam[3]) <= LAMBDA4_RTOL * np.fmax(1.0, norm)
+        yield "lambda4", lambda4_degenerate(lam)
     yield "domain", np.logical_not(in_Rk(x, exclusion))
     yield "mu", abs(mu()) <= DEGENERACY_TOL
     terms = law()

@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .arm2dof import ControlBounds, FullyActuatedSystem
-from .errors import CostateDegenerate, MissingCostates
+from .errors import MissingCostates
 from .integrate import IntegratorConfig, Trajectory, resimulate
-from .pmp import LAMBDA4_RTOL, singular_u1_batch, switching
+from .pmp import sign_rule, singular_u1_batch, switching
 
 LABEL_UPPER = "upper-bang"
 LABEL_LOWER = "lower-bang"
@@ -235,20 +235,6 @@ def detect_singular_arcs(sys: FullyActuatedSystem, traj: Trajectory,
     return intervals
 
 
-def costate_ratio_trace(traj: Trajectory) -> np.ndarray:
-    """lambda2/lambda4 per sample, the law's only costate dependence."""
-    if traj.lam is None:
-        raise MissingCostates("ratio trace needs costates")
-    lam = traj.lam
-    norms = np.linalg.norm(lam, axis=1)
-    floor = LAMBDA4_RTOL * np.maximum(1.0, norms)
-    bad = np.abs(lam[:, 3]) <= floor
-    if bad.any():
-        raise CostateDegenerate(
-            f"lambda4 below tolerance at sample {int(np.flatnonzero(bad)[0])}")
-    return lam[:, 1] / lam[:, 3]
-
-
 def regularize_u1(sys: FullyActuatedSystem, traj: Trajectory,
                   intervals: Sequence[SingularInterval],
                   bounds: ControlBounds | None = None,
@@ -283,7 +269,6 @@ def regularize_u1(sys: FullyActuatedSystem, traj: Trajectory,
     reasons: list[str] = []
     flags: list[str] = []
     deviations: list[float] = []
-    lo1, hi1 = bounds.lower[0], bounds.upper[0]
 
     for iv in intervals:
         window = iv.indices
@@ -291,7 +276,7 @@ def regularize_u1(sys: FullyActuatedSystem, traj: Trajectory,
         u1, reason = singular_u1_batch(sys, traj.x[window].T,
                                        traj.lam[window].T, iv.u2_bang_value,
                                        exclusion=tol.law_exclusion)
-        ok = (reason == "ok") & (lo1 <= u1) & (u1 <= hi1)
+        ok = (reason == "ok") & bounds.contains(0, u1)
         rows = np.arange(iv.start, iv.stop + 1)
         skipped += rows[~ok].tolist()
         reasons += ["out-of-bounds" if why == "ok" else why
@@ -301,13 +286,13 @@ def regularize_u1(sys: FullyActuatedSystem, traj: Trajectory,
         new_u[rows[ok], 0] = u1[ok]
 
     outside = ~inside
-    phi1 = phi[:, 0]
-    sel_upper = outside & (phi1 > 0.0)
-    sel_lower = outside & (phi1 < 0.0)
-    new_u[sel_upper, 0] = hi1
-    new_u[sel_lower, 0] = lo1
-    left_alone = outside & (phi1 == 0.0)
-    if left_alone.any():
+    # the bound each sign selects, nan where phi is exactly zero
+    bang = np.column_stack([sign_rule(phi[:, k], bounds.lower[k],
+                                      bounds.upper[k]) for k in range(2)])
+    decided = ~np.isnan(bang)
+    rewrite = outside & decided[:, 0]
+    new_u[rewrite, 0] = bang[rewrite, 0]
+    if (outside & ~decided[:, 0]).any():
         flags.append("ambiguous-sign-samples")
 
     if skipped:
@@ -325,13 +310,13 @@ def regularize_u1(sys: FullyActuatedSystem, traj: Trajectory,
 
     agree = {}
     for k, name in ((0, "u1"), (1, "u2")):
-        mask = outside if k == 0 else np.ones(n_samples, dtype=bool)
+        # samples the sign rule leaves open are not scored either way
+        mask = decided[:, k] & (outside if k == 0 else True)
         total = int(np.count_nonzero(mask))
         if total == 0:
             agree[name] = {"agree": 0, "total": 0, "fraction": 1.0}
             continue
-        want = np.where(phi[mask, k] > 0.0, bounds.upper[k], bounds.lower[k])
-        ok = np.abs(traj.u[mask, k] - want) <= tol.u_tol
+        ok = np.abs(traj.u[mask, k] - bang[mask, k]) <= tol.u_tol
         agree[name] = {"agree": int(np.count_nonzero(ok)), "total": total,
                        "fraction": float(np.count_nonzero(ok)) / total}
 
@@ -376,9 +361,10 @@ def pmp_audit(sys: FullyActuatedSystem, traj: Trajectory,
         u = traj.u[:, k]
         at_upper = np.abs(u - bounds.upper[k]) <= tol.u_tol
         at_lower = np.abs(u - bounds.lower[k]) <= tol.u_tol
-        above = phi[:, k] > band
-        below = ~above & (phi[:, k] < -band)
-        in_band = ~degenerate & ~above & ~below
+        bang = sign_rule(phi[:, k], bounds.lower[k], bounds.upper[k], band)
+        above = bang == bounds.upper[k]
+        below = bang == bounds.lower[k]
+        in_band = ~degenerate & np.isnan(bang)
         flat = in_band & (np.abs(phi_dot[:, k]) <= band)
         # channel 1 must match the law where phi1' vanishes too; elsewhere
         # in the band a bound is still legitimate (transversal crossing)
@@ -390,12 +376,10 @@ def pmp_audit(sys: FullyActuatedSystem, traj: Trajectory,
             labels[flat & ~at_upper & ~at_lower, k] = LABEL_UNCHECKED
             continue
         rows = np.flatnonzero(flat)
-        # bounds.nearest(1, u2) at every row: the u2 bang the law assumes
-        u2 = traj.u[rows, 1]
-        lo2, hi2 = bounds.lower[1], bounds.upper[1]
-        c = np.where(np.abs(u2 - lo2) <= np.abs(u2 - hi2), lo2, hi2)
+        # the u2 bang the law assumes at every row
         want, reason = singular_u1_batch(sys, traj.x[rows].T,
-                                         traj.lam[rows].T, c,
+                                         traj.lam[rows].T,
+                                         bounds.nearest(1, traj.u[rows, 1]),
                                          exclusion=tol.law_exclusion)
         checked = reason == "ok"
         labels[rows[~checked], k] = LABEL_UNCHECKED

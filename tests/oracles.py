@@ -10,7 +10,11 @@ tolerance the tests assert).
 
 ``audit_labels`` is the per-sample form of ``regularize.pmp_audit``: one
 scalar ``singular_u1`` call per sample, the labels decided by branches.
+``outside_law_domain`` draws the admissible set's edge with
+``math.remainder``, which ``pmp.in_Rk`` replaces by fmod and a minimum.
 """
+import math
+
 import numpy as np
 
 from singarc.errors import CostateDegenerate, RkViolation
@@ -109,6 +113,13 @@ def rel_err(approx, exact, floor=1.0):
     approx = np.asarray(approx, dtype=float)
     return float(np.linalg.norm(approx - exact)
                  / max(np.linalg.norm(exact), floor))
+
+
+def outside_law_domain(x, band):
+    """True where the state x (4 floats) is within band of the law's
+    breakdown set: theta2 at a multiple of pi/2, or a zero velocity sum."""
+    return (abs(math.remainder(x[1], math.pi / 2.0)) <= band
+            or abs(x[2] + x[3]) <= band)
 
 
 def audit_labels(sys_, traj, bounds, tol):

@@ -118,3 +118,21 @@ def test_control_bounds_validation_and_queries():
     assert b.nearest(1, -9.7) == -10.0
     # exact midpoint resolves to the lower bound
     assert b.nearest(0, 0.0) == -20.0
+    assert type(b.nearest(0, 19.0)) is float
+
+
+def test_control_bound_queries_are_elementwise():
+    """Arrays in give one answer per entry, the same as entry by entry."""
+    b = ControlBounds()
+    u = np.array([-20.0, 20.0, np.nextafter(20.0, 21.0), -21.0, 0.0, -9.7,
+                  15.0])
+    for i in range(b.n):
+        npt.assert_array_equal(b.contains(i, u),
+                               [b.contains(i, float(v)) for v in u])
+        npt.assert_array_equal(b.nearest(i, u),
+                               [b.nearest(i, float(v)) for v in u])
+    npt.assert_array_equal(b.contains(0, u),
+                           [True, True, False, False, True, True, True])
+    assert not b.contains(0, np.nan)
+    assert not b.contains(0, np.array([np.nan]))[0]
+    assert b.nearest(1, np.empty(0)).shape == (0,)

@@ -8,7 +8,10 @@ import pytest
 
 import reference as ref
 from singarc.cli import _floats, load_config, main
-from singarc.integrate import Trajectory, load_trajectory, save_trajectory
+from singarc.integrate import (Trajectory, hamiltonian_trace,
+                               load_trajectory, save_trajectory)
+from singarc.pmp import costate_ratio, in_Rk
+from singarc.regularize import ingest, pmp_audit, switching_series
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +183,31 @@ def test_diagnose_full_summary(extremal_file, tmp_path, capsys):
         header = fh.readline().strip()
     assert header.startswith("t,phi1,phi1_dot,phi2")
     assert sum(1 for _ in open(series)) == 7002
+
+
+def test_diagnose_series_matches_a_per_cell_writer(arm, partial_file,
+                                                  tmp_path, capsys):
+    """One format per row writes what one "%.17g" per cell wrote, nan
+    ratios on the degenerate rows included."""
+    series = tmp_path / "series.csv"
+    assert main(["diagnose", partial_file, "--out", str(series)]) == 0
+    capsys.readouterr()
+    traj = ingest(partial_file)
+    phi, phi_dot = switching_series(arm, traj)
+    H = hamiltonian_trace(arm, traj)
+    member = in_Rk(traj.x.T)
+    ratio = costate_ratio(traj.lam.T)
+    labels = pmp_audit(arm, traj).labels
+    want = ["t,phi1,phi1_dot,phi2,phi2_dot,H,in_rk,lam_ratio,"
+            "label_u1,label_u2\n"]
+    for i in range(len(traj)):
+        cells = [traj.t[i], phi[i, 0], phi_dot[i, 0], phi[i, 1],
+                 phi_dot[i, 1], H[i]]
+        want.append(",".join(["%.17g" % v for v in cells]
+                             + [str(int(member[i])), "%.17g" % ratio[i],
+                                labels[i, 0], labels[i, 1]]) + "\n")
+    assert series.read_text() == "".join(want)
+    assert "nan" in want[3001] and "nan" in want[3002]
 
 
 def test_diagnose_costate_free_files(extremal, tmp_path, capsys):

@@ -1,0 +1,25 @@
+"""The package's public surface."""
+import singarc
+from singarc import integrate, pmp, regularize
+
+
+def test_star_import_binds_exactly_the_public_names():
+    names = {}
+    exec("from singarc import *", names)
+    names.pop("__builtins__")
+    assert len(set(singarc.__all__)) == len(singarc.__all__)
+    assert sorted(names) == sorted(singarc.__all__)
+    for name in singarc.__all__:
+        assert getattr(singarc, name) is names[name]
+
+
+def test_each_rule_has_one_home():
+    """The copies the rules replaced are gone from the package."""
+    for name in ("HyperDual", "bang_control", "costate_ratio_trace"):
+        assert name not in singarc.__all__
+    assert not hasattr(pmp, "bang_control")
+    assert not hasattr(regularize, "costate_ratio_trace")
+    assert not hasattr(integrate, "_outside_law_domain")
+    for name in ("sign_rule", "in_Rk", "lambda4_degenerate",
+                 "costate_ratio"):
+        assert getattr(singarc, name) is getattr(pmp, name)

@@ -4,17 +4,19 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 import reference as ref
-from oracles import fd_adjoint
+from oracles import fd_adjoint, outside_law_domain
 from singarc.errors import CostateDegenerate, DegenerateSystem, RkViolation
-from singarc.integrate import _outside_law_domain
 from singarc.liegeom import iterated_bracket
-from singarc.pmp import (SwitchingRecord, adjoint_rhs, bang_control,
-                         costate_on_surface, general_singular_solve,
-                         general_singular_system, hamiltonian, in_Rk,
+from singarc.pmp import (adjoint_rhs, costate_on_surface,
+                         general_singular_solve, general_singular_system,
+                         hamiltonian, in_Rk, lambda4_degenerate,
                          lemma1_certificate, phi_second_derivative,
-                         singular_law_coeffs, singular_u1, sk_rank, switching)
+                         sign_rule, singular_law_coeffs, singular_u1, sk_rank,
+                         switching)
 
 
 def test_hamiltonian_is_minus_one_for_zero_costate(arm):
@@ -79,28 +81,30 @@ def test_switching_supports_batched_samples(arm):
         npt.assert_allclose(batch.phi_dot[:, k], single.phi_dot, rtol=1e-13)
 
 
-def test_bang_control_sign_rule(bounds):
-    rec = SwitchingRecord(phi=np.array([1.0, -1.0]),
-                          phi_dot=np.zeros(2), lambda_norm=1.0)
-    values, tags = bang_control(rec, bounds)
-    npt.assert_array_equal(values, [20.0, -10.0])
-    assert tags == ("upper", "lower")
+def test_sign_rule_picks_the_bound_by_sign(bounds):
+    lower, upper = np.asarray(bounds.lower), np.asarray(bounds.upper)
+    npt.assert_array_equal(sign_rule(np.array([1.0, -1.0]), lower, upper),
+                           [20.0, -10.0])
+    # floats in, a float out
+    got = sign_rule(-3.0, bounds.lower[0], bounds.upper[0])
+    assert type(got) is float and got == -20.0
 
 
-def test_bang_control_refuses_to_pick_on_the_surface(bounds):
-    rec = SwitchingRecord(phi=np.array([0.0, -1.0]),
-                          phi_dot=np.zeros(2), lambda_norm=1.0)
-    values, tags = bang_control(rec, bounds)
+def test_sign_rule_refuses_to_pick_on_the_surface(bounds):
+    values = sign_rule(np.array([0.0, -1.0]), np.asarray(bounds.lower),
+                       np.asarray(bounds.upper))
     assert math.isnan(values[0]) and values[1] == -10.0
-    assert tags == ("singular-undetermined", "lower")
+    assert math.isnan(sign_rule(0.0, -20.0, 20.0))
+    assert math.isnan(sign_rule(-0.0, -20.0, 20.0))
 
 
-def test_bang_control_band_scales_with_the_costate(bounds):
-    rec = SwitchingRecord(phi=np.array([1e-15, 1.0]),
-                          phi_dot=np.zeros(2), lambda_norm=1.0)
-    values, tags = bang_control(rec, bounds, tol=1e-9)
-    assert math.isnan(values[0])
-    assert values[1] == 10.0 and tags[1] == "upper"
+def test_sign_rule_band_is_closed():
+    """|phi| <= band picks nothing; one ulp beyond it picks the bound."""
+    band = 3e-9
+    phi = np.array([1e-15, band, -band, math.nextafter(band, math.inf),
+                    math.nextafter(-band, -math.inf), 1.0])
+    got = sign_rule(phi, -20.0, 20.0, band)
+    npt.assert_array_equal(got, [np.nan, np.nan, np.nan, 20.0, -20.0, 20.0])
 
 
 def test_lemma1_certificate(arm):
@@ -126,8 +130,9 @@ def test_admissible_set_membership():
 
 
 def test_admissibility_predicates_agree_at_the_band_edge():
-    """pmp.in_Rk and the integrator's scalar guard draw the same edge: at
-    +-40 ulps around every k*pi/2 +- band, for both bands in use."""
+    """pmp.in_Rk draws the edge the math.remainder oracle draws: at +-40
+    ulps around every k*pi/2 +- band, for both bands in use, batched and
+    one float list at a time (the integrator's call)."""
     for band in (1e-6, 1e-3):
         edges = [k * math.pi / 2 + sign * band
                  for k in range(-4, 5) for sign in (-1.0, 1.0)]
@@ -141,11 +146,21 @@ def test_admissibility_predicates_agree_at_the_band_edge():
                 theta2 += [below, above]
         X = np.array([np.full(len(theta2), 0.1), theta2,
                       np.full(len(theta2), 0.3), np.full(len(theta2), 0.5)])
-        inside = in_Rk(X, band)
-        outside = [_outside_law_domain(x, band) for x in X.T.tolist()]
-        npt.assert_array_equal(inside, np.logical_not(outside))
+        want = [not outside_law_domain(x, band) for x in X.T.tolist()]
+        npt.assert_array_equal(in_Rk(X, band), want)
+        assert [in_Rk(x, band) for x in X.T.tolist()] == want
         # the band edge is really crossed inside the sweep
-        assert inside.any() and not inside.all()
+        assert any(want) and not all(want)
+
+
+def test_lambda4_guard_is_one_rule_for_floats_and_columns():
+    rows = [[1.0, 2.0, 3.0, 0.0],
+            [0.0, 0.0, 0.0, 1e-9], [0.0, 0.0, 0.0, 2e-9],  # floor 1e-9
+            [0.0, 1e3, 0.0, 1e-6], [0.0, 1e3, 0.0, 2e-6],  # 1e-9 * norm
+            [1e200, 1e200, 0.0, 1.0]]  # the norm overflows to inf
+    want = [True, True, False, True, False, True]
+    assert [bool(lambda4_degenerate(r)) for r in rows] == want
+    npt.assert_array_equal(lambda4_degenerate(np.array(rows).T), want)
 
 
 def test_sk_rank_positive_and_validated(arm):
@@ -222,6 +237,42 @@ def test_singular_u1_is_invariant_under_positive_costate_scaling(arm):
     scaled = singular_u1(arm, ref.X0, 2.5 * np.asarray(ref.LAM0),
                          c=ref.U2_BANG)
     assert scaled == pytest.approx(base, rel=1e-12)
+
+
+U_ROUND = 2.0 ** -53  # unit roundoff of float64
+entries = st.floats(-10.0, 10.0)
+lambda4s = st.one_of(st.floats(0.1, 10.0), st.floats(-10.0, -0.1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi),
+                   st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+       lam=st.tuples(entries, entries, entries, lambda4s),
+       c=st.sampled_from((-10.0, 10.0)), exponent=st.integers(-20, 20),
+       scale=st.floats(1e-3, 1e3))
+def test_u1_is_invariant_under_positive_costate_scaling(arm, x, lam, c,
+                                                        exponent, scale):
+    """u1 = r*(l2/l4) + s sees the costate only through l2/l4, and
+    |l4| >= 0.1 keeps the lambda4 guard far off at every scale (|l4|
+    stays above 9e-8, against a guard floor of 1e-9).
+
+    A power of two scales l2 and l4 exactly, so u1 is unchanged bit for
+    bit.  Any other scale rounds s*l2 and s*l4 once each, so with u the
+    unit roundoff the ratio moves by at most 4u/(1-u)^2 relative to
+    rho = fl(l2/l4); the product r*rho and the sum with s each round
+    once more, giving |du1| <= (6|r*rho| + 2|u1|) * u * (1 + 1e-12).
+    """
+    assume(in_Rk(x, 1e-3))
+    lam = np.asarray(lam)
+    try:
+        base = singular_u1(arm, x, lam, c)
+    except RkViolation:  # mu, alpha1 or <b, g2> degenerate at x
+        reject()
+    assert singular_u1(arm, x, math.ldexp(1.0, exponent) * lam, c) == base
+    law = singular_law_coeffs(arm, x, c)
+    rho = lam[1] / lam[3]
+    bound = (6.0 * abs(law.r * rho) + 2.0 * abs(base)) * U_ROUND * (1 + 1e-12)
+    assert abs(singular_u1(arm, x, scale * lam, c) - base) <= bound
 
 
 def test_general_route_agrees_with_the_closed_form(arm):

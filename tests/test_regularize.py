@@ -1,5 +1,6 @@
 """Singular-interval detection, control repair, and the PMP audit."""
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -8,16 +9,15 @@ import pytest
 import reference as ref
 from oracles import audit_labels
 from singarc.arm2dof import ControlBounds
-from singarc.errors import CostateDegenerate, MissingCostates
+from singarc.errors import MissingCostates
 from singarc.integrate import (IntegratorConfig, Trajectory,
                                integrate_extremal, save_trajectory)
-from singarc.pmp import switching
+from singarc.pmp import costate_ratio, switching
 from singarc.regularize import (LABEL_LOWER, LABEL_SINGULAR, LABEL_UNCHECKED,
                                 LABEL_UPPER, LABEL_VIOLATION, AuditResult,
                                 SingularInterval, Tolerances,
-                                costate_ratio_trace, detect_singular_arcs,
-                                ingest, pmp_audit, regularize_u1,
-                                switching_series)
+                                detect_singular_arcs, ingest, pmp_audit,
+                                regularize_u1, switching_series)
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -129,36 +129,39 @@ def test_detection_infers_the_bang_value_from_the_u2_median(arm):
 
 
 def test_costate_ratio_trace(extremal):
-    trace = costate_ratio_trace(extremal)
+    trace = costate_ratio(extremal.lam.T)
     assert trace.shape == (len(extremal),)
     npt.assert_array_equal(trace,
                            extremal.lam[:, 1] / extremal.lam[:, 3])
 
-    doubled = Trajectory(t=extremal.t, x=extremal.x, u=extremal.u,
-                         lam=2.0 * extremal.lam)
-    npt.assert_array_equal(costate_ratio_trace(doubled), trace)
+    npt.assert_array_equal(costate_ratio(2.0 * extremal.lam.T), trace)
 
-    scaled = Trajectory(t=extremal.t, x=extremal.x, u=extremal.u,
-                        lam=2.5 * extremal.lam)
-    rel = np.abs(costate_ratio_trace(scaled) - trace) / np.abs(trace)
+    scaled = costate_ratio(2.5 * extremal.lam.T)
+    rel = np.abs(scaled - trace) / np.abs(trace)
     assert float(rel.max()) <= 1e-15
+    # one float costate gives one float
+    first = costate_ratio(extremal.lam[0].tolist())
+    assert type(first) is float and first == trace[0]
 
 
 def test_costate_ratio_is_step_invariant(arm, lam0, extremal):
     coarse = integrate_extremal(arm, ref.X0, lam0,
                                 IntegratorConfig(step=2e-4), c=ref.U2_BANG)
-    fine = costate_ratio_trace(extremal)[::2]
-    rel = np.abs(costate_ratio_trace(coarse) - fine) / np.abs(fine)
+    fine = costate_ratio(extremal.lam.T)[::2]
+    rel = np.abs(costate_ratio(coarse.lam.T) - fine) / np.abs(fine)
     assert float(rel.max()) <= 1e-6
 
 
 def test_costate_ratio_rejects_degenerate_lambda4(extremal):
+    """A degenerate lambda4 gives nan on its row and nowhere else."""
     lam = np.array(extremal.lam[:20])
     lam[7, 3] = 0.0
-    traj = Trajectory(t=extremal.t[:20], x=extremal.x[:20],
-                      u=extremal.u[:20], lam=lam)
-    with pytest.raises(CostateDegenerate):
-        costate_ratio_trace(traj)
+    ratio = costate_ratio(lam.T)
+    assert np.flatnonzero(np.isnan(ratio)).tolist() == [7]
+    assert math.isnan(costate_ratio([1.0, 2.0, 3.0, 0.0]))
+    # the guard is relative to max(1, ||lambda||): 1e-9 of the norm trips
+    assert math.isnan(costate_ratio([0.0, 1e3, 0.0, 1e-6]))
+    assert costate_ratio([0.0, 1e3, 0.0, 2e-6]) == 5e8
 
 
 def test_spiked_controls_are_restored_exactly(arm, extremal, spiked):
@@ -206,6 +209,26 @@ def test_regularization_reports_ambiguous_sign_samples(arm):
     npt.assert_array_equal(fixed.u[12:, 0], traj.u[12:, 0])
 
 
+def test_pmp_consistency_leaves_zero_switching_samples_unscored(arm):
+    """phi1 = phi2 = 0 exactly outside the interval: the sign rule selects
+    no bound there, so u1 = -20 neither agrees nor disagrees."""
+    traj = _assembled(_surface_rows(12) + [E0] * 20)
+    u = np.array(traj.u)
+    u[12:, 0] = -20.0
+    traj = Trajectory(t=traj.t, x=traj.x, u=u, lam=traj.lam)
+    phi, _ = switching_series(arm, traj)
+    assert not phi[12:].any()
+    intervals = detect_singular_arcs(arm, traj)
+    assert [(iv.start, iv.stop) for iv in intervals] == [(0, 11)]
+    _, report = regularize_u1(arm, traj, intervals)
+    assert "ambiguous-sign-samples" in report.flags
+    assert report.pmp_consistency["u1"] == {"agree": 0, "total": 0,
+                                            "fraction": 1.0}
+    # u2 = -10 is scored only on the 12 surface rows, where phi2 < 0
+    assert report.pmp_consistency["u2"] == {"agree": 12, "total": 12,
+                                            "fraction": 1.0}
+
+
 def test_regularization_skips_samples_the_law_cannot_cover(arm, extremal):
     lam = np.array(extremal.lam)
     lam[3000:3002, 3] = 0.0
@@ -251,8 +274,6 @@ def test_regularize_and_detect_need_costates(arm, extremal):
         regularize_u1(arm, bare, [])
     with pytest.raises(MissingCostates):
         pmp_audit(arm, bare)
-    with pytest.raises(MissingCostates):
-        costate_ratio_trace(bare)
 
 
 def test_audit_of_the_clean_extremal(arm, extremal):
