@@ -66,9 +66,17 @@ def load_config(path: str | None = None,
     with resources.files("singarc").joinpath("configs/default.cfg") \
             .open() as fh:
         parser.read_file(fh)
+    # the packaged keys, plus the optional full costate
+    known = {name: set(parser[name]) for name in parser.sections()}
+    known["initial"].add("lambda0")
     if path is not None:
         if not parser.read(path):
             raise FileNotFoundError(f"config file not found: {path}")
+        unknown = [f"[{name}] {key}" for name in parser.sections()
+                   for key in parser[name] if key not in known.get(name, ())]
+        if unknown:
+            raise ValueError(f"unknown config keys in {path}: "
+                             + ", ".join(unknown))
     overrides = overrides or {}
 
     model = parser["model"]

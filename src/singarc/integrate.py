@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -127,17 +127,6 @@ def model_signature(sys: FullyActuatedSystem,
     return digest[:12]
 
 
-def _config_snapshot(config: IntegratorConfig) -> dict:
-    return {
-        "step": config.step,
-        "horizon": config.horizon,
-        "method": "rk4",
-        "interp": config.interp,
-        "rk_exclusion": config.rk_exclusion,
-        "record_costates": config.record_costates,
-    }
-
-
 def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
                        config: IntegratorConfig | None = None,
                        c: float = -10.0,
@@ -162,62 +151,49 @@ def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
     h = config.step
     nsteps = config.n_steps
     band = config.rk_exclusion
-    ts = np.empty(nsteps + 1)
-    xs = np.empty((nsteps + 1, 4))
+    ys = np.empty((nsteps + 1, 8))  # x, then lambda
     us = np.empty((nsteps + 1, 2))
-    ls = np.empty((nsteps + 1, 4))
 
-    def rhs(x, lam):
+    def terms(y):
         # off the kernel's recorded branch the reference raises
+        x, lam = y[:4], y[4:]
         out = fused_terms(sys, x, c) or fused_reference(sys, x, c)
         f, *_, L, df_cols, dL, law = out
         u = (law_u1(law, lam), c)
-        return state_rate(f, L, u), costate_rate(df_cols, dL, u, lam), u[0]
+        return state_rate(f, L, u) + costate_rate(df_cols, dL, u, lam), u[0]
 
-    x = list(x0)
-    lam = list(lam0)
+    def rate(y, stage):
+        return terms(y)[0]
+
+    y = x0 + lam0
     abort = None
     kept = 0
     for k in range(nsteps + 1):
-        if not all(map(math.isfinite, x + lam)):
+        if not all(map(math.isfinite, y)):
             abort = {"flag": NaNError.__name__, "t": k * h}
             break
-        if not in_Rk(x, band):
+        if not in_Rk(y[:4], band):
             abort = {"flag": RkViolation.__name__, "t": k * h}
             break
-        if lambda4_degenerate(lam):
+        if lambda4_degenerate(y[4:]):
             abort = {"flag": CostateDegenerate.__name__, "t": k * h}
             break
-        k1x, k1l, u1 = rhs(x, lam)
+        k1, u1 = terms(y)
         if not bounds.contains(0, u1):
             abort = {"flag": OutOfBounds.__name__, "t": k * h, "u1": u1}
             break
-        ts[k] = k * h
-        xs[k] = x
+        ys[k] = y
         us[k] = (u1, c)
-        ls[k] = lam
         kept = k + 1
         if k == nsteps:
             break
         try:
-            xa = [x[i] + 0.5 * h * k1x[i] for i in range(4)]
-            la = [lam[i] + 0.5 * h * k1l[i] for i in range(4)]
-            k2x, k2l, _ = rhs(xa, la)
-            xb = [x[i] + 0.5 * h * k2x[i] for i in range(4)]
-            lb = [lam[i] + 0.5 * h * k2l[i] for i in range(4)]
-            k3x, k3l, _ = rhs(xb, lb)
-            xc = [x[i] + h * k3x[i] for i in range(4)]
-            lc = [lam[i] + h * k3l[i] for i in range(4)]
-            k4x, k4l, _ = rhs(xc, lc)
+            y = _rk4_step(rate, y, h, k1)
         except ValueError:
             # math.sin of a stage state that overflowed to inf: the step
             # has no finite result
             abort = {"flag": NaNError.__name__, "t": (k + 1) * h}
             break
-        x = [x[i] + (h / 6.0) * (k1x[i] + 2.0 * (k2x[i] + k3x[i]) + k4x[i])
-             for i in range(4)]
-        lam = [lam[i] + (h / 6.0) * (k1l[i] + 2.0 * (k2l[i] + k3l[i]) + k4l[i])
-               for i in range(4)]
 
     if kept == 0:
         # even the initial sample was inadmissible; surface it as an error
@@ -227,23 +203,60 @@ def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
     meta = {
         "source": "constructed",
         "model": model_signature(sys, bounds),
-        "config": _config_snapshot(config),
+        "config": {**asdict(config), "method": "rk4"},
         "c": c,
         "flags": [] if abort is None else [abort["flag"]],
         "abort": abort,
     }
-    lam_block = ls[:kept] if config.record_costates else None
-    return Trajectory(t=ts[:kept], x=xs[:kept], u=us[:kept],
+    lam_block = ys[:kept, 4:] if config.record_costates else None
+    return Trajectory(t=np.arange(kept) * h, x=ys[:kept, :4], u=us[:kept],
                       lam=lam_block, meta=meta)
 
 
-def _control_signal(control, interp: str):
-    """Turn a recorded control into a callable of time.
+def _rk4_step(rate, y, h, k1):
+    """One classical RK4 step from y, given k1 = rate(y, 0).  rate(y, 1)
+    is y' at the midpoint and rate(y, 2) at the end of the step: the stage
+    matters only where the rate reads a time-varying input."""
+    n = len(y)
+    k2 = rate([y[i] + 0.5 * h * k1[i] for i in range(n)], 1)
+    k3 = rate([y[i] + 0.5 * h * k2[i] for i in range(n)], 1)
+    k4 = rate([y[i] + h * k3[i] for i in range(n)], 2)
+    return [y[i] + (h / 6.0) * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
+            for i in range(n)]
 
-    Accepts a Trajectory or a (t, u) pair.  Zero-order hold keeps the value
-    of the latest sample; linear interpolation joins samples and is the one
-    that reproduces integrator output to round-trip accuracy.
-    """
+
+def _control_table(t_knots, u_knots, ts, h, interp: str) -> np.ndarray:
+    """u at ts[k], ts[k] + h/2 and ts[k] + h in row k, one array pass per
+    stage (one pass over all three doubled the replay's peak memory).
+    Zero-order hold keeps the latest sample; linear interpolation joins
+    samples, holds the first and last outside them, and reproduces
+    integrator output to round-trip accuracy."""
+    last = t_knots.shape[0] - 1
+    tmax = t_knots[last]
+    table = np.empty((ts.shape[0], 3) + u_knots.shape[1:])
+    for stage, t in enumerate((ts, ts + 0.5 * h, ts + h)):
+        out = table[:, stage]
+        if interp == "zoh":
+            idx = np.searchsorted(t_knots, t, side="right") - 1
+            out[:] = u_knots[np.clip(idx, 0, last)]
+            continue
+        out[t >= tmax] = u_knots[last]
+        out[t <= 0.0] = u_knots[0]
+        inner = (t > 0.0) & (t < tmax)
+        t = t[inner]
+        j = np.searchsorted(t_knots, t, side="right")
+        t0, t1 = t_knots[j - 1], t_knots[j]
+        w = ((t - t0) / (t1 - t0))[:, None]
+        out[inner] = (1.0 - w) * u_knots[j - 1] + w * u_knots[j]
+    return table
+
+
+def resimulate(sys: FullyActuatedSystem, x0, control,
+               config: IntegratorConfig | None = None) -> Trajectory:
+    """Replay a recorded control signal (a Trajectory or a (t, u) pair)
+    through the plant, state only."""
+    if config is None:
+        config = IntegratorConfig()
     if isinstance(control, Trajectory):
         t_knots, u_knots = control.t, control.u
     else:
@@ -253,70 +266,36 @@ def _control_signal(control, interp: str):
             or u_knots.shape[0] != t_knots.shape[0]:
         raise SchemaError("control signal needs matching t and u samples")
     tmax = float(t_knots[-1])
-    last = t_knots.shape[0] - 1
-
-    if interp == "zoh":
-        def signal(t: float) -> np.ndarray:
-            idx = int(np.searchsorted(t_knots, t, side="right")) - 1
-            return u_knots[min(max(idx, 0), last)]
-    else:
-        def signal(t: float) -> np.ndarray:
-            if t <= 0.0:
-                return u_knots[0]
-            if t >= tmax:
-                return u_knots[last]
-            j = int(np.searchsorted(t_knots, t, side="right"))
-            t0, t1 = t_knots[j - 1], t_knots[j]
-            w = (t - t0) / (t1 - t0)
-            return (1.0 - w) * u_knots[j - 1] + w * u_knots[j]
-    return signal, tmax
-
-
-def resimulate(sys: FullyActuatedSystem, x0, control,
-               config: IntegratorConfig | None = None) -> Trajectory:
-    """Replay a recorded control signal through the plant, state only."""
-    if config is None:
-        config = IntegratorConfig()
-    signal, tmax = _control_signal(control, config.interp)
     horizon = config.horizon if config.horizon > 0.0 else tmax
     if horizon - tmax > 1e-12 * max(1.0, tmax):
         raise SchemaError(
             f"control defined up to t = {tmax}, cannot replay to {horizon}")
     h = config.step
     nsteps = round(horizon / h)
+    ts = np.arange(nsteps + 1) * h
+    table = _control_table(t_knots, u_knots, ts, h, config.interp)
 
-    def xdot(x, u):
-        return state_rate(*sys.dyn(x), u)
+    def rate(x, stage):
+        return state_rate(*sys.dyn(x), u[stage])
 
-    ts = np.empty(nsteps + 1)
     xs = np.empty((nsteps + 1, 4))
-    us = np.empty((nsteps + 1, 2))
     x = [float(v) for v in np.asarray(x0, dtype=float).reshape(-1)]
     for k in range(nsteps + 1):
-        t = k * h
-        u_here = signal(t)
-        ts[k] = t
+        # this step's three rows as Python floats: the stages run on floats
+        u = table[k].tolist()
         xs[k] = x
-        us[k] = u_here
         if k == nsteps:
             break
-        k1 = xdot(x, u_here)
-        u_mid = signal(t + 0.5 * h)
-        k2 = xdot([x[i] + 0.5 * h * k1[i] for i in range(4)], u_mid)
-        k3 = xdot([x[i] + 0.5 * h * k2[i] for i in range(4)], u_mid)
-        u_end = signal(t + h)
-        k4 = xdot([x[i] + h * k3[i] for i in range(4)], u_end)
-        x = [x[i] + (h / 6.0) * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
-             for i in range(4)]
+        x = _rk4_step(rate, x, h, rate(x, 0))
 
     meta = {
         "source": "resimulated",
         "model": model_signature(sys),
-        "config": _config_snapshot(config),
+        "config": {**asdict(config), "method": "rk4"},
         "flags": [],
         "abort": None,
     }
-    return Trajectory(t=ts, x=xs, u=us, lam=None, meta=meta)
+    return Trajectory(t=ts, x=xs, u=table[:, 0], lam=None, meta=meta)
 
 
 def hamiltonian_trace(sys: FullyActuatedSystem, traj: Trajectory) -> np.ndarray:
@@ -345,8 +324,8 @@ def load_trajectory(path: str) -> Trajectory:
     """Inverse of save_trajectory; validates schema and time axis.
 
     Text that is not UTF-8, a file without sample rows, a non-numeric cell,
-    a row of the wrong length and a sidecar that is not a JSON object all
-    raise SchemaError.
+    a row of the wrong length, a sidecar that is not a JSON object and
+    sidecar flags that are not a list of strings all raise SchemaError.
     """
     plain = ",".join(["t", *STATE_COLUMNS, *CONTROL_COLUMNS])
     with_costates = plain + "," + ",".join(COSTATE_COLUMNS)
@@ -384,6 +363,10 @@ def load_trajectory(path: str) -> Trajectory:
                     from None
         if not isinstance(meta, dict):
             raise SchemaError("metadata sidecar is not a JSON object")
+        flags = meta.get("flags", [])
+        if not (isinstance(flags, list)
+                and all(isinstance(f, str) for f in flags)):
+            raise SchemaError(f"sidecar flags are not strings: {flags!r}")
     else:
         meta = {"source": "ingested", "flags": ["no-metadata"]}
     lam = table[:, 7:11] if has_lam else None

@@ -175,14 +175,14 @@ def in_Rk(x, exclusion: float = 1e-3):
     arrays (columns of a (4, N) block) for one boolean per sample.
     """
     quarter = math.pi / 2.0
+    x = _components(x)
     # |math.remainder(theta2, quarter)| is min(dist, quarter - dist)
-    # exactly: fmod is exact, and quarter - dist is exact (Sterbenz)
-    # wherever dist >= quarter/2, the only place it is the minimum; the
-    # minimum clears the band iff both do
-    dist = np.abs(np.fmod(x[1], quarter))
-    ok = ((dist > exclusion) & (quarter - dist > exclusion)
-          & (np.abs(x[2] + x[3]) > exclusion))
-    return bool(ok) if ok.ndim == 0 else ok
+    # exactly (% of positive floats is exact, and so, by Sterbenz, is
+    # quarter - dist where it is the minimum); the minimum clears the band
+    # iff both do.  Python operators keep floats floats, arrays arrays
+    dist = abs(x[1]) % quarter
+    return ((dist > exclusion) & (quarter - dist > exclusion)
+            & (abs(x[2] + x[3]) > exclusion))
 
 
 def lambda4_degenerate(lam):

@@ -23,10 +23,11 @@ from .pmp import sign_rule, singular_u1_batch, switching
 LABEL_UPPER = "upper-bang"
 LABEL_LOWER = "lower-bang"
 LABEL_SINGULAR = "singular"
+LABEL_BANG_IN_BAND = "bang-in-band"
 LABEL_UNCHECKED = "singular-unchecked"
 LABEL_VIOLATION = "violation"
-AUDIT_LABELS = (LABEL_UPPER, LABEL_LOWER, LABEL_SINGULAR, LABEL_UNCHECKED,
-                LABEL_VIOLATION)
+AUDIT_LABELS = (LABEL_UPPER, LABEL_LOWER, LABEL_SINGULAR, LABEL_BANG_IN_BAND,
+                LABEL_UNCHECKED, LABEL_VIOLATION)
 
 
 @dataclass(frozen=True)
@@ -340,11 +341,13 @@ def pmp_audit(sys: FullyActuatedSystem, traj: Trajectory,
 
     Sign rule: positive switching function demands the upper bound,
     negative the lower.  In the singular band, channel 1 must match the
-    closed-form law.  Where nothing could be checked -- the law is
-    undefined at the sample (outside the admissible set), or channel 2,
-    which has no law here -- the label is singular-unchecked rather than
-    an invented verdict either way.  Zero costate rows prove nothing and
-    are flagged as violations.
+    closed-form law; a sample off the law but on the bound the sign of
+    phi1 selects is bang-in-band, kept apart from both the law and the
+    plain bang labels so that chattering on an arc stays visible.  Where
+    nothing could be checked -- the law is undefined at the sample
+    (outside the admissible set), or channel 2, which has no law here --
+    the label is singular-unchecked rather than an invented verdict either
+    way.  Zero costate rows prove nothing and are flagged as violations.
     """
     if traj.lam is None:
         raise MissingCostates("audit needs costates")
@@ -382,7 +385,11 @@ def pmp_audit(sys: FullyActuatedSystem, traj: Trajectory,
                                          bounds.nearest(1, traj.u[rows, 1]),
                                          exclusion=tol.law_exclusion)
         checked = reason == "ok"
+        # off the law, the bound sign(phi1) selects still maximizes H
+        signed = sign_rule(phi[rows, k], bounds.lower[k], bounds.upper[k])
         labels[rows[~checked], k] = LABEL_UNCHECKED
+        labels[rows[np.abs(u[rows] - signed) <= tol.u_tol],
+               k] = LABEL_BANG_IN_BAND
         labels[rows[checked & (np.abs(u[rows] - want) <= tol.law_tol)],
                k] = LABEL_SINGULAR
     return AuditResult(labels=labels,

@@ -11,17 +11,22 @@ tolerance the tests assert).
 ``audit_labels`` is the per-sample form of ``regularize.pmp_audit``: one
 scalar ``singular_u1`` call per sample, the labels decided by branches.
 ``outside_law_domain`` draws the admissible set's edge with
-``math.remainder``, which ``pmp.in_Rk`` replaces by fmod and a minimum.
+``math.remainder``, which ``pmp.in_Rk`` replaces by a floating remainder
+and two band tests.
+``replay_reference`` is ``integrate.resimulate`` with the control read by
+a per-stage closure and the RK4 step written out in place, the form the
+vectorized control table and the shared step replaced.
 """
 import math
 
 import numpy as np
 
 from singarc.errors import CostateDegenerate, RkViolation
-from singarc.pmp import singular_u1
-from singarc.regularize import (LABEL_LOWER, LABEL_SINGULAR, LABEL_UNCHECKED,
-                                LABEL_UPPER, LABEL_VIOLATION, _band_value,
-                                switching_series)
+from singarc.integrate import Trajectory
+from singarc.pmp import singular_u1, state_rate
+from singarc.regularize import (LABEL_BANG_IN_BAND, LABEL_LOWER,
+                                LABEL_SINGULAR, LABEL_UNCHECKED, LABEL_UPPER,
+                                LABEL_VIOLATION, _band_value, switching_series)
 
 H_JACOBIAN = 1e-5
 H_DEPTH2 = 1e-4
@@ -147,10 +152,16 @@ def audit_labels(sys_, traj, bounds, tol):
                                            bounds.nearest(1, traj.u[i, 1]),
                                            exclusion=tol.law_exclusion)
                     except (RkViolation, CostateDegenerate):
-                        labels[i, k] = LABEL_UNCHECKED
-                        continue
-                    if abs(u - want) <= tol.law_tol:
+                        want = None
+                    if want is not None and abs(u - want) <= tol.law_tol:
                         labels[i, k] = LABEL_SINGULAR
+                    elif (phi[i, k] > 0.0
+                          and abs(u - bounds.upper[k]) <= tol.u_tol
+                          or phi[i, k] < 0.0
+                          and abs(u - bounds.lower[k]) <= tol.u_tol):
+                        labels[i, k] = LABEL_BANG_IN_BAND
+                    elif want is None:
+                        labels[i, k] = LABEL_UNCHECKED
                 elif abs(u - bounds.upper[k]) <= tol.u_tol:
                     labels[i, k] = LABEL_UPPER
                 elif abs(u - bounds.lower[k]) <= tol.u_tol:
@@ -158,3 +169,58 @@ def audit_labels(sys_, traj, bounds, tol):
                 elif k != 0 and abs(phi_dot[i, k]) <= band:
                     labels[i, k] = LABEL_UNCHECKED
     return labels
+
+
+def replay_reference(sys_, x0, control, config):
+    """(t, x, u) of resimulate, one control lookup per RK4 stage."""
+    if isinstance(control, Trajectory):
+        t_knots, u_knots = control.t, control.u
+    else:
+        t_knots = np.ascontiguousarray(control[0], dtype=float)
+        u_knots = np.ascontiguousarray(control[1], dtype=float)
+    tmax = float(t_knots[-1])
+    last = t_knots.shape[0] - 1
+
+    if config.interp == "zoh":
+        def signal(t):
+            idx = int(np.searchsorted(t_knots, t, side="right")) - 1
+            return u_knots[min(max(idx, 0), last)]
+    else:
+        def signal(t):
+            if t <= 0.0:
+                return u_knots[0]
+            if t >= tmax:
+                return u_knots[last]
+            j = int(np.searchsorted(t_knots, t, side="right"))
+            t0, t1 = t_knots[j - 1], t_knots[j]
+            w = (t - t0) / (t1 - t0)
+            return (1.0 - w) * u_knots[j - 1] + w * u_knots[j]
+
+    horizon = config.horizon if config.horizon > 0.0 else tmax
+    h = config.step
+    nsteps = round(horizon / h)
+
+    def xdot(x, u):
+        return state_rate(*sys_.dyn(x), u)
+
+    ts = np.empty(nsteps + 1)
+    xs = np.empty((nsteps + 1, 4))
+    us = np.empty((nsteps + 1, 2))
+    x = [float(v) for v in np.asarray(x0, dtype=float).reshape(-1)]
+    for k in range(nsteps + 1):
+        t = k * h
+        u_here = signal(t)
+        ts[k] = t
+        xs[k] = x
+        us[k] = u_here
+        if k == nsteps:
+            break
+        k1 = xdot(x, u_here)
+        u_mid = signal(t + 0.5 * h)
+        k2 = xdot([x[i] + 0.5 * h * k1[i] for i in range(4)], u_mid)
+        k3 = xdot([x[i] + 0.5 * h * k2[i] for i in range(4)], u_mid)
+        u_end = signal(t + h)
+        k4 = xdot([x[i] + h * k3[i] for i in range(4)], u_end)
+        x = [x[i] + (h / 6.0) * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
+             for i in range(4)]
+    return ts, xs, us

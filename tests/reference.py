@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from singarc.arm2dof import Arm2DOF
-from singarc.integrate import Trajectory
+from singarc.integrate import Trajectory, _rk4_step
 from singarc.pmp import adjoint_rhs, state_rate
 
 # start of the reference singular extremal
@@ -52,31 +52,19 @@ def bang_run(sys_, x_start, lam_start, u, step, nsteps, forward=True):
     h = step if forward else -step
     u = [float(v) for v in u]
 
-    def rhs(x, lam):
-        return (state_rate(*sys_.dyn(list(x)), u),
-                list(adjoint_rhs(sys_, x, u, lam)))
+    def rate(y, stage):
+        x, lam = y[:4], y[4:]
+        return (state_rate(*sys_.dyn(x), u)
+                + tuple(adjoint_rhs(sys_, x, u, lam)))
 
-    xs = np.empty((nsteps + 1, 4))
-    ls = np.empty((nsteps + 1, 4))
-    x = [float(v) for v in x_start]
-    lam = [float(v) for v in lam_start]
+    ys = np.empty((nsteps + 1, 8))  # x, then lambda
+    y = [float(v) for v in x_start] + [float(v) for v in lam_start]
     for k in range(nsteps + 1):
-        xs[k] = x
-        ls[k] = lam
+        ys[k] = y
         if k == nsteps:
             break
-        k1x, k1l = rhs(x, lam)
-        k2x, k2l = rhs([x[i] + 0.5 * h * k1x[i] for i in range(4)],
-                       [lam[i] + 0.5 * h * k1l[i] for i in range(4)])
-        k3x, k3l = rhs([x[i] + 0.5 * h * k2x[i] for i in range(4)],
-                       [lam[i] + 0.5 * h * k2l[i] for i in range(4)])
-        k4x, k4l = rhs([x[i] + h * k3x[i] for i in range(4)],
-                       [lam[i] + h * k3l[i] for i in range(4)])
-        x = [x[i] + (h / 6.0) * (k1x[i] + 2.0 * (k2x[i] + k3x[i]) + k4x[i])
-             for i in range(4)]
-        lam = [lam[i] + (h / 6.0) * (k1l[i] + 2.0 * (k2l[i] + k3l[i]) + k4l[i])
-               for i in range(4)]
-    return xs, ls
+        y = _rk4_step(rate, y, h, rate(y, 0))
+    return ys[:, :4], ys[:, 4:]
 
 
 def graft_saturated_flanks(sys_, core, start_idx, stop_idx, n_flank,

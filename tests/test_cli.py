@@ -75,6 +75,26 @@ def test_load_config_overrides_and_overlay(tmp_path):
                                   ref.LAM0)
 
 
+def test_unknown_config_keys_are_rejected_by_name(tmp_path, capsys):
+    """A removed key, a misspelt one and an unknown section end with exit
+    1 and are named; nothing runs."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[integrator]\ninterp = linear\nrk_exclusoin = 0.5\n"
+                   "[plotting]\ndpi = 300\n")
+    rc = main(["construct", "--config", str(bad),
+               "--out", str(tmp_path / "never.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: unknown config keys in {bad}: [integrator] interp, "
+        "[integrator] rk_exclusoin, [plotting] dpi\n")
+    assert not (tmp_path / "never.csv").exists()
+    # every packaged key, and the optional full costate, still loads
+    good = tmp_path / "good.cfg"
+    good.write_text("[initial]\nlambda0 = -5.85, -3.0, -10.23, -6.0\n"
+                    "[integrator]\nrk_exclusion = 1e-7\n")
+    assert load_config(str(good)).integrator.rk_exclusion == 1e-7
+
+
 def test_missing_config_file_fails_cleanly(capsys):
     rc = main(["construct", "--config", "/nonexistent/file.cfg"])
     assert rc == 1
@@ -185,6 +205,18 @@ def test_diagnose_full_summary(extremal_file, tmp_path, capsys):
     assert sum(1 for _ in open(series)) == 7002
 
 
+def test_diagnose_counts_bang_in_band_samples(sat_sing_sat, tmp_path,
+                                              capsys):
+    traj, _, _ = sat_sing_sat
+    path = str(tmp_path / "sat.csv")
+    save_trajectory(traj, path)
+    assert main(["diagnose", path, "--out", str(tmp_path / "s.csv")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["classification"] == {"bang-in-band": 1000,
+                                         "lower-bang": 6001,
+                                         "singular": 5001}
+
+
 def test_diagnose_series_matches_a_per_cell_writer(arm, partial_file,
                                                   tmp_path, capsys):
     """One format per row writes what one "%.17g" per cell wrote, nan
@@ -234,9 +266,17 @@ def test_diagnose_rejects_malformed_files(tmp_path, capsys):
     assert rc == 1
 
 
+_BAD_SIDECARS = {
+    "sidecar-json": b"{not json",
+    "sidecar-not-object": b"5",
+    "sidecar-flags-number": b'{"flags": 5}',
+    "sidecar-flags-null": b'{"flags": null}',
+    "sidecar-flags-mixed": b'{"flags": ["x", 2]}',
+}
+
+
 @pytest.mark.parametrize("case", ["cell", "short-row", "encoding",
-                                  "header-only", "sidecar-json",
-                                  "sidecar-not-object"])
+                                  "header-only", *_BAD_SIDECARS])
 def test_malformed_trajectory_files_exit_with_schema_error(
         case, extremal_file, tmp_path, capsys):
     with open(extremal_file, "rb") as fh:
@@ -252,14 +292,14 @@ def test_malformed_trajectory_files_exit_with_schema_error(
         rows = []
     bad = tmp_path / "bad.csv"
     bad.write_bytes(header + b"".join(rows))
-    if case.startswith("sidecar"):
-        meta = b"{not json" if case == "sidecar-json" else b"5"
-        (tmp_path / "bad.csv.meta.json").write_bytes(meta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy's empty-input warning too
-        rc = main(["diagnose", str(bad), "--out", str(tmp_path / "s.csv")])
-    assert rc == 3  # SchemaError
-    assert "SchemaError" in capsys.readouterr().err
+    if case in _BAD_SIDECARS:
+        (tmp_path / "bad.csv.meta.json").write_bytes(_BAD_SIDECARS[case])
+    for command in ("diagnose", "regularize"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-input warning too
+            rc = main([command, str(bad), "--out", str(tmp_path / "s.csv")])
+        assert rc == 3  # SchemaError
+        assert "SchemaError" in capsys.readouterr().err
 
 
 def test_regularize_restores_the_spiked_file(spiked_file, extremal, tmp_path,

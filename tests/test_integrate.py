@@ -1,12 +1,16 @@
 """Extremal integration, replays, persistence, and the abort guards."""
 import json
 import os
+import tempfile
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference as ref
+from oracles import replay_reference
 from singarc.arm2dof import ControlBounds
 from singarc.errors import (CostateDegenerate, MissingCostates,
                             MonotonicityError, NaNError, OutOfBounds,
@@ -152,6 +156,64 @@ def test_interpolation_semantics_of_the_replay_signal(arm):
                         atol=1e-15)
 
 
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _assert_replay_is_the_reference(arm, x0, control, config):
+    replay = resimulate(arm, x0, control, config)
+    for got, want in zip((replay.t, replay.x, replay.u),
+                         replay_reference(arm, x0, control, config)):
+        _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("interp", ["zoh", "linear"])
+def test_replay_equals_the_per_stage_reference(arm, spiked, interp):
+    """The control table sampled once per replay gives what one lookup per
+    RK4 stage gave, bit for bit, over the full horizon and a partial one."""
+    traj, _ = spiked
+    for horizon in (0.0, 0.35):
+        _assert_replay_is_the_reference(
+            arm, ref.X0, traj, IntegratorConfig(horizon=horizon,
+                                                interp=interp))
+
+
+@st.composite
+def replays(draw):
+    """1-50 strictly increasing knots from t = 0, a step that lands on the
+    last knot or near it, and a horizon of 0 (the whole control), inside
+    the knots, at the last knot or just past it."""
+    n = draw(st.integers(1, 50))
+    gaps = draw(st.lists(st.floats(1e-3, 0.05), min_size=n - 1,
+                         max_size=n - 1))
+    t = np.concatenate(([0.0], np.cumsum(gaps)))
+    u = np.array(draw(st.lists(st.tuples(st.floats(-20.0, 20.0),
+                                         st.floats(-10.0, 10.0)),
+                               min_size=n, max_size=n)))
+    tmax = float(t[-1])
+    if tmax == 0.0:
+        return (t, u), draw(st.floats(1e-3, 0.1)), 0.0
+    step = tmax / draw(st.integers(1, 60)) * draw(
+        st.one_of(st.just(1.0), st.floats(0.9, 1.1)))
+    # resimulate accepts up to 1e-12 * max(1, tmax) past the last knot
+    past = tmax + 5e-13 * max(1.0, tmax)
+    horizon = draw(st.one_of(st.just(0.0), st.just(tmax),
+                             st.floats(0.0, tmax), st.floats(tmax, past)))
+    return (t, u), step, horizon
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=replays(), interp=st.sampled_from(["zoh", "linear"]))
+def test_replay_equals_the_per_stage_reference_on_any_knots(arm, case,
+                                                            interp):
+    control, step, horizon = case
+    _assert_replay_is_the_reference(
+        arm, ref.X0, control,
+        IntegratorConfig(step=step, horizon=horizon, interp=interp))
+
+
 def test_replay_cannot_outrun_the_recorded_control(arm, extremal):
     with pytest.raises(SchemaError):
         resimulate(arm, ref.X0, extremal, IntegratorConfig(horizon=0.8))
@@ -167,6 +229,37 @@ def test_csv_round_trip_is_bit_exact(extremal, extremal_file):
     assert os.path.exists(extremal_file + ".meta.json")
     with open(extremal_file + ".meta.json") as fh:
         assert json.load(fh) == extremal.meta
+
+
+_CSV_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1e308, -1e308, 1.7976931348623157e308)
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_CSV_EDGES))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), costates=st.booleans(),
+       t0=st.sampled_from([0.0, -0.0]),
+       later=st.lists(st.floats(5e-324, 1e308), min_size=11, max_size=11,
+                      unique=True),
+       cells=st.lists(_finite, min_size=12 * 10, max_size=12 * 10))
+def test_csv_round_trip_is_bit_exact_for_any_finite_run(n, costates, t0,
+                                                       later, cells):
+    """Any finite run survives save/load bit for bit: signed zeros,
+    subnormals and values near the overflow threshold included."""
+    t = np.array([t0] + sorted(later)[:n - 1])
+    block = np.array(cells[:n * 10]).reshape(n, 10)
+    traj = Trajectory(t=t, x=block[:, :4], u=block[:, 4:6],
+                      lam=block[:, 6:] if costates else None,
+                      meta={"source": "ingested", "flags": ["x"]})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.csv")
+        save_trajectory(traj, path)
+        back = load_trajectory(path)
+    assert back.has_costates is costates
+    assert back.meta == traj.meta
+    for name in ("t", "x", "u") + (("lam",) if costates else ()):
+        _assert_same_bits(getattr(back, name), getattr(traj, name))
 
 
 def test_loading_without_sidecar_flags_the_gap(extremal, tmp_path):

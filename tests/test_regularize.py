@@ -13,8 +13,9 @@ from singarc.errors import MissingCostates
 from singarc.integrate import (IntegratorConfig, Trajectory,
                                integrate_extremal, save_trajectory)
 from singarc.pmp import costate_ratio, switching
-from singarc.regularize import (LABEL_LOWER, LABEL_SINGULAR, LABEL_UNCHECKED,
-                                LABEL_UPPER, LABEL_VIOLATION, AuditResult,
+from singarc.regularize import (LABEL_BANG_IN_BAND, LABEL_LOWER,
+                                LABEL_SINGULAR, LABEL_UNCHECKED, LABEL_UPPER,
+                                LABEL_VIOLATION, AuditResult,
                                 SingularInterval, Tolerances,
                                 detect_singular_arcs, ingest, pmp_audit,
                                 regularize_u1, switching_series)
@@ -309,6 +310,52 @@ def test_audit_labels_match_the_per_sample_reference(case, arm, extremal,
     bounds, tol = ControlBounds(), Tolerances()
     npt.assert_array_equal(pmp_audit(arm, traj, bounds, tol).labels,
                            audit_labels(arm, traj, bounds, tol))
+
+
+def test_audit_labels_sign_consistent_flanks_bang_in_band(arm, sat_sing_sat):
+    """The grafted flanks hold u1 = +20 with phi1 > 0 inside the flat band:
+    off the law, on the bound the sign selects, so all 1000 are
+    bang-in-band, and none is a violation or a plain bang label."""
+    traj, core_start, core_stop = sat_sing_sat
+    audit = pmp_audit(arm, traj)
+    labels = audit.labels[:, 0]
+    flanks = np.r_[0:core_start, core_stop + 1:len(traj)]
+    assert flanks.size == 1000
+    assert set(labels[flanks]) == {LABEL_BANG_IN_BAND}
+    assert audit.count(LABEL_BANG_IN_BAND) == 1000
+    assert audit.count(LABEL_SINGULAR, channel=1) == len(traj) - 1000
+    assert audit.count(LABEL_VIOLATION) == 0
+
+
+def test_audit_ranks_the_flat_band_verdicts(arm):
+    """Every sample sits in the flat band (phi_band 1e6).  Precedence:
+    singular > bang-in-band > singular-unchecked > violation, and an exact
+    phi1 = 0 selects no bound."""
+    law_ok = ref.LAM0 + np.array([0.0, 0.0, 1e-3, 0.0])  # phi1 > 0
+    no_law = np.array([0.0, 0.0, 1.0, 0.0])  # phi1 = mu > 0, lambda4 = 0
+    rows = [(law_ok, ref.U1_START, LABEL_SINGULAR),
+            (law_ok, 20.0, LABEL_BANG_IN_BAND),
+            (law_ok, -20.0, LABEL_VIOLATION),
+            (no_law, 20.0, LABEL_BANG_IN_BAND),
+            (no_law, -20.0, LABEL_UNCHECKED),
+            (E0, 20.0, LABEL_UNCHECKED)]  # phi1 = 0, lambda4 = 0
+    n = len(rows)
+    traj = Trajectory(t=np.arange(n) * 1e-3, x=np.tile(ref.X0, (n, 1)),
+                      u=np.column_stack([[u1 for _, u1, _ in rows],
+                                         np.full(n, ref.U2_BANG)]),
+                      lam=np.array([lam for lam, _, _ in rows]))
+    phi, _ = switching_series(arm, traj)
+    assert (phi[:4, 0] > 0.0).all() and phi[5, 0] == 0.0
+    bounds = ControlBounds()
+    for tol, want in (
+            (Tolerances(phi_band=1e6), [label for *_, label in rows]),
+            # |20 - law| = 0.33 is within a loose law_tol: the law wins
+            (Tolerances(phi_band=1e6, law_tol=1.0),
+             [LABEL_SINGULAR, LABEL_SINGULAR] + [r[2] for r in rows[2:]])):
+        labels = pmp_audit(arm, traj, bounds, tol).labels[:, 0]
+        assert labels.tolist() == want
+        npt.assert_array_equal(labels,
+                               audit_labels(arm, traj, bounds, tol)[:, 0])
 
 
 def test_audit_flags_zero_costate_rows(arm, extremal):
