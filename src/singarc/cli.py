@@ -21,7 +21,8 @@ from .errors import (ERRORS_BY_NAME, EXIT_CODES, EXIT_OK,
                      MissingCostates, SingArcError, exit_code_for)
 from .integrate import (IntegratorConfig, hamiltonian_trace,
                         integrate_extremal, resimulate, save_trajectory)
-from .liegeom import alpha_coefficients, b_set_certificate, frame_rank
+from .liegeom import (_b_set_family, _b_set_verdict, alpha_coefficients,
+                      frame_rank)
 from .pmp import costate_on_surface, costate_ratio, in_Rk
 from .regularize import (AUDIT_LABELS, LABEL_VIOLATION, Tolerances,
                          detect_singular_arcs, ingest, pmp_audit,
@@ -262,8 +263,10 @@ def cmd_certify(cfg: RunConfig, out: str | None) -> int:
         "max_abs_alpha_ij1": float(alpha_first),
         "b_set": {},
     }
+    # the B-set columns do not depend on the bang value: evaluated once
+    family = _b_set_family(sys_, batch)
     for c in (cfg.bounds.lower[0], cfg.bounds.upper[0]):
-        ok, _ = b_set_certificate(sys_, batch, c)
+        ok, _ = _b_set_verdict(family, c)
         ok = np.asarray(ok, dtype=bool)
         fails = np.flatnonzero(~ok)
         vel = np.abs(states[fails, 2] + states[fails, 3]) if fails.size \

@@ -260,7 +260,8 @@ class Tape:
             self.ops.append((name, args))
         return node
 
-    def compile(self, outputs, name: str = "kernel", batched: bool = False):
+    def compile(self, outputs, name: str = "kernel", batched: bool = False,
+                numpy_trig: bool = False):
         """Python function of the inputs returning ``outputs``.
 
         outputs is a nest of lists and tuples over Recs and constants; the
@@ -278,7 +279,10 @@ class Tape:
         check that holds, an exact zero divisor, an infinite argument of
         sin/cos.  sin/cos apply math.sin/math.cos element by element, so
         every unmasked sample gets the float function's numbers bit for
-        bit.  A masked sample's outputs are meaningless.
+        bit.  A masked sample's outputs are meaningless.  numpy_trig=True
+        applies np.sin/np.cos to the whole array instead: the numbers of an
+        evaluation over numpy arrays, which need not equal math's in the
+        last bit on every platform.
         """
         live = [False] * len(self.ops)
         uses = [0] * len(self.ops)       # references from live code
@@ -301,8 +305,9 @@ class Tape:
         if batched:
             tested = {args[-1].idx for op, args in self.ops
                       if op in ("/", "sin", "cos") and type(args[-1]) is Rec}
-            env = {"sin": _elementwise(math.sin),
-                   "cos": _elementwise(math.cos), "isinf": np.isinf}
+            trig = (np.sin, np.cos) if numpy_trig else (
+                _elementwise(math.sin), _elementwise(math.cos))
+            env = {"sin": trig[0], "cos": trig[1], "isinf": np.isinf}
         else:
             env = {"sin": math.sin, "cos": math.cos, "OffTrace": OffTrace}
         names = dict(self._names)

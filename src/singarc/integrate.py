@@ -232,7 +232,7 @@ def _control_table(t_knots, u_knots, ts, h, interp: str) -> np.ndarray:
     samples, holds the first and last outside them, and reproduces
     integrator output to round-trip accuracy."""
     last = t_knots.shape[0] - 1
-    tmax = t_knots[last]
+    tmin, tmax = t_knots[0], t_knots[last]
     table = np.empty((ts.shape[0], 3) + u_knots.shape[1:])
     for stage, t in enumerate((ts, ts + 0.5 * h, ts + h)):
         out = table[:, stage]
@@ -241,8 +241,8 @@ def _control_table(t_knots, u_knots, ts, h, interp: str) -> np.ndarray:
             out[:] = u_knots[np.clip(idx, 0, last)]
             continue
         out[t >= tmax] = u_knots[last]
-        out[t <= 0.0] = u_knots[0]
-        inner = (t > 0.0) & (t < tmax)
+        out[t <= tmin] = u_knots[0]
+        inner = (t > tmin) & (t < tmax)
         t = t[inner]
         j = np.searchsorted(t_knots, t, side="right")
         t0, t1 = t_knots[j - 1], t_knots[j]

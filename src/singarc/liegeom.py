@@ -22,9 +22,17 @@ re-run the reference, which raises what it always raised.  The law terms
 also compile, from the same recorded operations, to
 ``batched_law_kernel`` over arrays of samples; it masks the samples where
 the float kernel stops.
+
+Bracket words compile the same way: ``word_kernel`` records
+``word_field`` for a tuple of words, and the certificates
+(``frame_rank``, ``alpha_coefficients``, ``b_set_certificate``) and
+``pmp.switching`` read their columns from it, batches in chunks of
+``WORD_CHUNK`` samples.  ``word_field`` and
+``iterated_bracket`` stay the reference and never run compiled code.
 """
 from __future__ import annotations
 
+import math
 import re as _re
 import weakref
 from dataclasses import dataclass
@@ -33,10 +41,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arm2dof import FullyActuatedSystem, _components
-from .duals import Dual, HyperDual, OffTrace, Tape, seed, value
+from .duals import Dual, HyperDual, OffTrace, Rec, Tape, seed, value
 from .errors import DerivativeUnavailable, SpanViolation
 
 MAX_WORD = 4
+WORD_CHUNK = 4096     # samples per batched word-kernel call
+B_SET_WORDS = ("g2", "fg2", "ffg2", "fffg2", "g1ffg2")
+B_SET_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -157,23 +168,34 @@ def alpha_coefficients(sys: FullyActuatedSystem, x, rtol: float = 1e-9) -> Alpha
 
     Raises SpanViolation when a reconstruction residual exceeds
     rtol * max(||g_i f g_j||, 1) -- the theory guarantees membership, so a
-    violation signals a modeling bug.
+    violation signals a modeling bug.  The columns come from word_kernel.
     """
     n = sys.n
-    comps = list(_components(x))
-    _, L = sys.dyn(comps)
+    words = [f"g{k + 1}" for k in range(n)] + \
+            [f"g{i + 1}fg{j + 1}" for i in range(n) for j in range(i, n)]
+    cols = np.asarray(_word_columns(sys, words, x))
+    # the bottom block of g_k is column k of L = M^-1
+    return _alpha_solve(np.swapaxes(cols[:n, n:], 0, 1), cols[n:], rtol)
+
+
+def _alpha_solve(L, gfg, rtol: float = 1e-9) -> AlphaTensor:
+    """alpha from L = M^-1 ((n, n) or (n, n, N)) and the columns of
+    g_i f g_j for i <= j, in row order ((2n,) or (2n, N) each).
+
+    The one solve behind alpha_coefficients (compiled columns) and
+    pmp.general_singular_system (word_field columns).
+    """
     Lm = np.asarray(L)                       # (n, n) or (n, n, N)
+    n = Lm.shape[0]
     batched = Lm.ndim == 3
     Ab = np.moveaxis(Lm, -1, 0) if batched else Lm
-
-    fgj = [word_field(sys, f"fg{j + 1}") for j in range(n)]
-    gi = [input_field(sys, i) for i in range(n)]
+    columns = iter(gfg)
 
     values = np.empty((n, n, n) + Lm.shape[2:], dtype=float)
     worst = 0.0
     for i in range(n):
         for j in range(i, n):
-            w = np.asarray(_bracket_components(gi[i], fgj[j], comps))
+            w = np.asarray(next(columns))
             bottom = np.moveaxis(w[n:], -1, 0) if batched else w[n:]
             coef = np.linalg.solve(Ab, bottom[..., None])[..., 0]
             coef_t = np.moveaxis(coef, 0, -1) if batched else coef
@@ -191,26 +213,26 @@ def alpha_coefficients(sys: FullyActuatedSystem, x, rtol: float = 1e-9) -> Alpha
 
 
 def _stacked_fields(sys: FullyActuatedSystem, words, x) -> np.ndarray:
-    comps = list(_components(x))
-    cols = [np.asarray(word_field(sys, w)(comps)) for w in words]
-    A = np.stack(cols, axis=1)               # (2n, m) or (2n, m, N)
-    if A.ndim == 3:
-        A = np.moveaxis(A, -1, 0)            # (N, 2n, m)
-    return A
+    A = np.asarray(_word_columns(sys, words, x))   # (m, 2n) or (m, 2n, N)
+    return A.T if A.ndim == 2 else A.transpose(2, 1, 0)   # (N, 2n, m)
+
+
+def _frame_words(n: int) -> tuple[str, ...]:
+    """The frame (g_1..g_n, fg_1..fg_n), in that order."""
+    return tuple(f"g{i + 1}" for i in range(n)) + \
+        tuple(f"fg{i + 1}" for i in range(n))
 
 
 def frame_rank(sys: FullyActuatedSystem, x) -> float | np.ndarray:
     """Smallest singular value of [g_1..g_n, fg_1..fg_n] at x."""
-    words = [f"g{i + 1}" for i in range(sys.n)] + \
-            [f"fg{i + 1}" for i in range(sys.n)]
-    A = _stacked_fields(sys, words, x)
+    A = _stacked_fields(sys, _frame_words(sys.n), x)
     s = np.linalg.svd(A, compute_uv=False)
     smin = s[..., -1]
     return float(smin) if smin.ndim == 0 else smin
 
 
 def b_set_certificate(sys: FullyActuatedSystem, x, c: float,
-                      rtol: float = 1e-10):
+                      rtol: float = B_SET_RTOL):
     """Independence certificate for {g2, fg2, ffg2, fffg2 + c*g1ffg2}.
 
     c is the bang value of the first channel.  Returns (ok, evidence) where
@@ -218,14 +240,20 @@ def b_set_certificate(sys: FullyActuatedSystem, x, c: float,
     sigma_min > rtol * sigma_max (scale-invariant).  Batched x returns
     arrays.
     """
+    return _b_set_verdict(_b_set_family(sys, x), c, rtol)
+
+
+def _b_set_family(sys: FullyActuatedSystem, x) -> np.ndarray:
+    """The B_SET_WORDS columns at x, which do not depend on the bang value:
+    (5, 4) or (5, 4, N)."""
     if sys.n != 2:
         raise ValueError("the B-set certificate is specific to n = 2")
-    comps = list(_components(x))
-    g2c = np.asarray(word_field(sys, "g2")(comps))
-    fg2c = np.asarray(word_field(sys, "fg2")(comps))
-    ffg2c = np.asarray(word_field(sys, "ffg2")(comps))
-    fffg2c = np.asarray(word_field(sys, "fffg2")(comps))
-    g1ffg2c = np.asarray(word_field(sys, "g1ffg2")(comps))
+    return np.asarray(_word_columns(sys, B_SET_WORDS, x))
+
+
+def _b_set_verdict(family, c: float, rtol: float = B_SET_RTOL):
+    """b_set_certificate's (ok, evidence) from _b_set_family's columns."""
+    g2c, fg2c, ffg2c, fffg2c, g1ffg2c = family
     A = np.stack([g2c, fg2c, ffg2c, fffg2c + c * g1ffg2c], axis=1)
     if A.ndim == 3:
         A = np.moveaxis(A, -1, 0)
@@ -434,3 +462,75 @@ def fused_terms(sys: FullyActuatedSystem, comps, c):
         except (OffTrace, ZeroDivisionError):
             pass
     return None
+
+
+_WORD_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def word_kernel(sys: FullyActuatedSystem, words, batched: bool = False):
+    """``word_field(sys, w)`` for every w in words as straight-line code,
+    recorded on ``Rec`` inputs into one tape (subexpressions the words share
+    run once) and compiled on first use per plant, word tuple and form,
+    never at import; cached like fused_kernel.
+
+    The float form ``(x0, .., x3)`` returns one list of 2n floats per word.
+    batched=True gives the ``Tape.compile(batched=True)`` form over 1-D
+    arrays, which returns the same nest of arrays and the mask of the
+    samples where the float form raises; it takes sin/cos from numpy, as
+    word_field does over arrays.  The tape writes a structural zero as the
+    constant 0.0; the kernel writes it as the reference's ``x0 * 0.0``,
+    which has the reference's sign and the batch's shape.
+    """
+    key = (tuple(words), batched)
+    per_plant = _WORD_KERNELS.setdefault(sys, {})
+    kernel = per_plant.get(key)
+    if kernel is None:
+        tape = Tape()
+        comps = [tape.input(f"x{i}") for i in range(2 * sys.n)]
+        zero = tape.op("*", comps[0], 0.0)
+        outputs = [[v if type(v) is Rec or v != 0.0 else zero
+                    for v in word_field(sys, w)(comps)] for w in key[0]]
+        kernel = per_plant[key] = tape.compile(
+            outputs, "batched_word_kernel" if batched else "word_kernel",
+            batched=batched, numpy_trig=batched)
+    return kernel
+
+
+def _word_columns(sys: FullyActuatedSystem, words, x):
+    """``word_field(sys, w)(x)`` for each w in words, through word_kernel.
+
+    Plain floats give one list of 2n floats per word; 1-D array
+    components (x of shape (2n, N)) give an (m, 2n, N) array, evaluated
+    WORD_CHUNK samples at a time.  The reference runs instead for other
+    scalar types, at non-finite states and where the compiled code stops:
+    it raises LinearSolveFailure at a singular mass matrix and gives nan
+    at a non-finite state, as it always did.
+    """
+    comps = list(_components(x))
+    if all(type(v) is float for v in comps):
+        if all(map(math.isfinite, comps)):
+            try:
+                return word_kernel(sys, words)(*comps)
+            except (OffTrace, ZeroDivisionError):
+                pass
+    elif all(type(v) is np.ndarray and v.ndim == 1 for v in comps):
+        return _batched_word_columns(sys, words, comps)
+    return [word_field(sys, w)(comps) for w in words]
+
+
+def _batched_word_columns(sys: FullyActuatedSystem, words, comps):
+    kernel = word_kernel(sys, words, batched=True)
+    size = comps[0].shape[0]
+    out = np.empty((len(words), len(comps), size))
+    redo = np.empty(size, dtype=bool)
+    with np.errstate(all="ignore"):
+        for start in range(0, size, WORD_CHUNK):
+            part = slice(start, start + WORD_CHUNK)
+            xs = [np.ascontiguousarray(c[part]) for c in comps]
+            out[:, :, part], bad = kernel(*xs)
+            redo[part] = bad | ~np.isfinite(xs).all(axis=0)
+    masked = np.flatnonzero(redo)
+    if masked.size:
+        sub = [c[masked] for c in comps]
+        out[:, :, masked] = [word_field(sys, w)(sub) for w in words]
+    return out

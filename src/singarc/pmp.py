@@ -16,7 +16,8 @@ import numpy as np
 
 from .arm2dof import FullyActuatedSystem, _components
 from .errors import (CostateDegenerate, DegenerateSystem, RkViolation)
-from .liegeom import (AlphaTensor, BracketTableau, _stacked_fields,
+from .liegeom import (AlphaTensor, BracketTableau, _alpha_solve,
+                      _frame_words, _stacked_fields, _word_columns,
                       alpha_coefficients, batched_law_kernel, fused_terms,
                       u1_singular_brackets, word_field)
 
@@ -126,18 +127,15 @@ def adjoint_rhs(sys: FullyActuatedSystem, x, u, lam) -> np.ndarray:
 
 
 def switching(sys: FullyActuatedSystem, x, lam) -> SwitchingRecord:
-    """Evaluate phi and phi' on every channel; batched x/lam supported."""
+    """Evaluate phi and phi' on every channel; batched x/lam supported.
+
+    g_i and fg_i are frame_rank's columns, from word_kernel.
+    """
     n = sys.n
-    comps = list(_components(x))
     lc = list(_components(lam))
-    _, L = sys.dyn(comps)
-    phi = []
-    phi_dot = []
-    for i in range(n):
-        gi = [L[r][i] for r in range(n)]
-        phi.append(_dot(lc[n:], gi))
-        fgi = word_field(sys, f"fg{i + 1}")(comps)
-        phi_dot.append(_dot(lc, fgi))
+    cols = _word_columns(sys, _frame_words(n), x)
+    phi = [_dot(lc[n:], cols[i][n:]) for i in range(n)]
+    phi_dot = [_dot(lc, cols[n + i]) for i in range(n)]
     norm = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in lc))
     return SwitchingRecord(phi=np.asarray(phi), phi_dot=np.asarray(phi_dot),
                            lambda_norm=norm)
@@ -394,22 +392,24 @@ def general_singular_system(sys: FullyActuatedSystem, x, lam, k: int,
                             c_k: float) -> GeneralSingularSystem:
     """Assemble the order-two singularity system for bang channel k.
 
-    Built from the alpha tensor and iterated-bracket evaluations only;
-    shares no code with the closed-form route above.
+    Built from the alpha tensor and iterated-bracket evaluations only, on
+    word_field: it shares no code with the closed-form route above and
+    runs no compiled kernel, so a code-generation fault cannot hit both.
     """
     n = sys.n
     if not 1 <= k <= n:
         raise ValueError(f"channel k = {k} out of range for n = {n}")
     lam = np.asarray(lam, dtype=float)
     comps = list(_components(x))
-    alpha = alpha_coefficients(sys, x)
+    _, L = sys.dyn(comps)
+    alpha = _alpha_solve(L, [word_field(sys, f"g{i + 1}fg{j + 1}")(comps)
+                             for i in range(n) for j in range(i, n)])
     others = [i for i in range(n) if i != k - 1]
     psi = np.array([_dot(lam, word_field(sys, f"ffg{i + 1}")(comps))
                     for i in others])
     b_kk = np.array([alpha.values[i, k - 1, k - 1] for i in others])
     A_k = np.array([[alpha.values[i, j, k - 1] for j in others]
                     for i in others])
-    _, L = sys.dyn(comps)
     gk = [L[r][k - 1] for r in range(n)]
     phi_k = float(_dot(lam[n:], gk))
     return GeneralSingularSystem(psi_k=psi, b_kk=b_kk, A_k=A_k,

@@ -187,7 +187,7 @@ def replay_reference(sys_, x0, control, config):
             return u_knots[min(max(idx, 0), last)]
     else:
         def signal(t):
-            if t <= 0.0:
+            if t <= t_knots[0]:
                 return u_knots[0]
             if t >= tmax:
                 return u_knots[last]

@@ -376,3 +376,35 @@ def test_certify_is_deterministic_and_reports_the_sweep(tmp_path, capsys):
         assert report["b_set"][key]["failures"] == 300
     with open(tmp_path / "cert.json") as fh:
         assert json.load(fh) == report
+
+
+# certify --samples 5000 --seed 7, as written by the Dual-over-array
+# bracket words; the compiled words must reproduce it byte for byte
+# (5000 samples cross one evaluation chunk boundary)
+CERTIFY_5000_SEED7 = """{
+  "b_set": {
+    "c=-20": {
+      "failures": 5000,
+      "max_failure_velocity_sum": 3.9092172606181106,
+      "pass_rate": 0.0
+    },
+    "c=20": {
+      "failures": 5000,
+      "max_failure_velocity_sum": 3.9092172606181106,
+      "pass_rate": 0.0
+    }
+  },
+  "max_abs_alpha_ij1": 2.927342862464309e-16,
+  "min_frame_rank": 0.016367850632229092,
+  "samples": 5000,
+  "seed": 7
+}
+"""
+
+
+def test_certify_output_is_pinned_byte_for_byte(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--samples", "5000", "--seed", "7",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == CERTIFY_5000_SEED7
+    assert out.read_text() == CERTIFY_5000_SEED7

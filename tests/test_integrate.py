@@ -156,6 +156,17 @@ def test_interpolation_semantics_of_the_replay_signal(arm):
                         atol=1e-15)
 
 
+def test_linear_replay_holds_a_late_first_knot(arm):
+    """Before the first knot the replay holds the first sample; it never
+    interpolates between the last and the first knot."""
+    control = (np.array([0.5, 1.0]), np.array([[1.0, 0.0], [3.0, 0.0]]))
+    config = IntegratorConfig(step=0.125, horizon=1.0, interp="linear")
+    traj = resimulate(arm, ref.X0, control, config)
+    npt.assert_array_equal(traj.u[:, 0],
+                           [1.0, 1.0, 1.0, 1.0, 1.0, 1.5, 2.0, 2.5, 3.0])
+    _assert_replay_is_the_reference(arm, ref.X0, control, config)
+
+
 def _assert_same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape

@@ -1,4 +1,6 @@
-"""The compiled tableau/law kernel against the Dual/HyperDual reference."""
+"""The compiled kernels against their references: the tableau/law kernel
+against the Dual/HyperDual code, the bracket-word kernels against
+word_field."""
 import math
 
 import numpy as np
@@ -11,10 +13,13 @@ import reference as ref
 from singarc.arm2dof import Arm2DOF, ArmParams
 from singarc.duals import OffTrace, cos
 from singarc.errors import CostateDegenerate, LinearSolveFailure, RkViolation
-from singarc.liegeom import (_BATCH_KERNELS, _KERNELS, fused_kernel,
-                             fused_reference, u1_singular_brackets)
+from singarc.liegeom import (_BATCH_KERNELS, _KERNELS, _WORD_KERNELS,
+                             B_SET_WORDS, WORD_CHUNK, _word_columns,
+                             alpha_coefficients, b_set_certificate,
+                             frame_rank, fused_kernel, fused_reference,
+                             u1_singular_brackets, word_field, word_kernel)
 from singarc.pmp import (LAMBDA4_RTOL, LAW_CHUNK, in_Rk, singular_law_coeffs,
-                         singular_u1, singular_u1_batch)
+                         singular_u1, singular_u1_batch, sk_rank, switching)
 
 LAW_TERMS = ("mu", "nu", "gamma", "r", "s", "alpha1", "alpha2", "b_g2")
 
@@ -297,3 +302,127 @@ def test_batched_law_reports_a_vanishing_mu():
     Lam = np.tile(np.array(ref.LAM0)[:, None], (1, 4))
     reason = _assert_batch_is_per_sample(heavy, X, Lam, -10.0, 1e-3)
     assert set(reason) == {"mu"}
+
+
+# -- the bracket-word kernels against word_field ---------------------------
+
+def _compiled_word_sets(plant):
+    """Every word tuple the package compiles, built on plant by its
+    consumers: the frame, alpha, the B-set, switching and S_k."""
+    x = [float(v) for v in ref.X0]
+    frame_rank(plant, x)
+    alpha_coefficients(plant, x)
+    b_set_certificate(plant, x, 20.0)
+    switching(plant, x, ref.LAM0)
+    for k in (1, 2):
+        sk_rank(plant, x, k)
+    return list(dict.fromkeys(words for words, _ in _WORD_KERNELS[plant]))
+
+
+WORD_PLANT = Arm2DOF()
+WORD_SETS = _compiled_word_sets(WORD_PLANT)
+
+
+def _reference_columns(plant, words, x):
+    return np.asarray([word_field(plant, w)(x) for w in words], dtype=float)
+
+
+def test_the_package_compiles_every_certify_and_switching_word():
+    words = {w for ws in WORD_SETS for w in ws}
+    assert set(B_SET_WORDS) <= words
+    assert {"g1", "g2", "fg1", "fg2", "g1fg1", "g1fg2", "g2fg2"} <= words
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(x=st.tuples(angles, angles, rates, rates))
+def test_word_kernels_equal_word_field_at_float_states(x):
+    x = list(x)
+    for words in WORD_SETS:
+        want = [word_field(WORD_PLANT, w)(x) for w in words]
+        _assert_same_numbers(word_kernel(WORD_PLANT, words)(*x), want)
+        _assert_same_numbers(_word_columns(WORD_PLANT, words, x), want)
+
+
+@pytest.mark.parametrize("size", [1, WORD_CHUNK - 1, WORD_CHUNK,
+                                  WORD_CHUNK + 1, 2 * WORD_CHUNK + 1])
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_word_kernels_equal_word_field_on_batches(size, seed):
+    """Equal under == (nan equal to nan, the sign of a zero ignored) on
+    batches on both sides of the chunk size."""
+    X = ref.sample_states(np.random.default_rng(seed), size).T
+    for words in WORD_SETS:
+        got = _word_columns(WORD_PLANT, words, X)
+        assert got.shape == (len(words), 4, size)
+        npt.assert_array_equal(got, _reference_columns(WORD_PLANT, words, X))
+
+
+def test_non_finite_states_get_the_reference_values():
+    """A non-finite state, here in the second chunk, is re-run on
+    word_field: its nan (where the compiled code would keep a structural
+    zero) and its neighbours' values are the reference's."""
+    X = ref.sample_states(np.random.default_rng(30), WORD_CHUNK + 4).T
+    X[0, WORD_CHUNK + 1] = math.inf
+    X[1, WORD_CHUNK + 2] = -math.inf
+    X[3, 3] = math.nan
+    with np.errstate(all="ignore"):
+        for words in WORD_SETS:
+            want = _reference_columns(WORD_PLANT, words, X)
+            npt.assert_array_equal(_word_columns(WORD_PLANT, words, X), want)
+    assert np.isnan(want[:, :, WORD_CHUNK + 1]).any()
+    # a float state with an infinite coordinate takes the reference too
+    y = [math.inf, 0.2, 0.3, 0.5]
+    with np.errstate(all="ignore"):
+        npt.assert_array_equal(
+            np.asarray(_word_columns(WORD_PLANT, B_SET_WORDS, y)),
+            _reference_columns(WORD_PLANT, B_SET_WORDS, y))
+
+
+@st.composite
+def elbow_states(draw):
+    """States of SingularAtElbow with q2 free or within 3e-12 of Q2, where
+    the mass guard trips on some of them."""
+    q2 = draw(st.one_of(angles, st.builds(
+        lambda k: SingularAtElbow.Q2 + k * 1e-14, st.integers(-300, 300))))
+    return [draw(angles), q2, draw(rates), draw(rates)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(states=st.lists(elbow_states(), min_size=1, max_size=8))
+def test_word_kernels_raise_where_word_field_raises(states):
+    words = ("g1", "fg1") + B_SET_WORDS
+    X = np.array(states).T
+    for x in [*states, X]:
+        try:
+            want = _reference_columns(SINGULAR_PLANT, words, x)
+        except LinearSolveFailure:
+            with pytest.raises(LinearSolveFailure):
+                _word_columns(SINGULAR_PLANT, words, x)
+            continue
+        npt.assert_array_equal(np.asarray(_word_columns(SINGULAR_PLANT,
+                                                        words, x)), want)
+
+
+def test_word_kernels_are_built_lazily_per_plant_word_tuple_and_form():
+    plant = Arm2DOF()
+    u1_singular_brackets(plant, ref.X0)
+    fused_kernel(plant)
+    assert plant not in _WORD_KERNELS
+    kernel = word_kernel(plant, ("fg1", "fg2"))
+    assert word_kernel(plant, ["fg1", "fg2"]) is kernel
+    assert word_kernel(plant, ("fg2", "fg1")) is not kernel
+    assert word_kernel(Arm2DOF(), ("fg1", "fg2")) is not kernel
+    # each form is compiled on its first use: floats build no batched one
+    frame_rank(plant, [float(v) for v in ref.X0])
+    assert set(_WORD_KERNELS[plant]) == {(("fg1", "fg2"), False),
+                                         (("fg2", "fg1"), False),
+                                         (("g1", "g2", "fg1", "fg2"), False)}
+    frame_rank(plant, ref.sample_states(np.random.default_rng(33), 3).T)
+    assert (("g1", "g2", "fg1", "fg2"), True) in _WORD_KERNELS[plant]
+    assert word_kernel(plant, ("fg1", "fg2"), batched=True) is not kernel
+    # the g_i tops are the reference's x0 * 0.0, not a bare constant
+    for batched in (False, True):
+        assert "0.0 * x0" in word_kernel(plant, ("g1",), batched).source
+    assert [math.copysign(1.0, v) for v in
+            word_kernel(plant, ("g1",))(-0.5, 0.2, 0.3, 0.4)[0][:2]] \
+        == [-1.0, -1.0]

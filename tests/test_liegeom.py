@@ -7,10 +7,12 @@ import reference as ref
 from oracles import fd_jacobian, fd_word, rel_err, H_JACOBIAN
 from singarc.arm2dof import Arm2DOF
 from singarc.errors import DerivativeUnavailable, SpanViolation
-from singarc.liegeom import (alpha_coefficients, b_set_certificate,
-                             bracket_field, drift_field, frame_rank,
-                             input_field, iterated_bracket, lie_bracket,
-                             parse_word, u1_singular_brackets, word_field)
+from singarc.liegeom import (_alpha_solve, alpha_coefficients,
+                             b_set_certificate, bracket_field, drift_field,
+                             frame_rank, input_field, iterated_bracket,
+                             lie_bracket, parse_word, u1_singular_brackets,
+                             word_field)
+from singarc.pmp import general_singular_system
 
 DEPTH3_WORDS = ("ffg1", "ffg2", "g1fg1", "g1fg2", "g2fg1", "g2fg2")
 
@@ -126,6 +128,29 @@ def test_alpha_is_symmetric_and_batched_sweep_stays_in_span(arm):
     assert alpha.residual <= 1e-9
     assert alpha.values.shape == (2, 2, 2, 1000)
     npt.assert_array_equal(alpha.values[0, 1], alpha.values[1, 0])
+
+
+def test_compiled_alpha_is_the_general_routes_alpha(arm):
+    """alpha_coefficients (compiled columns) equals, under ==, the alpha
+    general_singular_system solves from word_field columns."""
+    X = ref.sample_states(np.random.default_rng(24), 1000).T
+    got = alpha_coefficients(arm, X)
+    comps = list(X)
+    _, L = arm.dyn(comps)
+    want = _alpha_solve(L, [word_field(arm, w)(comps)
+                            for w in ("g1fg1", "g1fg2", "g2fg2")])
+    npt.assert_array_equal(got.values, want.values)
+    assert got.residual == want.residual
+    for k in range(X.shape[1]):
+        system = general_singular_system(arm, X[:, k], ref.LAM0, k=2,
+                                         c_k=ref.U2_BANG)
+        assert system.b_kk[0] == got.values[0, 1, 1, k]
+        assert system.A_k[0, 0] == got.values[0, 0, 1, k]
+        if k % 10 == 0:
+            system = general_singular_system(arm, X[:, k], ref.LAM0, k=1,
+                                             c_k=20.0)
+            assert system.b_kk[0] == got.values[1, 0, 0, k]
+            assert system.A_k[0, 0] == got.values[1, 1, 0, k]
 
 
 def test_beta_contracts_alpha_against_the_control(arm):

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 import reference as ref
 from oracles import fd_adjoint, outside_law_domain
+from singarc import liegeom
+from singarc.arm2dof import Arm2DOF
+from singarc.duals import Tape
 from singarc.errors import CostateDegenerate, DegenerateSystem, RkViolation
-from singarc.liegeom import iterated_bracket
+from singarc.liegeom import iterated_bracket, word_field
 from singarc.pmp import (adjoint_rhs, costate_on_surface,
                          general_singular_solve, general_singular_system,
                          hamiltonian, in_Rk, lambda4_degenerate,
@@ -292,6 +295,26 @@ def test_general_system_fields(arm):
     assert system.phi_k < -0.1
     with pytest.raises(ValueError):
         general_singular_system(arm, ref.X0, ref.LAM0, k=3, c_k=0.0)
+
+
+def test_reference_routes_never_run_compiled_code(monkeypatch):
+    """Criterion 06's general route and the word_field reference stay off
+    the tape, so a code-generation fault cannot hit them and the compiled
+    paths they check in the same way."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reference route ran compiled code")
+
+    for name in ("__init__", "op", "compile"):
+        monkeypatch.setattr(Tape, name, refuse)
+    monkeypatch.setattr(liegeom, "word_kernel", refuse)
+    plant = Arm2DOF()                    # no kernel built or cached yet
+    X = ref.sample_states(np.random.default_rng(32), 8)
+    for k, c_k in ((1, 20.0), (2, ref.U2_BANG)):
+        general_singular_system(plant, ref.X0, ref.LAM0, k=k, c_k=c_k)
+    general_singular_solve(plant, ref.X0, ref.LAM0, k=2, c_k=ref.U2_BANG)
+    word_field(plant, "fffg2")(list(ref.X0))
+    iterated_bracket(plant, "g1ffg2", ref.X0)
+    iterated_bracket(plant, "g2fg2", X.T)
 
 
 def test_general_route_degenerates_when_channel_one_is_bang(arm):

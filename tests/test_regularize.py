@@ -55,7 +55,7 @@ def test_ingest_flags_missing_costates(extremal, tmp_path):
 def test_switching_series_matches_pointwise_evaluation(arm, extremal):
     phi, phi_dot = switching_series(arm, extremal)
     assert phi.shape == (len(extremal), 2)
-    for i in range(0, len(extremal), 5):
+    for i in range(len(extremal)):
         rec = switching(arm, extremal.x[i], extremal.lam[i])
         npt.assert_allclose(phi[i], rec.phi, rtol=1e-13)
         npt.assert_allclose(phi_dot[i], rec.phi_dot, rtol=1e-13)
