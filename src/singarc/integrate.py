@@ -5,6 +5,14 @@ first channel in closed-loop singular feedback and the second held at a
 bang value.  Steps are classical RK4 with the feedback law re-evaluated at
 every stage; holding it across a step lets the switching function drift.
 
+Replays step on a compiled kernel: ``replay_kernel`` records one whole
+RK4 step of ``state_rate(*sys.dyn(x), u)`` (``_rk4_step`` over the plant's
+own ``dyn``) on ``duals.Rec`` inputs and compiles it into one straight-line
+float function, cached per plant instance and built on the first replay,
+never at import.  A step the kernel cannot take (singular mass matrix,
+exact zero divisor, sin/cos of inf) re-runs on the Python stages, which
+raise what they always raised.
+
 Everything here is deterministic: same inputs, bit-identical output.  No
 adaptive stepping, no event location beyond the abort guards.
 """
@@ -14,11 +22,13 @@ import hashlib
 import json
 import math
 import os
+import weakref
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .arm2dof import ControlBounds, FullyActuatedSystem
+from .duals import OffTrace, Tape
 from .errors import (ERRORS_BY_NAME, CostateDegenerate, MissingCostates,
                      MonotonicityError, NaNError, OutOfBounds, RkViolation,
                      SchemaError)
@@ -251,10 +261,41 @@ def _control_table(t_knots, u_knots, ts, h, interp: str) -> np.ndarray:
     return table
 
 
+_REPLAY_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def replay_kernel(sys: FullyActuatedSystem):
+    """One replay RK4 step as straight-line float code:
+    ``(x0, .., x3, u00, u01, u10, u11, u20, u21, h) -> x after the step``,
+    where row s of u is the control at t, t + h/2 and t + h.
+
+    Recorded from ``_rk4_step`` over ``state_rate(*sys.dyn(z), u[stage])``
+    on Rec inputs and compiled on the first replay per plant, never at
+    import; cached like ``liegeom.fused_kernel``.  Returns the Python
+    step's numbers (equal as floats) wherever that step stays finite.
+    Raises OffTrace at the singular-mass guard, ZeroDivisionError at an
+    exact zero divisor and ValueError at sin/cos of inf.  A plant must not
+    change after its first replay.
+    """
+    kernel = _REPLAY_KERNELS.get(sys)
+    if kernel is None:
+        tape = Tape()
+        x = [tape.input(f"x{i}") for i in range(4)]
+        u = [[tape.input(f"u{s}{j}") for j in range(2)] for s in range(3)]
+        h = tape.input("h")
+
+        def rate(z, stage):
+            return state_rate(*sys.dyn(z), u[stage])
+
+        kernel = _REPLAY_KERNELS[sys] = tape.compile(
+            _rk4_step(rate, x, h, rate(x, 0)), "replay_kernel")
+    return kernel
+
+
 def resimulate(sys: FullyActuatedSystem, x0, control,
                config: IntegratorConfig | None = None) -> Trajectory:
     """Replay a recorded control signal (a Trajectory or a (t, u) pair)
-    through the plant, state only."""
+    through the plant, state only: one replay_kernel call per step."""
     if config is None:
         config = IntegratorConfig()
     if isinstance(control, Trajectory):
@@ -263,8 +304,9 @@ def resimulate(sys: FullyActuatedSystem, x0, control,
         t_knots = np.ascontiguousarray(control[0], dtype=float)
         u_knots = np.ascontiguousarray(control[1], dtype=float)
     if t_knots.ndim != 1 or u_knots.ndim != 2 \
-            or u_knots.shape[0] != t_knots.shape[0]:
-        raise SchemaError("control signal needs matching t and u samples")
+            or u_knots.shape != (t_knots.shape[0], 2):
+        raise SchemaError("control signal needs matching t and u samples, "
+                          "one u column per input channel")
     tmax = float(t_knots[-1])
     horizon = config.horizon if config.horizon > 0.0 else tmax
     if horizon - tmax > 1e-12 * max(1.0, tmax):
@@ -274,19 +316,27 @@ def resimulate(sys: FullyActuatedSystem, x0, control,
     nsteps = round(horizon / h)
     ts = np.arange(nsteps + 1) * h
     table = _control_table(t_knots, u_knots, ts, h, config.interp)
+    rows = table.reshape(nsteps + 1, -1)      # a view: u at t, t+h/2, t+h
+    step = replay_kernel(sys)
 
     def rate(x, stage):
-        return state_rate(*sys.dyn(x), u[stage])
+        return state_rate(*sys.dyn(x), u[2 * stage:2 * stage + 2])
 
     xs = np.empty((nsteps + 1, 4))
     x = [float(v) for v in np.asarray(x0, dtype=float).reshape(-1)]
     for k in range(nsteps + 1):
-        # this step's three rows as Python floats: the stages run on floats
-        u = table[k].tolist()
         xs[k] = x
         if k == nsteps:
             break
-        x = _rk4_step(rate, x, h, rate(x, 0))
+        # this step's six controls as Python floats; one row at a time, as
+        # the whole table as Python objects would cost ~1.5 MB of peak RSS
+        u = rows[k].tolist()
+        try:
+            x = step(*x, *u, h)
+        except (OffTrace, ZeroDivisionError, ValueError):
+            # the Python stages: they raise the plant's own error here,
+            # e.g. LinearSolveFailure at a singular mass matrix
+            x = _rk4_step(rate, x, h, rate(x, 0))
 
     meta = {
         "source": "resimulated",

@@ -29,6 +29,11 @@ Bracket words compile the same way: ``word_kernel`` records
 ``pmp.switching`` read their columns from it, batches in chunks of
 ``WORD_CHUNK`` samples.  ``word_field`` and
 ``iterated_bracket`` stay the reference and never run compiled code.
+
+Replays compile the same way outside this module:
+``integrate.replay_kernel`` records one whole RK4 step of the plant's
+``dyn`` (no brackets) per plant and falls back to the Python stages
+where it stops.
 """
 from __future__ import annotations
 

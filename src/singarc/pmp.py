@@ -136,7 +136,7 @@ def switching(sys: FullyActuatedSystem, x, lam) -> SwitchingRecord:
     cols = _word_columns(sys, _frame_words(n), x)
     phi = [_dot(lc[n:], cols[i][n:]) for i in range(n)]
     phi_dot = [_dot(lc, cols[n + i]) for i in range(n)]
-    norm = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in lc))
+    norm = np.sqrt(_dot(lc, lc))
     return SwitchingRecord(phi=np.asarray(phi), phi_dot=np.asarray(phi_dot),
                            lambda_norm=norm)
 

@@ -230,6 +230,13 @@ def test_replay_cannot_outrun_the_recorded_control(arm, extremal):
         resimulate(arm, ref.X0, extremal, IntegratorConfig(horizon=0.8))
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_replay_needs_one_control_column_per_channel(arm, width):
+    control = (np.array([0.0, 1e-3]), np.ones((2, width)))
+    with pytest.raises(SchemaError):
+        resimulate(arm, ref.X0, control, IntegratorConfig(horizon=1e-3))
+
+
 def test_csv_round_trip_is_bit_exact(extremal, extremal_file):
     back = load_trajectory(extremal_file)
     npt.assert_array_equal(back.t, extremal.t)

@@ -1,6 +1,6 @@
 """The compiled kernels against their references: the tableau/law kernel
 against the Dual/HyperDual code, the bracket-word kernels against
-word_field."""
+word_field, the replay step kernel against the Python RK4 stages."""
 import math
 
 import numpy as np
@@ -10,16 +10,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from oracles import replay_reference
+from singarc import cli, integrate
 from singarc.arm2dof import Arm2DOF, ArmParams
 from singarc.duals import OffTrace, cos
-from singarc.errors import CostateDegenerate, LinearSolveFailure, RkViolation
+from singarc.errors import (EXIT_CODES, CostateDegenerate, LinearSolveFailure,
+                            NaNError, RkViolation)
+from singarc.integrate import (_REPLAY_KERNELS, IntegratorConfig, Trajectory,
+                               _rk4_step, integrate_extremal, replay_kernel,
+                               resimulate, save_trajectory)
 from singarc.liegeom import (_BATCH_KERNELS, _KERNELS, _WORD_KERNELS,
                              B_SET_WORDS, WORD_CHUNK, _word_columns,
                              alpha_coefficients, b_set_certificate,
                              frame_rank, fused_kernel, fused_reference,
                              u1_singular_brackets, word_field, word_kernel)
 from singarc.pmp import (LAMBDA4_RTOL, LAW_CHUNK, in_Rk, singular_law_coeffs,
-                         singular_u1, singular_u1_batch, sk_rank, switching)
+                         singular_u1, singular_u1_batch, sk_rank, state_rate,
+                         switching)
 
 LAW_TERMS = ("mu", "nu", "gamma", "r", "s", "alpha1", "alpha2", "b_g2")
 
@@ -426,3 +433,115 @@ def test_word_kernels_are_built_lazily_per_plant_word_tuple_and_form():
     assert [math.copysign(1.0, v) for v in
             word_kernel(plant, ("g1",))(-0.5, 0.2, 0.3, 0.4)[0][:2]] \
         == [-1.0, -1.0]
+
+
+# -- the replay step kernel against _rk4_step over the Python stages -------
+
+def _python_step(plant, x, u, h):
+    """The Python step resimulate falls back to: u[s] is the control at
+    t, t + h/2 and t + h."""
+    def rate(z, stage):
+        return state_rate(*plant.dyn(z), u[stage])
+    return _rk4_step(rate, x, h, rate(x, 0))
+
+
+torques = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+                   st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+       u=st.tuples(*[st.tuples(torques, torques)] * 3),
+       h=st.floats(1e-8, 0.1))
+def test_replay_kernel_equals_the_python_step(arm, x, u, h):
+    got = replay_kernel(arm)(*x, *u[0], *u[1], *u[2], h)
+    _assert_same_numbers(got, _python_step(arm, list(x), u, h))
+
+
+def test_replay_kernel_is_built_lazily_once_per_plant(lam0):
+    plant = Arm2DOF()
+    integrate_extremal(plant, ref.X0, lam0, IntegratorConfig(horizon=0.01),
+                       c=ref.U2_BANG)
+    assert plant not in _REPLAY_KERNELS
+    control = (np.array([0.0, 0.01]), np.array([[1.0, -2.0], [3.0, -4.0]]))
+    config = IntegratorConfig(horizon=0.01, interp="linear")
+    first = resimulate(plant, ref.X0, control, config)
+    kernel = _REPLAY_KERNELS[plant]
+    assert replay_kernel(plant) is kernel
+    again = resimulate(plant, ref.X0, control, config)
+    assert _REPLAY_KERNELS[plant] is kernel
+    npt.assert_array_equal(again.x.view(np.int64), first.x.view(np.int64))
+    assert replay_kernel(Arm2DOF()) is not kernel
+    # a plant with other parameters steps with its own dynamics
+    light = Arm2DOF(ArmParams(mass=(10.0, 3.0), inertia_z=(1.0, 0.5)))
+    x, u = [0.1, 1.2, 0.3, 0.5], [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)]
+    got = replay_kernel(light)(*x, *u[0], *u[1], *u[2], 1e-3)
+    _assert_same_numbers(got, _python_step(light, x, u, 1e-3))
+    assert got != kernel(*x, *u[0], *u[1], *u[2], 1e-3)
+
+
+def test_construct_and_certify_build_no_replay_kernel(monkeypatch, tmp_path):
+    built = []
+
+    def spy(plant):
+        built.append(plant)
+        return replay_kernel(plant)
+
+    monkeypatch.setattr(integrate, "replay_kernel", spy)
+    run = str(tmp_path / "run.csv")
+    assert cli.main(["construct", "--step", "1e-3", "--out", run]) == 0
+    assert cli.main(["certify", "--samples", "100"]) == 0
+    assert built == []
+    # the costate-free diagnose replays, through the same name
+    plain = str(tmp_path / "plain.csv")
+    traj = integrate.load_trajectory(run)
+    save_trajectory(Trajectory(t=traj.t, x=traj.x, u=traj.u), plain)
+    assert cli.main(["diagnose", plain, "--step", "1e-3"]) == 0
+    assert len(built) == 1
+
+
+def test_a_replay_through_a_singular_mass_raises_linear_solve_failure():
+    """The kernel stops at the singular-mass guard (OffTrace); the step
+    re-runs on the Python stages, which raise LinearSolveFailure."""
+    x = [0.1, SingularAtElbow.Q2, 0.3, 0.5]
+    with pytest.raises(OffTrace):
+        replay_kernel(SINGULAR_PLANT)(*x, *[0.0] * 6, 1e-4)
+    control = (np.array([0.0, 1e-3]), np.zeros((2, 2)))
+    config = IntegratorConfig(step=1e-4, horizon=1e-3)
+    with pytest.raises(LinearSolveFailure):
+        resimulate(SINGULAR_PLANT, x, control, config)
+    # away from Q2 the kernel steps and matches the per-stage replay
+    y = [0.1, 1.2, 0.3, 0.5]
+    replay = resimulate(SINGULAR_PLANT, y, control, config)
+    want = replay_reference(SINGULAR_PLANT, y, control, config)
+    npt.assert_array_equal(replay.x.view(np.int64), want[1].view(np.int64))
+
+
+def test_a_stage_at_an_infinite_angle_raises_what_the_stages_raise(arm):
+    """The midpoint q2 overflows to inf: math.cos raises ValueError in the
+    kernel, and the step re-run on the Python stages raises it too."""
+    x = [0.0, 1e308, 0.0, 1.5e308]
+    with pytest.raises(ValueError):
+        replay_kernel(arm)(*x, *[0.0] * 6, 2.0)
+    control = (np.array([0.0, 2.0]), np.zeros((2, 2)))
+    config = IntegratorConfig(step=2.0, horizon=2.0)
+    with pytest.raises(ValueError, match="math domain error"):
+        replay_reference(arm, x, control, config)
+    with pytest.raises(ValueError, match="math domain error"):
+        resimulate(arm, x, control, config)
+
+
+def test_an_overflowing_costate_free_replay_exits_with_nan_error(tmp_path,
+                                                                 capsys):
+    """A torque of 1e300 drives the replayed state to inf and nan: the
+    replay's trajectory refuses it and diagnose exits with NaNError's code,
+    without a traceback."""
+    n = 101
+    path = str(tmp_path / "huge.csv")
+    save_trajectory(Trajectory(t=np.arange(n) * 1e-4,
+                               x=np.tile(ref.X0, (n, 1)),
+                               u=np.tile([1e300, 0.0], (n, 1))), path)
+    code = cli.main(["diagnose", path, "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CODES[NaNError] == 5
+    assert "NaNError" in err and "Traceback" not in err

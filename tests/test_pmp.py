@@ -57,6 +57,32 @@ def test_switching_vanishes_for_zero_costate(arm):
     assert rec.lambda_norm == 0.0
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lam=st.lists(st.tuples(finite, finite, finite, finite), min_size=1,
+                    max_size=5))
+def test_lambda_norm_is_the_numpy_sum_of_squares(arm, lam):
+    """The costate norm keeps the value and type of the numpy-scalar
+    sqrt(sum(c ** 2)) it replaced: np.float64 for one costate, an array
+    for a batch, bit for bit (overflow to inf included)."""
+    def old_norm(cols):
+        return np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in cols))
+
+    Lam = np.array(lam).T                                   # (4, N)
+    X = np.tile(np.asarray(ref.X0)[:, None], (1, Lam.shape[1]))
+    with np.errstate(over="ignore"):
+        batch, want = switching(arm, X, Lam).lambda_norm, old_norm(Lam)
+        assert type(batch) is np.ndarray and batch.shape == (Lam.shape[1],)
+        npt.assert_array_equal(batch.view(np.int64), want.view(np.int64))
+        for k in range(Lam.shape[1]):
+            single = switching(arm, ref.X0, Lam[:, k]).lambda_norm
+            want = old_norm(Lam[:, k].tolist())
+            assert type(single) is type(want) is np.float64
+            assert single.view(np.int64) == want.view(np.int64)
+
+
 def test_reference_costate_sits_on_the_singular_surface(arm):
     rec = switching(arm, ref.X0, ref.LAM0)
     scale = float(rec.lambda_norm)
