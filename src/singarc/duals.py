@@ -8,8 +8,9 @@ Two representations of the same algebra:
   general-purpose path used by the bracket calculus.
 * ``HyperDual`` -- a flattened two-level dual (value, two first-order
   tangents, one cross term), algebraically identical to
-  ``Dual(Dual(a, b), Dual(c, d))`` but a single flat object.  Used on hot
-  paths where the allocation cost of nested duals dominates.
+  ``Dual(Dual(a, b), Dual(c, d))`` but a single flat object.  The bracket
+  tableau's second-order evaluations use it: while a kernel is recorded,
+  and on the array and reference paths (hot paths run compiled code).
 
 Components of one expression must stay within one representation; the two
 are never mixed in a single evaluation.
@@ -28,10 +29,15 @@ non-finite input a structural zero stays ``0.0`` where the replayed
 evaluation would give ``nan``.  The same tape also compiles to a batched
 function over numpy arrays (one sample per element) that masks, per
 sample, every place where the float function raises.
+
+``compiled`` is the one store of such kernels, built on first use and kept
+per owner (a plant); ``chunks`` runs a batched one over a long batch.
+Where a float kernel stops (``STOPS``), its caller runs the reference.
 """
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -81,16 +87,6 @@ class Dual:
 
     def __neg__(self):
         return Dual(-self.re, -self.im)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise TypeError("Dual ** requires a non-negative integer")
-        if n == 0:
-            return Dual(self.re * 0 + 1.0, self.im * 0)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
 
 
 class HyperDual:
@@ -367,6 +363,49 @@ class Tape:
         fn = env[name]
         fn.source = source
         return fn
+
+
+# a compiled float function stops with one of these where its reference
+# raises: a recorded check that holds, an exact zero divisor, sin/cos of inf
+STOPS = (OffTrace, ZeroDivisionError, ValueError)
+
+_COMPILED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def compiled(owner, key, inputs, record, batched: bool = False,
+             numpy_trig: bool = False):
+    """The kernel ``record`` describes, built once per owner, key and form.
+
+    On first use (never at import) ``record`` runs on one Rec per name in
+    ``inputs`` and its outputs go to ``Tape.compile`` (batched and
+    numpy_trig as there), as a function named after key: a name, or a
+    tuple that starts with one, which fixes what record records.  Kernels
+    live as long as their owner, which must not change once it has one.
+    The tape is dropped: recording again costs less than keeping it.
+    """
+    per_owner = _COMPILED.setdefault(owner, {})
+    kernel = per_owner.get((key, batched))
+    if kernel is None:
+        tape = Tape()
+        outputs = record(*[tape.input(name) for name in inputs])
+        name = key if type(key) is str else key[0]
+        kernel = per_owner[key, batched] = tape.compile(
+            outputs, "batched_" + name if batched else name,
+            batched=batched, numpy_trig=numpy_trig)
+    return kernel
+
+
+def chunks(kernel, comps, chunk: int):
+    """``(part, outputs, bad)`` of a batched kernel over 1-D input arrays,
+    ``chunk`` samples (the slice part) at a time, so that its intermediates
+    stay small.  Runs, and so does the caller's loop body, under
+    ``np.errstate(all="ignore")``: a masked sample's outputs mean nothing.
+    """
+    with np.errstate(all="ignore"):
+        for start in range(0, comps[0].shape[0], chunk):
+            part = slice(start, start + chunk)
+            yield (part, *kernel(*[np.ascontiguousarray(c[part])
+                                   for c in comps]))
 
 
 def _elementwise(fn):

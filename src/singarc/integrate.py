@@ -5,13 +5,11 @@ first channel in closed-loop singular feedback and the second held at a
 bang value.  Steps are classical RK4 with the feedback law re-evaluated at
 every stage; holding it across a step lets the switching function drift.
 
-Replays step on a compiled kernel: ``replay_kernel`` records one whole
-RK4 step of ``state_rate(*sys.dyn(x), u)`` (``_rk4_step`` over the plant's
-own ``dyn``) on ``duals.Rec`` inputs and compiles it into one straight-line
-float function, cached per plant instance and built on the first replay,
-never at import.  A step the kernel cannot take (singular mass matrix,
-exact zero divisor, sin/cos of inf) re-runs on the Python stages, which
-raise what they always raised.
+Replays step on a compiled kernel: ``replay_kernel`` is one whole RK4
+step, ``_replay_step``, as straight-line float code built by
+``duals.compiled``.  A step the kernel cannot take (singular mass matrix,
+exact zero divisor, sin/cos of inf) re-runs ``_replay_step`` itself, which
+raises what it always raised.
 
 Everything here is deterministic: same inputs, bit-identical output.  No
 adaptive stepping, no event location beyond the abort guards.
@@ -22,13 +20,12 @@ import hashlib
 import json
 import math
 import os
-import weakref
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .arm2dof import ControlBounds, FullyActuatedSystem
-from .duals import OffTrace, Tape
+from .duals import STOPS, compiled
 from .errors import (ERRORS_BY_NAME, CostateDegenerate, MissingCostates,
                      MonotonicityError, NaNError, OutOfBounds, RkViolation,
                      SchemaError)
@@ -65,8 +62,9 @@ class IntegratorConfig:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         if self.interp not in ("zoh", "linear"):
             raise ValueError(f"unknown interpolation {self.interp!r}")
-        if self.rk_exclusion < 0.0:
-            raise ValueError("rk_exclusion must be >= 0")
+        if not 0.0 <= self.rk_exclusion < math.inf:
+            raise ValueError(f"rk_exclusion must be finite and >= 0, "
+                             f"got {self.rk_exclusion}")
 
     @property
     def n_steps(self) -> int:
@@ -261,35 +259,26 @@ def _control_table(t_knots, u_knots, ts, h, interp: str) -> np.ndarray:
     return table
 
 
-_REPLAY_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _replay_step(sys: FullyActuatedSystem, x, u, h):
+    """One RK4 step of ``state_rate(*sys.dyn(z), u[stage])`` from x, where
+    u[s] is the control pair at t, t + h/2 and t + h."""
+    def rate(z, stage):
+        return state_rate(*sys.dyn(z), u[stage])
+    return _rk4_step(rate, x, h, rate(x, 0))
 
 
 def replay_kernel(sys: FullyActuatedSystem):
-    """One replay RK4 step as straight-line float code:
-    ``(x0, .., x3, u00, u01, u10, u11, u20, u21, h) -> x after the step``,
-    where row s of u is the control at t, t + h/2 and t + h.
+    """``_replay_step`` as straight-line float code from ``duals.compiled``:
+    ``(x0, .., x3, u00, u01, u10, u11, u20, u21, h) -> x after the step``.
 
-    Recorded from ``_rk4_step`` over ``state_rate(*sys.dyn(z), u[stage])``
-    on Rec inputs and compiled on the first replay per plant, never at
-    import; cached like ``liegeom.fused_kernel``.  Returns the Python
-    step's numbers (equal as floats) wherever that step stays finite.
+    The same numbers (equal as floats) wherever that step stays finite.
     Raises OffTrace at the singular-mass guard, ZeroDivisionError at an
-    exact zero divisor and ValueError at sin/cos of inf.  A plant must not
-    change after its first replay.
+    exact zero divisor and ValueError at sin/cos of inf.
     """
-    kernel = _REPLAY_KERNELS.get(sys)
-    if kernel is None:
-        tape = Tape()
-        x = [tape.input(f"x{i}") for i in range(4)]
-        u = [[tape.input(f"u{s}{j}") for j in range(2)] for s in range(3)]
-        h = tape.input("h")
-
-        def rate(z, stage):
-            return state_rate(*sys.dyn(z), u[stage])
-
-        kernel = _REPLAY_KERNELS[sys] = tape.compile(
-            _rk4_step(rate, x, h, rate(x, 0)), "replay_kernel")
-    return kernel
+    inputs = [f"x{i}" for i in range(4)] + \
+        [f"u{s}{j}" for s in range(3) for j in range(2)] + ["h"]
+    return compiled(sys, "replay_kernel", inputs, lambda *v: _replay_step(
+        sys, v[:4], (v[4:6], v[6:8], v[8:10]), v[10]))
 
 
 def resimulate(sys: FullyActuatedSystem, x0, control,
@@ -318,10 +307,6 @@ def resimulate(sys: FullyActuatedSystem, x0, control,
     table = _control_table(t_knots, u_knots, ts, h, config.interp)
     rows = table.reshape(nsteps + 1, -1)      # a view: u at t, t+h/2, t+h
     step = replay_kernel(sys)
-
-    def rate(x, stage):
-        return state_rate(*sys.dyn(x), u[2 * stage:2 * stage + 2])
-
     xs = np.empty((nsteps + 1, 4))
     x = [float(v) for v in np.asarray(x0, dtype=float).reshape(-1)]
     for k in range(nsteps + 1):
@@ -333,10 +318,10 @@ def resimulate(sys: FullyActuatedSystem, x0, control,
         u = rows[k].tolist()
         try:
             x = step(*x, *u, h)
-        except (OffTrace, ZeroDivisionError, ValueError):
+        except STOPS:
             # the Python stages: they raise the plant's own error here,
             # e.g. LinearSolveFailure at a singular mass matrix
-            x = _rk4_step(rate, x, h, rate(x, 0))
+            x = _replay_step(sys, x, (u[0:2], u[2:4], u[4:6]), h)
 
     meta = {
         "source": "resimulated",

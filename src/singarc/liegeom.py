@@ -12,16 +12,13 @@ field that can be bracketed again, up to words of length 4.
 The fused tableau of the singular law has two evaluations.  The reference
 is the hand-written Dual/HyperDual code in ``fused_reference`` (tableau,
 then ``pmp._law_terms``); arrays and nested duals always take it.  For
-plain floats, ``fused_kernel`` replays it: on a plant's first scalar call
-the reference is recorded once on ``duals.Rec`` inputs and compiled into a
-straight-line function, cached per plant instance (never at import).  The
-kernel returns the reference's numbers (equal as floats, bit for bit up to
-the sign of a zero) wherever the reference stays finite; see ``duals``.
+plain floats, ``fused_kernel`` replays it as straight-line code, which
+returns the reference's numbers (equal as floats, bit for bit up to the
+sign of a zero) wherever the reference stays finite; see ``duals``.
 Where it stops (singular mass matrix, exact zero divisor), the callers
 re-run the reference, which raises what it always raised.  The law terms
-also compile, from the same recorded operations, to
-``batched_law_kernel`` over arrays of samples; it masks the samples where
-the float kernel stops.
+also compile to ``batched_law_kernel`` over arrays of samples; it masks
+the samples where the float kernel stops.
 
 Bracket words compile the same way: ``word_kernel`` records
 ``word_field`` for a tuple of words, and the certificates
@@ -30,23 +27,21 @@ Bracket words compile the same way: ``word_kernel`` records
 ``WORD_CHUNK`` samples.  ``word_field`` and
 ``iterated_bracket`` stay the reference and never run compiled code.
 
-Replays compile the same way outside this module:
-``integrate.replay_kernel`` records one whole RK4 step of the plant's
-``dyn`` (no brackets) per plant and falls back to the Python stages
-where it stops.
+Every kernel is built, cached per plant and chunked by ``duals.compiled``
+and ``duals.chunks``; ``integrate.replay_kernel`` is one more.
 """
 from __future__ import annotations
 
 import math
 import re as _re
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .arm2dof import FullyActuatedSystem, _components
-from .duals import Dual, HyperDual, OffTrace, Rec, Tape, seed, value
+from .duals import (STOPS, Dual, HyperDual, Rec, chunks, compiled, seed,
+                    value)
 from .errors import DerivativeUnavailable, SpanViolation
 
 MAX_WORD = 4
@@ -411,51 +406,31 @@ def fused_reference(sys: FullyActuatedSystem, comps, c):
             tab.g1fg2, tab.L, tab.df_cols, tab.dL, _law_terms(tab, c))
 
 
-_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_BATCH_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _recording(sys: FullyActuatedSystem):
-    """(tape, outputs) of fused_reference recorded on Rec inputs.
-
-    Not kept: a plant records once per kernel it compiles (~3 ms), and
-    holding the tape for the plant's lifetime would cost more memory.
-    """
-    tape = Tape()
-    comps = [tape.input(f"x{i}") for i in range(4)]
-    return tape, fused_reference(sys, comps, tape.input("c"))
+_LAW_INPUTS = ("x0", "x1", "x2", "x3", "c")
 
 
 def fused_kernel(sys: FullyActuatedSystem):
     """``(x0, x1, x2, x3, c) -> fused_reference(sys, [x0..x3], c)`` as
-    straight-line float code, recorded and compiled on first use per plant.
+    straight-line float code, built by ``duals.compiled``.
 
     Raises OffTrace at the singular-mass guard and ZeroDivisionError at an
-    exact zero divisor, at the point where the reference raises.  A plant
-    must not change after its first scalar call.
+    exact zero divisor, at the point where the reference raises.
     """
-    kernel = _KERNELS.get(sys)
-    if kernel is None:
-        tape, outputs = _recording(sys)
-        kernel = _KERNELS[sys] = tape.compile(outputs, "fused_kernel")
-    return kernel
+    return compiled(sys, "fused_kernel", _LAW_INPUTS,
+                    lambda *v: fused_reference(sys, list(v[:4]), v[4]))
 
 
 def batched_law_kernel(sys: FullyActuatedSystem):
     """``(x0, x1, x2, x3, c) -> (law terms, bad)`` over numpy arrays.
 
-    The law-terms block of fused_kernel, recorded the same way and
-    compiled as a batched function (``Tape.compile(batched=True)``) on the
-    first batched call per plant: bit for bit fused_kernel's law terms at
-    every sample outside the mask ``bad``, which holds the samples where
-    fused_kernel raises.
+    The law-terms block of fused_kernel, compiled as a batched function
+    (``Tape.compile(batched=True)``): bit for bit fused_kernel's law terms
+    at every sample outside the mask ``bad``, which holds the samples
+    where fused_kernel raises.
     """
-    kernel = _BATCH_KERNELS.get(sys)
-    if kernel is None:
-        tape, outputs = _recording(sys)
-        kernel = _BATCH_KERNELS[sys] = tape.compile(
-            outputs[-1], "batched_law_kernel", batched=True)
-    return kernel
+    return compiled(sys, "law_kernel", _LAW_INPUTS,
+                    lambda *v: fused_reference(sys, list(v[:4]), v[4])[-1],
+                    batched=True)
 
 
 def fused_terms(sys: FullyActuatedSystem, comps, c):
@@ -464,19 +439,15 @@ def fused_terms(sys: FullyActuatedSystem, comps, c):
     if all(type(v) is float for v in comps):
         try:
             return fused_kernel(sys)(*comps, c)
-        except (OffTrace, ZeroDivisionError):
+        except STOPS:
             pass
     return None
 
 
-_WORD_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def word_kernel(sys: FullyActuatedSystem, words, batched: bool = False):
     """``word_field(sys, w)`` for every w in words as straight-line code,
-    recorded on ``Rec`` inputs into one tape (subexpressions the words share
-    run once) and compiled on first use per plant, word tuple and form,
-    never at import; cached like fused_kernel.
+    recorded into one tape (subexpressions the words share run once) and
+    built by ``duals.compiled`` per plant, word tuple and form.
 
     The float form ``(x0, .., x3)`` returns one list of 2n floats per word.
     batched=True gives the ``Tape.compile(batched=True)`` form over 1-D
@@ -486,19 +457,16 @@ def word_kernel(sys: FullyActuatedSystem, words, batched: bool = False):
     constant 0.0; the kernel writes it as the reference's ``x0 * 0.0``,
     which has the reference's sign and the batch's shape.
     """
-    key = (tuple(words), batched)
-    per_plant = _WORD_KERNELS.setdefault(sys, {})
-    kernel = per_plant.get(key)
-    if kernel is None:
-        tape = Tape()
-        comps = [tape.input(f"x{i}") for i in range(2 * sys.n)]
-        zero = tape.op("*", comps[0], 0.0)
-        outputs = [[v if type(v) is Rec or v != 0.0 else zero
-                    for v in word_field(sys, w)(comps)] for w in key[0]]
-        kernel = per_plant[key] = tape.compile(
-            outputs, "batched_word_kernel" if batched else "word_kernel",
-            batched=batched, numpy_trig=batched)
-    return kernel
+    words = tuple(words)
+
+    def record(*comps):
+        zero = comps[0].tape.op("*", comps[0], 0.0)
+        return [[v if type(v) is Rec or v != 0.0 else zero
+                 for v in word_field(sys, w)(list(comps))] for w in words]
+
+    return compiled(sys, ("word_kernel", words),
+                    [f"x{i}" for i in range(2 * sys.n)], record,
+                    batched=batched, numpy_trig=batched)
 
 
 def _word_columns(sys: FullyActuatedSystem, words, x):
@@ -516,7 +484,7 @@ def _word_columns(sys: FullyActuatedSystem, words, x):
         if all(map(math.isfinite, comps)):
             try:
                 return word_kernel(sys, words)(*comps)
-            except (OffTrace, ZeroDivisionError):
+            except STOPS:
                 pass
     elif all(type(v) is np.ndarray and v.ndim == 1 for v in comps):
         return _batched_word_columns(sys, words, comps)
@@ -524,16 +492,14 @@ def _word_columns(sys: FullyActuatedSystem, words, x):
 
 
 def _batched_word_columns(sys: FullyActuatedSystem, words, comps):
-    kernel = word_kernel(sys, words, batched=True)
     size = comps[0].shape[0]
     out = np.empty((len(words), len(comps), size))
     redo = np.empty(size, dtype=bool)
-    with np.errstate(all="ignore"):
-        for start in range(0, size, WORD_CHUNK):
-            part = slice(start, start + WORD_CHUNK)
-            xs = [np.ascontiguousarray(c[part]) for c in comps]
-            out[:, :, part], bad = kernel(*xs)
-            redo[part] = bad | ~np.isfinite(xs).all(axis=0)
+    for part, cols, bad in chunks(word_kernel(sys, words, batched=True),
+                                  comps, WORD_CHUNK):
+        out[:, :, part] = cols
+        del cols        # not held through the next chunk's kernel call
+        redo[part] = bad | ~np.isfinite([c[part] for c in comps]).all(axis=0)
     masked = np.flatnonzero(redo)
     if masked.size:
         sub = [c[masked] for c in comps]

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arm2dof import FullyActuatedSystem, _components
+from .duals import chunks
 from .errors import (CostateDegenerate, DegenerateSystem, RkViolation)
 from .liegeom import (AlphaTensor, BracketTableau, _alpha_solve,
-                      _frame_words, _stacked_fields, _word_columns,
-                      alpha_coefficients, batched_law_kernel, fused_terms,
-                      u1_singular_brackets, word_field)
+                      _dual_tableau, _frame_words, _stacked_fields,
+                      _word_columns, alpha_coefficients, batched_law_kernel,
+                      fused_terms, u1_singular_brackets, word_field)
 
 LAMBDA4_RTOL = 1e-9
 DEGENERACY_TOL = 1e-12
@@ -285,7 +286,7 @@ def _law_at(sys: FullyActuatedSystem, x, lam, c: float, exclusion: float):
         out = fused_terms(sys, comps, c)
         if out is not None:
             return out[-1][0]
-        tab = u1_singular_brackets(sys, comps)
+        tab = _dual_tableau(sys, comps)
         return tab.L[0][0]
 
     def law():
@@ -356,28 +357,23 @@ def singular_u1_batch(sys: FullyActuatedSystem, X, Lam, c,
     Lam = np.asarray(Lam, dtype=float)
     n = X.shape[1]
     cs = np.broadcast_to(np.asarray(c, dtype=float), (n,))
-    kernel = batched_law_kernel(sys)
     u1 = np.empty(n)
     code = np.zeros(n, dtype=np.int8)
     redo = np.zeros(n, dtype=bool)
-    with np.errstate(all="ignore"):
-        for start in range(0, n, LAW_CHUNK):
-            part = slice(start, start + LAW_CHUNK)
-            x = np.ascontiguousarray(X[:, part])
-            lam = np.ascontiguousarray(Lam[:, part])
-            terms, bad = kernel(*x, cs[part])
-            first = code[part]
+    for part, terms, bad in chunks(batched_law_kernel(sys), [*X, cs],
+                                   LAW_CHUNK):
+        x, lam, first = X[:, part], Lam[:, part], code[part]
 
-            def at_kernel():
-                # the samples the scalar path runs the kernel for, and
-                # where it stops there
-                redo[part] = bad & (first == 0)
-                return terms[0]
+        def at_kernel():
+            # the samples the scalar path runs the kernel for, and where
+            # it stops there
+            redo[part] = bad & (first == 0)
+            return terms[0]
 
-            for reason, tripped in _law_guards(x, lam, exclusion, at_kernel,
-                                               lambda: terms):
-                first[(first == 0) & tripped] = LAW_REASONS.index(reason)
-            u1[part] = law_u1(terms, lam)
+        for reason, tripped in _law_guards(x, lam, exclusion, at_kernel,
+                                           lambda: terms):
+            first[(first == 0) & tripped] = LAW_REASONS.index(reason)
+        u1[part] = law_u1(terms, lam)
     for i in np.flatnonzero(redo):
         reason, law = _law_at(sys, X[:, i], Lam[:, i], float(cs[i]),
                               exclusion)

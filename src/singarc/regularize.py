@@ -10,6 +10,7 @@ the law cannot cover is left alone and reported.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,9 +51,15 @@ class Tolerances:
     law_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.phi_band is not None and self.phi_band <= 0.0:
-            raise ValueError("phi_band must be positive when given")
-        if self.rel_band <= 0.0 or self.min_samples < 1 or self.gap_samples < 0:
+        # the bands must be > 0, the exclusion and the tolerances >= 0
+        for name in ("phi_band", "rel_band", "law_exclusion", "u_tol",
+                     "law_tol"):
+            v, band = getattr(self, name), name.endswith("_band")
+            if v is not None and not (math.isfinite(v)
+                                      and (v > 0.0 if band else v >= 0.0)):
+                raise ValueError(f"{name} must be finite and "
+                                 f"{'> 0' if band else '>= 0'}, got {v}")
+        if self.min_samples < 1 or self.gap_samples < 0:
             raise ValueError("detection tolerances out of range")
 
 

@@ -117,6 +117,29 @@ def test_zero_and_negative_overrides_are_rejected(argv, message, tmp_path,
     assert not (tmp_path / "never").exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["--tol-phi", "nan"], None,
+     "phi_band must be finite and > 0, got nan"),
+    (["--tol-phi", "inf"], None,
+     "phi_band must be finite and > 0, got inf"),
+    ([], "[tolerances]\nlaw_exclusion = nan\n",
+     "law_exclusion must be finite and >= 0, got nan"),
+], ids=["tol-phi-nan", "tol-phi-inf", "law-exclusion-nan"])
+def test_non_finite_tolerances_are_rejected(argv, config, message,
+                                            extremal_file, tmp_path, capsys):
+    """A nan band compares false everywhere: it would detect nothing or
+    check nothing, so it ends with exit 1 before any work."""
+    if config is not None:
+        path = tmp_path / "bad.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    rc = main(["regularize", extremal_file, *argv,
+               "--out", str(tmp_path / "never.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "never.csv").exists()
+
+
 def test_cli_requires_a_command():
     with pytest.raises(SystemExit) as exc:
         main([])

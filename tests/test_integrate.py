@@ -28,6 +28,8 @@ from singarc.pmp import hamiltonian
     {"horizon": -0.1},
     {"interp": "cubic"},
     {"rk_exclusion": -1e-9},
+    {"rk_exclusion": float("nan")},
+    {"rk_exclusion": float("inf")},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
 """The compiled kernels against their references: the tableau/law kernel
 against the Dual/HyperDual code, the bracket-word kernels against
-word_field, the replay step kernel against the Python RK4 stages."""
+word_field, the replay step kernel against the Python RK4 stages; and the
+one store they are all built and cached in."""
+import gc
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -11,19 +16,19 @@ from hypothesis import strategies as st
 
 import reference as ref
 from oracles import replay_reference
-from singarc import cli, integrate
+from singarc import cli, integrate, liegeom
 from singarc.arm2dof import Arm2DOF, ArmParams
-from singarc.duals import OffTrace, cos
+from singarc.duals import _COMPILED, OffTrace, compiled, cos
 from singarc.errors import (EXIT_CODES, CostateDegenerate, LinearSolveFailure,
                             NaNError, RkViolation)
-from singarc.integrate import (_REPLAY_KERNELS, IntegratorConfig, Trajectory,
-                               _rk4_step, integrate_extremal, replay_kernel,
-                               resimulate, save_trajectory)
-from singarc.liegeom import (_BATCH_KERNELS, _KERNELS, _WORD_KERNELS,
-                             B_SET_WORDS, WORD_CHUNK, _word_columns,
+from singarc.integrate import (IntegratorConfig, Trajectory, _rk4_step,
+                               integrate_extremal, replay_kernel, resimulate,
+                               save_trajectory)
+from singarc.liegeom import (B_SET_WORDS, WORD_CHUNK, _word_columns,
                              alpha_coefficients, b_set_certificate,
-                             frame_rank, fused_kernel, fused_reference,
-                             u1_singular_brackets, word_field, word_kernel)
+                             batched_law_kernel, frame_rank, fused_kernel,
+                             fused_reference, u1_singular_brackets,
+                             word_field, word_kernel)
 from singarc.pmp import (LAMBDA4_RTOL, LAW_CHUNK, in_Rk, singular_law_coeffs,
                          singular_u1, singular_u1_batch, sk_rank, state_rate,
                          switching)
@@ -53,6 +58,44 @@ angles = st.floats(-math.pi, math.pi)
 rates = st.floats(-5.0, 5.0)
 
 
+# -- the kernel store ------------------------------------------------------
+
+def test_the_kernel_store_builds_on_first_use_and_frees_with_the_plant():
+    """duals.compiled builds nothing at import and each kernel once per
+    owner, key and form; a dropped plant's kernels go with it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    subprocess.run([sys.executable, "-c", "import singarc.cli, singarc.duals"
+                    " as d; assert len(d._COMPILED) == 0"], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+    recorded = []
+
+    def record(x, y):
+        recorded.append(1)
+        return [x * y]
+
+    owner = Arm2DOF()
+    kernel = compiled(owner, "product", ("x", "y"), record)
+    assert compiled(owner, "product", ("x", "y"), record) is kernel
+    assert kernel(3.0, 4.0) == [12.0] and len(recorded) == 1
+    assert compiled(owner, "product", ("x", "y"), record,
+                    batched=True) is not kernel
+    assert compiled(Arm2DOF(), "product", ("x", "y"), record) is not kernel
+    assert len(recorded) == 3
+    assert set(_COMPILED[owner]) == {("product", False), ("product", True)}
+
+    plant = Arm2DOF()
+    fused_kernel(plant)
+    replay_kernel(plant)
+    gc.collect()
+    owners = len(_COMPILED)
+    del plant, owner
+    gc.collect()
+    assert len(_COMPILED) == owners - 2
+
+
+# -- the law kernel against the Dual/HyperDual reference -------------------
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(x=st.tuples(angles, angles, rates, rates), c=st.floats(-10.0, 10.0))
 def test_kernel_equals_the_dual_reference_bit_for_bit(arm, x, c):
@@ -67,11 +110,12 @@ def test_kernel_equals_the_dual_reference_bit_for_bit(arm, x, c):
 
 def test_kernel_is_recorded_once_per_plant_and_lazily():
     plant = Arm2DOF()
-    assert plant not in _KERNELS
+    assert plant not in _COMPILED
     u1_singular_brackets(plant, np.asarray(ref.X0)[:, None])  # arrays: no
-    assert plant not in _KERNELS
+    assert plant not in _COMPILED
     kernel = fused_kernel(plant)
     assert fused_kernel(plant) is kernel
+    assert set(_COMPILED[plant]) == {("fused_kernel", False)}
     assert fused_kernel(Arm2DOF()) is not kernel
     # the tableau of the reference state through both public paths
     single = u1_singular_brackets(plant, ref.X0)
@@ -123,6 +167,22 @@ def test_mass_guard_survives_code_generation():
     y = [0.1, 1.2, 0.3, 0.5]
     _assert_same_numbers(fused_kernel(plant)(*y, -10.0),
                          fused_reference(plant, y, -10.0))
+
+
+def test_a_stop_on_the_scalar_law_path_runs_the_kernel_once(monkeypatch):
+    """Where the kernel stops, singular_u1 runs the reference once, not
+    the kernel again first; the reference raises what it raises."""
+    calls = []
+
+    def counting(plant):
+        calls.append(plant)
+        return fused_kernel(plant)
+
+    monkeypatch.setattr(liegeom, "fused_kernel", counting)
+    x = [0.1, SingularAtElbow.Q2, 0.3, 0.5]
+    with pytest.raises(LinearSolveFailure):
+        singular_u1(SINGULAR_PLANT, x, ref.LAM0, -10.0)
+    assert calls == [SINGULAR_PLANT]
 
 
 def test_non_float_scalars_take_the_reference_path(arm):
@@ -275,11 +335,12 @@ def test_batched_law_on_the_extremal_is_the_integrators_u1(arm, extremal):
 def test_batched_law_kernel_is_built_lazily_and_apart():
     plant = Arm2DOF()
     singular_u1(plant, ref.X0, ref.LAM0, ref.U2_BANG)
-    assert plant in _KERNELS and plant not in _BATCH_KERNELS
+    assert set(_COMPILED[plant]) == {("fused_kernel", False)}
     other = Arm2DOF()
     singular_u1_batch(other, np.asarray(ref.X0)[:, None],
                       np.asarray(ref.LAM0)[:, None], ref.U2_BANG)
-    assert other in _BATCH_KERNELS and other not in _KERNELS
+    assert set(_COMPILED[other]) == {("law_kernel", True)}
+    assert batched_law_kernel(other) is not fused_kernel(other)
 
 
 def test_batched_law_masks_the_singular_mass_guard():
@@ -323,7 +384,8 @@ def _compiled_word_sets(plant):
     switching(plant, x, ref.LAM0)
     for k in (1, 2):
         sk_rank(plant, x, k)
-    return list(dict.fromkeys(words for words, _ in _WORD_KERNELS[plant]))
+    return list(dict.fromkeys(key[1] for key, _ in _COMPILED[plant]
+                              if key[0] == "word_kernel"))
 
 
 WORD_PLANT = Arm2DOF()
@@ -410,28 +472,36 @@ def test_word_kernels_raise_where_word_field_raises(states):
                                                         words, x)), want)
 
 
+def _word_forms(plant):
+    return {(key[1], batched) for key, batched in _COMPILED.get(plant, {})
+            if key[0] == "word_kernel"}
+
+
 def test_word_kernels_are_built_lazily_per_plant_word_tuple_and_form():
     plant = Arm2DOF()
     u1_singular_brackets(plant, ref.X0)
     fused_kernel(plant)
-    assert plant not in _WORD_KERNELS
+    assert _word_forms(plant) == set()
     kernel = word_kernel(plant, ("fg1", "fg2"))
     assert word_kernel(plant, ["fg1", "fg2"]) is kernel
     assert word_kernel(plant, ("fg2", "fg1")) is not kernel
     assert word_kernel(Arm2DOF(), ("fg1", "fg2")) is not kernel
     # each form is compiled on its first use: floats build no batched one
     frame_rank(plant, [float(v) for v in ref.X0])
-    assert set(_WORD_KERNELS[plant]) == {(("fg1", "fg2"), False),
-                                         (("fg2", "fg1"), False),
-                                         (("g1", "g2", "fg1", "fg2"), False)}
+    assert _word_forms(plant) == {(("fg1", "fg2"), False),
+                                  (("fg2", "fg1"), False),
+                                  (("g1", "g2", "fg1", "fg2"), False)}
     frame_rank(plant, ref.sample_states(np.random.default_rng(33), 3).T)
-    assert (("g1", "g2", "fg1", "fg2"), True) in _WORD_KERNELS[plant]
+    assert (("g1", "g2", "fg1", "fg2"), True) in _word_forms(plant)
     assert word_kernel(plant, ("fg1", "fg2"), batched=True) is not kernel
-    # the g_i tops are the reference's x0 * 0.0, not a bare constant
+
+
+def test_word_kernels_write_a_structural_zero_as_the_references():
+    """The g_i tops are the reference's x0 * 0.0, not a bare constant."""
     for batched in (False, True):
-        assert "0.0 * x0" in word_kernel(plant, ("g1",), batched).source
+        assert "0.0 * x0" in word_kernel(WORD_PLANT, ("g1",), batched).source
     assert [math.copysign(1.0, v) for v in
-            word_kernel(plant, ("g1",))(-0.5, 0.2, 0.3, 0.4)[0][:2]] \
+            word_kernel(WORD_PLANT, ("g1",))(-0.5, 0.2, 0.3, 0.4)[0][:2]] \
         == [-1.0, -1.0]
 
 
@@ -462,14 +532,14 @@ def test_replay_kernel_is_built_lazily_once_per_plant(lam0):
     plant = Arm2DOF()
     integrate_extremal(plant, ref.X0, lam0, IntegratorConfig(horizon=0.01),
                        c=ref.U2_BANG)
-    assert plant not in _REPLAY_KERNELS
+    assert ("replay_kernel", False) not in _COMPILED[plant]
     control = (np.array([0.0, 0.01]), np.array([[1.0, -2.0], [3.0, -4.0]]))
     config = IntegratorConfig(horizon=0.01, interp="linear")
     first = resimulate(plant, ref.X0, control, config)
-    kernel = _REPLAY_KERNELS[plant]
+    kernel = _COMPILED[plant]["replay_kernel", False]
     assert replay_kernel(plant) is kernel
     again = resimulate(plant, ref.X0, control, config)
-    assert _REPLAY_KERNELS[plant] is kernel
+    assert _COMPILED[plant]["replay_kernel", False] is kernel
     npt.assert_array_equal(again.x.view(np.int64), first.x.view(np.int64))
     assert replay_kernel(Arm2DOF()) is not kernel
     # a plant with other parameters steps with its own dynamics

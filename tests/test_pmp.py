@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from oracles import fd_adjoint, outside_law_domain
-from singarc import liegeom
+from singarc import duals, integrate, liegeom
 from singarc.arm2dof import Arm2DOF
 from singarc.duals import Tape
 from singarc.errors import CostateDegenerate, DegenerateSystem, RkViolation
@@ -332,6 +332,9 @@ def test_reference_routes_never_run_compiled_code(monkeypatch):
 
     for name in ("__init__", "op", "compile"):
         monkeypatch.setattr(Tape, name, refuse)
+    # the store, at each name it is imported under
+    for module in (duals, liegeom, integrate):
+        monkeypatch.setattr(module, "compiled", refuse)
     monkeypatch.setattr(liegeom, "word_kernel", refuse)
     plant = Arm2DOF()                    # no kernel built or cached yet
     X = ref.sample_states(np.random.default_rng(32), 8)

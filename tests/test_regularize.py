@@ -410,6 +410,19 @@ def test_tolerances_validation():
         Tolerances(gap_samples=-1)
 
 
+@pytest.mark.parametrize("name", ["phi_band", "rel_band", "law_exclusion",
+                                  "u_tol", "law_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-9])
+def test_tolerance_bands_must_be_finite_and_in_range(name, value):
+    with pytest.raises(ValueError, match=name):
+        Tolerances(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["law_exclusion", "u_tol", "law_tol"])
+def test_zero_is_a_valid_exclusion_or_tolerance(name):
+    assert getattr(Tolerances(**{name: 0.0}), name) == 0.0
+
+
 def test_interval_validation_and_report_serialization(arm, extremal):
     with pytest.raises(ValueError):
         SingularInterval(channel=1, start=5, stop=5, t_start=0.0, t_end=0.1,
