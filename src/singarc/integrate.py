@@ -5,11 +5,14 @@ first channel in closed-loop singular feedback and the second held at a
 bang value.  Steps are classical RK4 with the feedback law re-evaluated at
 every stage; holding it across a step lets the switching function drift.
 
-Replays step on a compiled kernel: ``replay_kernel`` is one whole RK4
-step, ``_replay_step``, as straight-line float code built by
-``duals.compiled``.  A step the kernel cannot take (singular mass matrix,
-exact zero divisor, sin/cos of inf) re-runs ``_replay_step`` itself, which
-raises what it always raised.
+Two compiled kernels, each straight-line float code built by
+``duals.compiled`` from a Python reference, do the float work.  Every
+extremal stage is one call of ``extremal_kernel``, the reference
+``_extremal_rate`` (law, state rate and costate rate); the RK4 update and
+the guards stay here.  Replays step on ``replay_kernel``, one whole RK4
+step, ``_replay_step``.  A stage or step the kernel cannot take (singular
+mass matrix, exact zero divisor, sin/cos of inf) re-runs its reference,
+which raises what it always raised.
 
 Everything here is deterministic: same inputs, bit-identical output.  No
 adaptive stepping, no event location beyond the abort guards.
@@ -29,7 +32,7 @@ from .duals import STOPS, compiled
 from .errors import (ERRORS_BY_NAME, CostateDegenerate, MissingCostates,
                      MonotonicityError, NaNError, OutOfBounds, RkViolation,
                      SchemaError)
-from .liegeom import fused_reference, fused_terms
+from .liegeom import fused_reference
 from .pmp import (costate_rate, hamiltonian, in_Rk, lambda4_degenerate,
                   law_u1, state_rate)
 
@@ -162,13 +165,14 @@ def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
     ys = np.empty((nsteps + 1, 8))  # x, then lambda
     us = np.empty((nsteps + 1, 2))
 
+    kernel = extremal_kernel(sys)
+
     def terms(y):
-        # off the kernel's recorded branch the reference raises
-        x, lam = y[:4], y[4:]
-        out = fused_terms(sys, x, c) or fused_reference(sys, x, c)
-        f, *_, L, df_cols, dL, law = out
-        u = (law_u1(law, lam), c)
-        return state_rate(f, L, u) + costate_rate(df_cols, dL, u, lam), u[0]
+        try:
+            return kernel(*y, c)
+        except STOPS:
+            # off the kernel's recorded branch the reference raises
+            return _extremal_rate(sys, y, c)
 
     def rate(y, stage):
         return terms(y)[0]
@@ -219,6 +223,28 @@ def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
     lam_block = ys[:kept, 4:] if config.record_costates else None
     return Trajectory(t=np.arange(kept) * h, x=ys[:kept, :4], u=us[:kept],
                       lam=lam_block, meta=meta)
+
+
+def _extremal_rate(sys: FullyActuatedSystem, y, c):
+    """(y', u1) at y = x + lambda (8 values): the singular law on channel
+    1 with channel 2 at c, then the state and costate rates."""
+    x, lam = y[:4], y[4:]
+    f, *_, L, df_cols, dL, law = fused_reference(sys, x, c)
+    u = (law_u1(law, lam), c)
+    return state_rate(f, L, u) + costate_rate(df_cols, dL, u, lam), u[0]
+
+
+def extremal_kernel(sys: FullyActuatedSystem):
+    """``_extremal_rate`` as straight-line float code from
+    ``duals.compiled``: ``(x0, .., x3, l0, .., l3, c) -> (y', u1)``.
+
+    The same numbers (equal as floats) wherever the rate stays finite.
+    Raises OffTrace at the singular-mass guard and ZeroDivisionError at
+    an exact zero divisor, where ``_extremal_rate`` raises.
+    """
+    inputs = [f"{v}{i}" for v in "xl" for i in range(4)] + ["c"]
+    return compiled(sys, "extremal_kernel", inputs,
+                    lambda *v: _extremal_rate(sys, list(v[:8]), v[8]))
 
 
 def _rk4_step(rate, y, h, k1):

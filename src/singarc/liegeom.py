@@ -28,7 +28,9 @@ Bracket words compile the same way: ``word_kernel`` records
 ``iterated_bracket`` stay the reference and never run compiled code.
 
 Every kernel is built, cached per plant and chunked by ``duals.compiled``
-and ``duals.chunks``; ``integrate.replay_kernel`` is one more.
+and ``duals.chunks``; ``integrate.extremal_kernel`` (one extremal RK4
+stage, recorded through ``fused_reference``) and ``integrate.replay_kernel``
+are two more.
 """
 from __future__ import annotations
 

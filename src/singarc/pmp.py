@@ -83,10 +83,14 @@ class GeneralSingularSystem:
     phi_k: float
 
 
-def _dot(lam, vec) -> float:
-    total = lam[0] * vec[0]
-    for i in range(1, len(vec)):
-        total = total + lam[i] * vec[i]
+def _dot(lam, vec):
+    """sum_i lam[i] * vec[i], left to right; floats or arrays.  What
+    overflows gives inf or nan, on arrays as on floats, and no numpy
+    warning: every caller judges a non-finite value itself."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = lam[0] * vec[0]
+        for i in range(1, len(vec)):
+            total = total + lam[i] * vec[i]
     return total
 
 
@@ -188,11 +192,18 @@ def lambda4_degenerate(lam):
     """The law's costate guard: |lambda4| <= LAMBDA4_RTOL * max(1, ||lambda||).
 
     Floats or (4, N) columns.  The norm is a sum of products, not ** 2,
-    so a huge finite entry overflows to inf and trips the guard.
+    so a huge finite entry overflows to inf and trips the guard.  Plain
+    floats stay off numpy: the integrator asks once per step.  The max is
+    two comparisons, which is the rule exactly (a positive factor keeps
+    the order of floats), with a nan norm counted as 1, as np.fmax does.
     """
-    norm = np.sqrt(lam[0] * lam[0] + lam[1] * lam[1] + lam[2] * lam[2]
-                   + lam[3] * lam[3])
-    return abs(lam[3]) <= LAMBDA4_RTOL * np.fmax(1.0, norm)
+    l0, l1, l2, l3 = lam
+    if type(l0) is type(l1) is type(l2) is type(l3) is float:
+        norm = math.sqrt(l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3)
+    else:
+        norm = np.sqrt(_dot(lam, lam))
+    size = abs(l3)
+    return (size <= LAMBDA4_RTOL) | (size <= LAMBDA4_RTOL * norm)
 
 
 def costate_ratio(lam):

@@ -174,8 +174,14 @@ def _band_value(sys, traj, tol: Tolerances) -> float:
     g_norm = max(
         float(np.sqrt(sum(np.asarray(L[r][k]) ** 2 for r in range(n))).max())
         for k in range(n))
-    lam_norm = float(np.linalg.norm(traj.lam, axis=1).max())
-    return tol.rel_band * lam_norm * g_norm
+    return tol.rel_band * float(_row_norms(traj.lam).max()) * g_norm
+
+
+def _row_norms(lam):
+    """||lambda|| per sample; a norm that overflows is inf, without a
+    numpy warning (the bands and labels judge it)."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(lam, axis=1)
 
 
 def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -365,7 +371,7 @@ def pmp_audit(sys: FullyActuatedSystem, traj: Trajectory,
     phi, phi_dot = switching_series(sys, traj)
     band = _band_value(sys, traj, tol)
     labels = np.full(phi.shape, LABEL_VIOLATION, dtype="<U18")
-    degenerate = np.linalg.norm(traj.lam, axis=1) <= 0.0
+    degenerate = _row_norms(traj.lam) <= 0.0
 
     for k in range(sys.n):
         u = traj.u[:, k]

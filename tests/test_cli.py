@@ -8,6 +8,7 @@ import pytest
 
 import reference as ref
 from singarc.cli import _floats, load_config, main
+from singarc.errors import EXIT_PARTIAL_REGULARIZATION
 from singarc.integrate import (Trajectory, hamiltonian_trace,
                                load_trajectory, save_trajectory)
 from singarc.pmp import costate_ratio, in_Rk
@@ -226,6 +227,28 @@ def test_diagnose_full_summary(extremal_file, tmp_path, capsys):
         header = fh.readline().strip()
     assert header.startswith("t,phi1,phi1_dot,phi2")
     assert sum(1 for _ in open(series)) == 7002
+
+
+def test_huge_costates_are_diagnosed_without_a_warning(extremal, tmp_path,
+                                                      capsys):
+    """Costates near 1e161 overflow every costate norm: the lambda4 guard
+    trips at each sample (so the law is unchecked), and nothing reaches
+    stderr."""
+    n = 300
+    path = str(tmp_path / "huge.csv")
+    save_trajectory(Trajectory(t=extremal.t[:n], x=extremal.x[:n],
+                               u=extremal.u[:n],
+                               lam=1e160 * extremal.lam[:n]), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["diagnose", path, "--out", str(tmp_path / "s.csv")])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        assert json.loads(out)["classification"] == {
+            "lower-bang": n, "singular-unchecked": n}
+        rc = main(["regularize", path, "--out", str(tmp_path / "f.csv")])
+        assert rc == EXIT_PARTIAL_REGULARIZATION
+        assert capsys.readouterr().err == ""
 
 
 def test_diagnose_counts_bang_in_band_samples(sat_sing_sat, tmp_path,

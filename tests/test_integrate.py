@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import reference as ref
 from oracles import replay_reference
+from singarc import integrate
 from singarc.arm2dof import ControlBounds
+from singarc.duals import STOPS
 from singarc.errors import (CostateDegenerate, MissingCostates,
                             MonotonicityError, NaNError, OutOfBounds,
                             RkViolation, SchemaError)
@@ -57,6 +59,29 @@ def test_integration_is_deterministic(arm, lam0):
     npt.assert_array_equal(a.x, b.x)
     npt.assert_array_equal(a.u, b.u)
     npt.assert_array_equal(a.lam, b.lam)
+
+
+@pytest.mark.parametrize("stop", STOPS)
+def test_the_reference_stages_give_the_kernel_run(arm, lam0, monkeypatch,
+                                                  stop):
+    """A kernel that stops at every stage sends each one to the
+    reference: the same run, bit for bit."""
+    config = IntegratorConfig(horizon=0.02)
+    assert config.n_steps == 200
+    fast = integrate_extremal(arm, ref.X0, lam0, config, c=ref.U2_BANG)
+    calls = []
+
+    def stopped(*y):
+        calls.append(y)
+        raise stop
+
+    monkeypatch.setattr(integrate, "extremal_kernel", lambda plant: stopped)
+    slow = integrate_extremal(arm, ref.X0, lam0, config, c=ref.U2_BANG)
+    assert len(calls) == 4 * 200 + 1
+    assert slow.meta == fast.meta
+    for name in ("t", "x", "u", "lam"):
+        npt.assert_array_equal(getattr(slow, name).view(np.int64),
+                               getattr(fast, name).view(np.int64))
 
 
 def test_reference_run_endpoint_and_metadata(extremal):

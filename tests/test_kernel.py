@@ -1,7 +1,8 @@
 """The compiled kernels against their references: the tableau/law kernel
-against the Dual/HyperDual code, the bracket-word kernels against
-word_field, the replay step kernel against the Python RK4 stages; and the
-one store they are all built and cached in."""
+against the Dual/HyperDual code, the extremal right-hand side against
+_extremal_rate, the bracket-word kernels against word_field, the replay
+step kernel against the Python RK4 stages; and the one store they are all
+built and cached in."""
 import gc
 import math
 import os
@@ -21,17 +22,17 @@ from singarc.arm2dof import Arm2DOF, ArmParams
 from singarc.duals import _COMPILED, OffTrace, compiled, cos
 from singarc.errors import (EXIT_CODES, CostateDegenerate, LinearSolveFailure,
                             NaNError, RkViolation)
-from singarc.integrate import (IntegratorConfig, Trajectory, _rk4_step,
-                               integrate_extremal, replay_kernel, resimulate,
-                               save_trajectory)
+from singarc.integrate import (IntegratorConfig, Trajectory, _extremal_rate,
+                               _rk4_step, extremal_kernel, integrate_extremal,
+                               replay_kernel, resimulate, save_trajectory)
 from singarc.liegeom import (B_SET_WORDS, WORD_CHUNK, _word_columns,
                              alpha_coefficients, b_set_certificate,
                              batched_law_kernel, frame_rank, fused_kernel,
                              fused_reference, u1_singular_brackets,
                              word_field, word_kernel)
-from singarc.pmp import (LAMBDA4_RTOL, LAW_CHUNK, in_Rk, singular_law_coeffs,
-                         singular_u1, singular_u1_batch, sk_rank, state_rate,
-                         switching)
+from singarc.pmp import (LAMBDA4_RTOL, LAW_CHUNK, in_Rk, lambda4_degenerate,
+                         singular_law_coeffs, singular_u1, singular_u1_batch,
+                         sk_rank, state_rate, switching)
 
 LAW_TERMS = ("mu", "nu", "gamma", "r", "s", "alpha1", "alpha2", "b_g2")
 
@@ -201,6 +202,82 @@ def test_law_coefficients_match_the_reference_terms(arm):
     got = tuple(getattr(coeffs, name if name != "b_g2" else "b_dot_g2")
                 for name in LAW_TERMS)
     assert got == want
+
+
+# -- the extremal right-hand side against _extremal_rate -------------------
+
+costates = st.floats(-20.0, 20.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=st.tuples(angles, angles, rates, rates),
+       lam=st.tuples(costates, costates, costates, costates),
+       c=st.one_of(st.sampled_from((-10.0, 10.0)), st.floats(-10.0, 10.0)))
+def test_extremal_kernel_equals_the_reference_rate(arm, x, lam, c):
+    """(y', u1) at admissible (x, lambda), c at and inside channel 2's
+    bounds: the kernel's numbers are _extremal_rate's."""
+    assume(in_Rk(x, 1e-3) and not lambda4_degenerate(lam))
+    y = [*x, *lam]
+    got = extremal_kernel(arm)(*y, c)
+    _assert_same_numbers(got, _extremal_rate(arm, y, c))
+    assert len(got) == 2 and len(got[0]) == 8
+
+
+def test_the_extremal_kernel_is_built_by_integrate_extremal_only(
+        monkeypatch, tmp_path, lam0):
+    """Built on the first run, once per plant, alone: certify, diagnose
+    and regularize never build it."""
+    plant = Arm2DOF()
+    config = IntegratorConfig(horizon=0.01)
+    assert plant not in _COMPILED
+    integrate_extremal(plant, ref.X0, lam0, config, c=ref.U2_BANG)
+    assert set(_COMPILED[plant]) == {("extremal_kernel", False)}
+    kernel = extremal_kernel(plant)
+    integrate_extremal(plant, ref.X0, lam0, config, c=ref.U2_BANG)
+    assert _COMPILED[plant]["extremal_kernel", False] is kernel
+    assert extremal_kernel(Arm2DOF()) is not kernel
+
+    built = []
+
+    def spy(plant):
+        built.append(plant)
+        return extremal_kernel(plant)
+
+    monkeypatch.setattr(integrate, "extremal_kernel", spy)
+    run = str(tmp_path / "run.csv")
+    assert cli.main(["construct", "--step", "1e-3", "--out", run]) == 0
+    assert len(built) == 1
+    for argv in (["certify", "--samples", "100"],
+                 ["diagnose", run, "--out", str(tmp_path / "series.csv")],
+                 ["regularize", run, "--out", str(tmp_path / "fixed.csv")]):
+        assert cli.main(argv) == 0
+    assert len(built) == 1
+
+
+def test_a_stage_the_kernel_cannot_take_runs_the_reference(monkeypatch,
+                                                           arm, lam0):
+    """At the singular-mass guard the kernel stops and the reference
+    raises LinearSolveFailure, as the run always did; a stage at an
+    infinite angle ends the run with a NaNError abort."""
+    x = [0.1, SingularAtElbow.Q2, 0.3, 0.5]
+    with pytest.raises(OffTrace):
+        extremal_kernel(SINGULAR_PLANT)(*x, *ref.LAM0, ref.U2_BANG)
+    calls = []
+
+    def counting(plant, y, c):
+        calls.append(plant)
+        return _extremal_rate(plant, y, c)
+
+    monkeypatch.setattr(integrate, "_extremal_rate", counting)
+    with pytest.raises(LinearSolveFailure):
+        integrate_extremal(SINGULAR_PLANT, x, ref.LAM0,
+                           IntegratorConfig(horizon=1e-3), c=ref.U2_BANG)
+    assert calls == [SINGULAR_PLANT]
+    traj = integrate_extremal(arm, ref.X0, lam0,
+                              IntegratorConfig(step=1e100, horizon=2e100),
+                              c=ref.U2_BANG)
+    assert traj.meta["abort"] == {"flag": "NaNError", "t": 1e100}
+    assert calls == [SINGULAR_PLANT, arm]
 
 
 # -- the batched law against per-sample singular_u1 ------------------------

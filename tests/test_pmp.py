@@ -1,5 +1,6 @@
 """Hamiltonian, adjoint, switching logic, and both singular-control routes."""
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -190,6 +191,30 @@ def test_lambda4_guard_is_one_rule_for_floats_and_columns():
     want = [True, True, False, True, False, True]
     assert [bool(lambda4_degenerate(r)) for r in rows] == want
     npt.assert_array_equal(lambda4_degenerate(np.array(rows).T), want)
+
+
+def test_huge_costates_trip_the_guard_without_a_warning(arm):
+    """Costates scaled by 1e160 overflow the sum of squares: the guard
+    trips, as its rule says, and neither it, _dot nor the switching norm
+    warns, for floats or for columns."""
+    rows = [[1e160 * float(v) for v in ref.LAM0],
+            [0.0, 0.0, 0.0, 1e160]]    # trips only because the sum overflows
+    Lam = np.array(rows).T
+    X = np.tile(np.asarray(ref.X0)[:, None], (1, len(rows)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [lambda4_degenerate(r) for r in rows] == [True, True]
+        assert [lambda4_degenerate(np.array(r)) for r in rows] == [True, True]
+        npt.assert_array_equal(lambda4_degenerate(Lam), [True, True])
+        rec = switching(arm, X, Lam)
+        npt.assert_array_equal(rec.lambda_norm, [math.inf, math.inf])
+        assert switching(arm, ref.X0, rows[0]).lambda_norm == math.inf
+        assert np.isfinite(rec.phi).all()
+        # <lambda, xdot> overflows to -inf and +inf at lambda near 1e308
+        top = np.array([[1e308] * 4, [0.0, 0.0, 0.0, -1e308]]).T
+        U = np.array([[0.0] * 2, [ref.U2_BANG] * 2])
+        npt.assert_array_equal(hamiltonian(arm, X, U, top),
+                               [-math.inf, math.inf])
 
 
 def test_sk_rank_positive_and_validated(arm):
