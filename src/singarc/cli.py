@@ -20,9 +20,9 @@ from .errors import (ERRORS_BY_NAME, EXIT_CODES, EXIT_OK,
                      EXIT_PARTIAL_REGULARIZATION, EXIT_VIOLATIONS_REMAIN,
                      MissingCostates, SingArcError, exit_code_for)
 from .integrate import (IntegratorConfig, hamiltonian_trace,
-                        integrate_extremal, resimulate, save_trajectory)
-from .liegeom import (_b_set_family, _b_set_verdict, alpha_coefficients,
-                      frame_rank)
+                        integrate_extremal, resimulate, save_trajectory,
+                        write_csv)
+from .liegeom import certify_sweep
 from .pmp import costate_on_surface, costate_ratio, in_Rk
 from .regularize import (AUDIT_LABELS, LABEL_VIOLATION, Tolerances,
                          detect_singular_arcs, ingest, pmp_audit,
@@ -139,8 +139,7 @@ def _g(v: float) -> str:
 
 
 # t, phi1, phi1', phi2, phi2', H, in_rk (0/1), lam_ratio, label_u1, label_u2
-_SERIES_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g,%s,%s\n"
-_SERIES_CHUNK = 1024
+_SERIES_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g,%s,%s"
 
 
 def cmd_construct(cfg: RunConfig, out: str) -> int:
@@ -192,14 +191,8 @@ def cmd_diagnose(traj_path: str, cfg: RunConfig, out: str) -> int:
     columns = (traj.t, phi[:, 0], phi_dot[:, 0], phi[:, 1], phi_dot[:, 1], H,
                member, ratio, audit.labels[:, 0], audit.labels[:, 1])
     with open(out, "w") as fh:
-        fh.write("t,phi1,phi1_dot,phi2,phi2_dot,H,in_rk,lam_ratio,"
-                 "label_u1,label_u2\n")
-        # tolist() by chunks: over the whole run it would hold ten Python
-        # objects per sample at once (~2 MB of peak RSS on 7001 samples)
-        for start in range(0, len(traj), _SERIES_CHUNK):
-            part = slice(start, start + _SERIES_CHUNK)
-            fh.writelines(_SERIES_ROW % row for row in zip(
-                *(col[part].tolist() for col in columns)))
+        write_csv(fh, "t,phi1,phi1_dot,phi2,phi2_dot,H,in_rk,lam_ratio,"
+                  "label_u1,label_u2", _SERIES_ROW, columns)
     # counted label by label: sorting the label strings (np.unique) is
     # the command's largest transient allocation
     counts = {label: audit.count(label) for label in AUDIT_LABELS}
@@ -252,30 +245,19 @@ def cmd_certify(cfg: RunConfig, out: str | None) -> int:
     lo = np.asarray(cfg.box_low)
     hi = np.asarray(cfg.box_high)
     states = rng.uniform(lo, hi, size=(cfg.samples, lo.size))
-    batch = states.T
-    ranks = np.asarray(frame_rank(sys_, batch))
-    alpha = alpha_coefficients(sys_, batch)
-    alpha_first = np.abs(np.asarray(alpha.values)[:, :, 0]).max()
+    sweep = certify_sweep(sys_, states,
+                          (cfg.bounds.lower[0], cfg.bounds.upper[0]))
     report = {
         "samples": cfg.samples,
         "seed": cfg.seed,
-        "min_frame_rank": float(ranks.min()),
-        "max_abs_alpha_ij1": float(alpha_first),
-        "b_set": {},
+        "min_frame_rank": sweep.min_frame_rank,
+        "max_abs_alpha_ij1": sweep.max_abs_alpha_ij1,
+        "b_set": {f"c={c:g}": {
+            "pass_rate": (cfg.samples - failures) / cfg.samples,
+            "failures": failures,
+            "max_failure_velocity_sum": velocity,
+        } for c, failures, velocity in sweep.b_set},
     }
-    # the B-set columns do not depend on the bang value: evaluated once
-    family = _b_set_family(sys_, batch)
-    for c in (cfg.bounds.lower[0], cfg.bounds.upper[0]):
-        ok, _ = _b_set_verdict(family, c)
-        ok = np.asarray(ok, dtype=bool)
-        fails = np.flatnonzero(~ok)
-        vel = np.abs(states[fails, 2] + states[fails, 3]) if fails.size \
-            else np.empty(0)
-        report["b_set"][f"c={c:g}"] = {
-            "pass_rate": float(ok.mean()),
-            "failures": int(fails.size),
-            "max_failure_velocity_sum": float(vel.max()) if vel.size else None,
-        }
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if out:

@@ -37,6 +37,7 @@ Where a float kernel stops (``STOPS``), its caller runs the reference.
 from __future__ import annotations
 
 import math
+import re
 import weakref
 
 import numpy as np
@@ -278,7 +279,9 @@ class Tape:
         bit.  A masked sample's outputs are meaningless.  numpy_trig=True
         applies np.sin/np.cos to the whole array instead: the numbers of an
         evaluation over numpy arrays, which need not equal math's in the
-        last bit on every platform.
+        last bit on every platform.  Each temporary the batched function
+        does not return is deleted after the last statement that reads it,
+        so a call holds only its live arrays.
         """
         live = [False] * len(self.ops)
         uses = [0] * len(self.ops)       # references from live code
@@ -357,6 +360,8 @@ class Tape:
                 lines.append(f"    t{i} = {expr}")
         params = ", ".join(self._names.values())
         result = f"{nest(outputs)}, bad" if batched else nest(outputs)
+        if batched:
+            lines = _free_dead(lines, keep=set(_TEMP.findall(result)))
         source = (f"def {name}({params}):\n" + "\n".join(lines)
                   + f"\n    return {result}\n")
         exec(compile(source, f"<{name}>", "exec"), env)
@@ -406,6 +411,26 @@ def chunks(kernel, comps, chunk: int):
             part = slice(start, start + chunk)
             yield (part, *kernel(*[np.ascontiguousarray(c[part])
                                    for c in comps]))
+
+
+_TEMP = re.compile(r"\bt\d+\b")     # the names compile gives temporaries
+
+
+def _free_dead(lines, keep):
+    """lines with ``del`` after the last line that reads each temporary
+    (or defines it, if none reads it), except the names in keep."""
+    last = {name: n for n, line in enumerate(lines)
+            for name in _TEMP.findall(line)}
+    dead: dict[int, list[str]] = {}
+    for name, n in last.items():
+        if name not in keep:
+            dead.setdefault(n, []).append(name)
+    out = []
+    for n, line in enumerate(lines):
+        out.append(line)
+        if n in dead:
+            out.append("    del " + ", ".join(dead[n]))
+    return out
 
 
 def _elementwise(fn):

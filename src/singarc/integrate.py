@@ -368,17 +368,33 @@ def hamiltonian_trace(sys: FullyActuatedSystem, traj: Trajectory) -> np.ndarray:
 
 def save_trajectory(traj: Trajectory, path: str) -> None:
     """CSV with 17-significant-digit floats plus a JSON metadata sidecar."""
-    columns = ["t", *STATE_COLUMNS, *CONTROL_COLUMNS]
-    blocks = [traj.t[:, None], traj.x, traj.u]
+    names = ["t", *STATE_COLUMNS, *CONTROL_COLUMNS]
+    columns = [traj.t, *traj.x.T, *traj.u.T]
     if traj.lam is not None:
-        columns += list(COSTATE_COLUMNS)
-        blocks.append(traj.lam)
-    table = np.hstack(blocks)
-    np.savetxt(path, table, fmt="%.17g", delimiter=",",
-               header=",".join(columns), comments="")
+        names += COSTATE_COLUMNS
+        columns += list(traj.lam.T)
+    with open(path, "w") as fh:
+        write_csv(fh, ",".join(names), ",".join(["%.17g"] * len(names)),
+                  columns)
     with open(_sidecar_path(path), "w") as fh:
         json.dump(traj.meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+CSV_CHUNK = 1024     # rows write_csv converts to Python objects at a time
+
+
+def write_csv(fh, header: str, row: str, columns) -> None:
+    """The header line, then ``row % values + "\\n"`` for each sample of
+    the equal-length 1-D columns: np.savetxt's bytes for a row of "%.17g"
+    fields.  Rows are formatted CSV_CHUNK at a time, since the whole table
+    as Python objects would cost one object per cell of peak memory."""
+    fh.write(header + "\n")
+    row += "\n"
+    for start in range(0, len(columns[0]), CSV_CHUNK):
+        part = slice(start, start + CSV_CHUNK)
+        fh.writelines(row % values for values in zip(
+            *(col[part].tolist() for col in columns)))
 
 
 def load_trajectory(path: str) -> Trajectory:

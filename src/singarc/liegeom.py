@@ -24,7 +24,9 @@ Bracket words compile the same way: ``word_kernel`` records
 ``word_field`` for a tuple of words, and the certificates
 (``frame_rank``, ``alpha_coefficients``, ``b_set_certificate``) and
 ``pmp.switching`` read their columns from it, batches in chunks of
-``WORD_CHUNK`` samples.  ``word_field`` and
+``WORD_CHUNK`` samples.  ``certify_sweep`` runs the three certificates
+over a sample of states one such chunk at a time and keeps only their
+reductions.  ``word_field`` and
 ``iterated_bracket`` stay the reference and never run compiled code.
 
 Every kernel is built, cached per plant and chunked by ``duals.compiled``
@@ -267,6 +269,54 @@ def _b_set_verdict(family, c: float, rtol: float = B_SET_RTOL):
     if smin.ndim == 0:
         return bool(ok), evidence
     return ok, evidence
+
+
+@dataclass(frozen=True)
+class SweepReduction:
+    """What ``certify_sweep`` keeps of the three families over all states.
+
+    b_set holds (c, failures, largest |v1 + v2| over the failing states,
+    or None without a failure) per bang value c, in the order given.
+    """
+
+    min_frame_rank: float
+    max_abs_alpha_ij1: float
+    b_set: tuple[tuple[float, int, float | None], ...]
+
+
+def certify_sweep(sys: FullyActuatedSystem, states,
+                  bang_values) -> SweepReduction:
+    """frame_rank, alpha_coefficients and b_set_certificate at every row
+    of states ((N, 2n)), folded into running reductions WORD_CHUNK rows at
+    a time, so nothing N-sized is held but the states.
+
+    The reductions equal those of the three full-batch calls: every
+    sample's numbers are computed alike in chunks, and min, max and counts
+    do not depend on how the samples are split.  A span violation raises
+    SpanViolation from the chunk where it occurs.
+    """
+    rank, alpha1 = math.inf, -math.inf
+    failures = [0] * len(bang_values)
+    velocity = [-math.inf] * len(bang_values)
+    for start in range(0, len(states), WORD_CHUNK):
+        part = states[start:start + WORD_CHUNK]
+        x = part.T
+        # np.minimum/np.maximum keep a nan, as the full batch's min/max do
+        rank = np.minimum(rank, frame_rank(sys, x).min())
+        alpha1 = np.maximum(alpha1, np.abs(
+            alpha_coefficients(sys, x).values[:, :, 0]).max())
+        family = _b_set_family(sys, x)
+        for k, c in enumerate(bang_values):
+            fails = ~_b_set_verdict(family, c)[0]
+            if fails.any():
+                failures[k] += int(np.count_nonzero(fails))
+                velocity[k] = np.maximum(velocity[k], np.abs(
+                    part[fails, 2] + part[fails, 3]).max())
+        del family      # not held through the next chunk
+    return SweepReduction(
+        min_frame_rank=float(rank), max_abs_alpha_ij1=float(alpha1),
+        b_set=tuple((c, count, float(v) if count else None)
+                    for c, count, v in zip(bang_values, failures, velocity)))
 
 
 @dataclass(frozen=True)

@@ -174,14 +174,10 @@ def _band_value(sys, traj, tol: Tolerances) -> float:
     g_norm = max(
         float(np.sqrt(sum(np.asarray(L[r][k]) ** 2 for r in range(n))).max())
         for k in range(n))
-    return tol.rel_band * float(_row_norms(traj.lam).max()) * g_norm
-
-
-def _row_norms(lam):
-    """||lambda|| per sample; a norm that overflows is inf, without a
-    numpy warning (the bands and labels judge it)."""
+    # a costate norm that overflows is inf, without a numpy warning
     with np.errstate(over="ignore"):
-        return np.linalg.norm(lam, axis=1)
+        lam_max = float(np.linalg.norm(traj.lam, axis=1).max())
+    return tol.rel_band * lam_max * g_norm
 
 
 def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -371,7 +367,9 @@ def pmp_audit(sys: FullyActuatedSystem, traj: Trajectory,
     phi, phi_dot = switching_series(sys, traj)
     band = _band_value(sys, traj, tol)
     labels = np.full(phi.shape, LABEL_VIOLATION, dtype="<U18")
-    degenerate = _row_norms(traj.lam) <= 0.0
+    # an exact zero row; a norm test would also flag tiny rows, whose
+    # squared norm underflows
+    degenerate = ~traj.lam.any(axis=1)
 
     for k in range(sys.n):
         u = traj.u[:, k]

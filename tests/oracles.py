@@ -133,9 +133,8 @@ def audit_labels(sys_, traj, bounds, tol):
     band = _band_value(sys_, traj, tol)
     n_samples, n = phi.shape
     labels = np.full((n_samples, n), LABEL_VIOLATION, dtype="<U18")
-    degenerate = np.linalg.norm(traj.lam, axis=1) <= 0.0
     for i in range(n_samples):
-        if degenerate[i]:
+        if not traj.lam[i].any():      # an exact zero row
             continue
         for k in range(n):
             u = traj.u[i, k]

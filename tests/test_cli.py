@@ -1,6 +1,7 @@
 """Command-line front end, exercised in-process through main(argv)."""
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,8 @@ from singarc.cli import _floats, load_config, main
 from singarc.errors import EXIT_PARTIAL_REGULARIZATION
 from singarc.integrate import (Trajectory, hamiltonian_trace,
                                load_trajectory, save_trajectory)
+from singarc.liegeom import (WORD_CHUNK, alpha_coefficients,
+                             b_set_certificate, frame_rank)
 from singarc.pmp import costate_ratio, in_Rk
 from singarc.regularize import ingest, pmp_audit, switching_series
 
@@ -251,6 +254,34 @@ def test_huge_costates_are_diagnosed_without_a_warning(extremal, tmp_path,
         assert capsys.readouterr().err == ""
 
 
+def _series_labels(path):
+    with open(path) as fh:
+        next(fh)
+        return [line.rstrip("\n").split(",")[-2:] for line in fh]
+
+
+def test_tiny_costates_are_not_degenerate_rows(extremal, tmp_path, capsys):
+    """Costates near 1e-170 underflow every squared costate norm, but no
+    row is zero: none is listed as degenerate and u2 keeps its bang label.
+    A row of exact zeros is still listed, with both cells violations."""
+    n = 300
+    lam = 1e-170 * extremal.lam[:n]
+    lam[7] = 0.0
+    path = str(tmp_path / "tiny.csv")
+    series = str(tmp_path / "s.csv")
+    save_trajectory(Trajectory(t=extremal.t[:n], x=extremal.x[:n],
+                               u=extremal.u[:n], lam=lam), path)
+    assert main(["diagnose", path, "--out", series]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["lambda_degenerate_rows"] == [7]
+    labels = _series_labels(series)
+    assert labels.pop(7) == ["violation", "violation"]
+    assert [u2 for _, u2 in labels] == ["lower-bang"] * (n - 1)
+    assert summary["classification"]["lower-bang"] == n - 1
+    assert summary["classification"]["violation"] == 2 + sum(
+        u1 == "violation" for u1, _ in labels)
+
+
 def test_diagnose_counts_bang_in_band_samples(sat_sing_sat, tmp_path,
                                               capsys):
     traj, _, _ = sat_sing_sat
@@ -446,6 +477,60 @@ CERTIFY_5000_SEED7 = """{
   "seed": 7
 }
 """
+
+
+@pytest.mark.parametrize("samples", [1, WORD_CHUNK - 1, WORD_CHUNK,
+                                     WORD_CHUNK + 1, 9000])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_the_streamed_sweep_reports_the_full_batch_certificates(
+        samples, seed, capsys):
+    """certify walks its states in chunks; its report is the one the
+    full-batch frame_rank, alpha_coefficients and b_set_certificate give
+    over all of them at once, field by field under ==."""
+    assert main(["certify", "--samples", str(samples),
+                 "--seed", str(seed)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    cfg = load_config()
+    arm = cfg.system()
+    states = np.random.default_rng(seed).uniform(
+        np.asarray(cfg.box_low), np.asarray(cfg.box_high), size=(samples, 4))
+    X = states.T
+    assert report["samples"] == samples and report["seed"] == seed
+    assert report["min_frame_rank"] == float(frame_rank(arm, X).min())
+    assert report["max_abs_alpha_ij1"] == float(
+        np.abs(alpha_coefficients(arm, X).values[:, :, 0]).max())
+    bangs = (cfg.bounds.lower[0], cfg.bounds.upper[0])
+    assert set(report["b_set"]) == {f"c={c:g}" for c in bangs}
+    for c in bangs:
+        ok, _ = b_set_certificate(arm, X, c)
+        vel = np.abs(states[~ok, 2] + states[~ok, 3])
+        assert report["b_set"][f"c={c:g}"] == {
+            "pass_rate": float(ok.mean()),
+            "failures": int(np.count_nonzero(~ok)),
+            "max_failure_velocity_sum": float(vel.max()) if vel.size
+            else None,
+        }
+
+
+def _certify_peak(samples):
+    """tracemalloc's peak over one certify run of samples states."""
+    tracemalloc.start()
+    try:
+        assert main(["certify", "--samples", str(samples)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certify_memory_does_not_grow_with_the_sweep(capsys):
+    """Past one chunk, a state costs its 32 bytes and little more: 16384
+    more states add at most 64 bytes each to the peak (the full-batch
+    sweep added ~290)."""
+    main(["certify", "--samples", "10"])         # one-time allocations
+    small = _certify_peak(WORD_CHUNK)
+    large = _certify_peak(5 * WORD_CHUNK)
+    capsys.readouterr()
+    assert large - small <= 64 * 4 * WORD_CHUNK
 
 
 def test_certify_output_is_pinned_byte_for_byte(tmp_path, capsys):

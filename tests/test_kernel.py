@@ -6,6 +6,7 @@ built and cached in."""
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -580,6 +581,45 @@ def test_word_kernels_write_a_structural_zero_as_the_references():
     assert [math.copysign(1.0, v) for v in
             word_kernel(WORD_PLANT, ("g1",))(-0.5, 0.2, 0.3, 0.4)[0][:2]] \
         == [-1.0, -1.0]
+
+
+# -- what the generated source keeps alive ---------------------------------
+
+TEMPORARY = re.compile(r"\bt\d+\b")
+
+
+def test_batched_kernels_delete_each_dead_temporary_after_its_last_use():
+    """In the law kernel and every word tuple's batched kernel, each
+    temporary that is not returned is deleted by the statement right after
+    the last one that reads it, and nothing reads it afterwards."""
+    plant = Arm2DOF()
+    sources = [batched_law_kernel(plant).source] + [
+        word_kernel(plant, words, batched=True).source
+        for words in WORD_SETS]
+    for source in sources:
+        *body, ret = source.splitlines()[1:]
+        assert ret.startswith("    return ")
+        defined = {line.split()[0] for line in body
+                   if TEMPORARY.fullmatch(line.split()[0])}
+        deleted = set()
+        for n, line in enumerate(body):
+            if line.startswith("    del "):
+                names = line[len("    del "):].split(", ")
+                assert set(names) <= set(TEMPORARY.findall(body[n - 1]))
+                deleted.update(names)
+            else:
+                assert not deleted & set(TEMPORARY.findall(line)), line
+        assert deleted == defined - set(TEMPORARY.findall(ret))
+        assert not deleted & set(TEMPORARY.findall(ret))
+
+
+def test_float_kernels_delete_nothing():
+    plant = Arm2DOF()
+    sources = [fused_kernel(plant).source, extremal_kernel(plant).source,
+               replay_kernel(plant).source] + [
+        word_kernel(plant, words).source for words in WORD_SETS]
+    for source in sources:
+        assert not re.search(r"^\s+del ", source, re.MULTILINE)
 
 
 # -- the replay step kernel against _rk4_step over the Python stages -------
