@@ -32,9 +32,9 @@ from .duals import STOPS, compiled
 from .errors import (ERRORS_BY_NAME, CostateDegenerate, MissingCostates,
                      MonotonicityError, NaNError, OutOfBounds, RkViolation,
                      SchemaError)
-from .liegeom import fused_reference
-from .pmp import (costate_rate, hamiltonian, in_Rk, lambda4_degenerate,
-                  law_u1, state_rate)
+from .liegeom import u1_singular_brackets
+from .pmp import (_law_terms, costate_rate, hamiltonian, in_Rk,
+                  lambda4_degenerate, law_u1, state_rate)
 
 STATE_COLUMNS = ("q1", "q2", "qd1", "qd2")
 CONTROL_COLUMNS = ("u1", "u2")
@@ -228,10 +228,11 @@ def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
 def _extremal_rate(sys: FullyActuatedSystem, y, c):
     """(y', u1) at y = x + lambda (8 values): the singular law on channel
     1 with channel 2 at c, then the state and costate rates."""
-    x, lam = y[:4], y[4:]
-    f, *_, L, df_cols, dL, law = fused_reference(sys, x, c)
-    u = (law_u1(law, lam), c)
-    return state_rate(f, L, u) + costate_rate(df_cols, dL, u, lam), u[0]
+    lam = y[4:]
+    tab = u1_singular_brackets(sys, y[:4])
+    u = (law_u1(_law_terms(tab, c), lam), c)
+    return (state_rate(tab.f, tab.L, u)
+            + costate_rate(tab.df_cols, tab.dL, u, lam), u[0])
 
 
 def extremal_kernel(sys: FullyActuatedSystem):

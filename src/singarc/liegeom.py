@@ -9,30 +9,20 @@ Fields evaluate on component lists whose entries may be floats, numpy
 arrays (batched sweeps) or dual numbers (nesting), so a bracket is itself a
 field that can be bracketed again, up to words of length 4.
 
-The fused tableau of the singular law has two evaluations.  The reference
-is the hand-written Dual/HyperDual code in ``fused_reference`` (tableau,
-then ``pmp._law_terms``); arrays and nested duals always take it.  For
-plain floats, ``fused_kernel`` replays it as straight-line code, which
-returns the reference's numbers (equal as floats, bit for bit up to the
-sign of a zero) wherever the reference stays finite; see ``duals``.
-Where it stops (singular mass matrix, exact zero divisor), the callers
-re-run the reference, which raises what it always raised.  The law terms
-also compile to ``batched_law_kernel`` over arrays of samples; it masks
-the samples where the float kernel stops.
+The fused tableau of the singular law, ``u1_singular_brackets``, is the
+hand-written Dual/HyperDual reference for every input; ``pmp.law_kernel``
+and ``integrate.extremal_kernel`` compile it, with what follows it, into
+straight-line code.  ``dyn_jacobian`` is its first-order block, alone.
 
-Bracket words compile the same way: ``word_kernel`` records
-``word_field`` for a tuple of words, and the certificates
-(``frame_rank``, ``alpha_coefficients``, ``b_set_certificate``) and
-``pmp.switching`` read their columns from it, batches in chunks of
-``WORD_CHUNK`` samples.  ``certify_sweep`` runs the three certificates
-over a sample of states one such chunk at a time and keeps only their
-reductions.  ``word_field`` and
+Bracket words compile through ``word_kernel``, which records
+``word_field`` for a tuple of words.  The certificates (``frame_rank``,
+``alpha_coefficients``, ``b_set_certificate``) and ``pmp.switching`` read
+their columns from it, batches in chunks of ``WORD_CHUNK`` samples.
+``certify_sweep`` runs the three certificates over a sample of states one
+such chunk at a time and keeps only their reductions.  ``word_field`` and
 ``iterated_bracket`` stay the reference and never run compiled code.
-
 Every kernel is built, cached per plant and chunked by ``duals.compiled``
-and ``duals.chunks``; ``integrate.extremal_kernel`` (one extremal RK4
-stage, recorded through ``fused_reference``) and ``integrate.replay_kernel``
-are two more.
+and ``duals.chunks``.
 """
 from __future__ import annotations
 
@@ -44,8 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arm2dof import FullyActuatedSystem, _components
-from .duals import (STOPS, Dual, HyperDual, Rec, chunks, compiled, seed,
-                    value)
+from .duals import STOPS, Dual, HyperDual, Rec, chunks, compiled, seed
 from .errors import DerivativeUnavailable, SpanViolation
 
 MAX_WORD = 4
@@ -327,7 +316,7 @@ class BracketTableau:
     produced by shared dual evaluations and cross-checked against the
     word_field path in the test suite.  df_cols and dL carry the
     first-order Jacobian data (columns of Df, entries of DL) so the
-    adjoint equation costs no extra evaluations.
+    extremal's costate rate costs no extra evaluations.
     """
 
     f: list
@@ -346,40 +335,20 @@ class BracketTableau:
 def u1_singular_brackets(sys: FullyActuatedSystem, x) -> BracketTableau:
     """Fused evaluation of the brackets needed by the u1-singular law.
 
-    Plain-float states go through the compiled kernel; arrays and nested
-    duals through the Dual/HyperDual reference it is traced from.
-    """
-    comps = list(_components(x))
-    out = fused_terms(sys, comps, 0.0)
-    if out is not None:
-        return BracketTableau(*out[:-1])
-    return _dual_tableau(sys, comps)
-
-
-def _dual_tableau(sys: FullyActuatedSystem, comps) -> BracketTableau:
-    """The reference tableau over any scalar algebra of ``duals``.
-
-    One plain, four first-order (basis directions, giving the full
-    Jacobians of f and G) and four second-order evaluations of sys.dyn;
-    all remaining brackets are assembled by matrix-vector work.
+    The Dual/HyperDual reference over any scalar algebra of ``duals``
+    (floats, arrays, nested duals, or ``Rec`` while ``pmp.law_kernel`` and
+    ``integrate.extremal_kernel`` are recorded from it).  One plain, four
+    first-order (``dyn_jacobian``) and four second-order evaluations of
+    sys.dyn; all remaining brackets are assembled by matrix-vector work.
     """
     if sys.n != 2:
         raise ValueError("fused tableau implemented for n = 2")
+    comps = list(_components(x))
     zero = comps[0] * 0.0
-    one = zero + 1.0
     f0, L0 = sys.dyn(comps)
     g1 = [zero, zero, L0[0][0], L0[1][0]]
     g2 = [zero, zero, L0[0][1], L0[1][1]]
-
-    df_cols = []
-    dL = [[[None] * 4 for _ in range(2)], [[None] * 4 for _ in range(2)]]
-    for i in range(4):
-        pt = [Dual(comps[j], one if j == i else zero) for j in range(4)]
-        fD, LD = sys.dyn(pt)
-        df_cols.append([c.im for c in fD])
-        for r in range(2):
-            for c in range(2):
-                dL[r][c][i] = LD[r][c].im
+    df_cols, dL = dyn_jacobian(sys, comps)
 
     def df_dot(v):
         return [df_cols[0][r] * v[0] + df_cols[1][r] * v[1]
@@ -447,53 +416,22 @@ def _dual_tableau(sys: FullyActuatedSystem, comps) -> BracketTableau:
                           df_cols=df_cols, dL=dL)
 
 
-def fused_reference(sys: FullyActuatedSystem, comps, c):
-    """Tableau fields in BracketTableau order, then the law terms at c.
-
-    The Dual/HyperDual evaluation the kernel is recorded from.
-    """
-    from .pmp import _law_terms   # pmp builds on this module
-    tab = _dual_tableau(sys, comps)
-    return (tab.f, tab.g1, tab.g2, tab.fg1, tab.fg2, tab.ffg1, tab.g1fg1,
-            tab.g1fg2, tab.L, tab.df_cols, tab.dL, _law_terms(tab, c))
-
-
-_LAW_INPUTS = ("x0", "x1", "x2", "x3", "c")
-
-
-def fused_kernel(sys: FullyActuatedSystem):
-    """``(x0, x1, x2, x3, c) -> fused_reference(sys, [x0..x3], c)`` as
-    straight-line float code, built by ``duals.compiled``.
-
-    Raises OffTrace at the singular-mass guard and ZeroDivisionError at an
-    exact zero divisor, at the point where the reference raises.
-    """
-    return compiled(sys, "fused_kernel", _LAW_INPUTS,
-                    lambda *v: fused_reference(sys, list(v[:4]), v[4]))
-
-
-def batched_law_kernel(sys: FullyActuatedSystem):
-    """``(x0, x1, x2, x3, c) -> (law terms, bad)`` over numpy arrays.
-
-    The law-terms block of fused_kernel, compiled as a batched function
-    (``Tape.compile(batched=True)``): bit for bit fused_kernel's law terms
-    at every sample outside the mask ``bad``, which holds the samples
-    where fused_kernel raises.
-    """
-    return compiled(sys, "law_kernel", _LAW_INPUTS,
-                    lambda *v: fused_reference(sys, list(v[:4]), v[4])[-1],
-                    batched=True)
-
-
-def fused_terms(sys: FullyActuatedSystem, comps, c):
-    """fused_kernel at four plain floats, or None where it does not apply:
-    other scalar types, or a state off the recorded branch."""
-    if all(type(v) is float for v in comps):
-        try:
-            return fused_kernel(sys)(*comps, c)
-        except STOPS:
-            pass
-    return None
+def dyn_jacobian(sys: FullyActuatedSystem, comps):
+    """(df_cols, dL) at comps: df_cols[i] = Df . e_i and dL[r][c][i] =
+    d L_rc / d x_i, from one first-order Dual evaluation of sys.dyn per
+    basis direction."""
+    zero = comps[0] * 0.0
+    one = zero + 1.0
+    df_cols = []
+    dL = [[[None] * 4 for _ in range(2)], [[None] * 4 for _ in range(2)]]
+    for i in range(4):
+        pt = [Dual(comps[j], one if j == i else zero) for j in range(4)]
+        fD, LD = sys.dyn(pt)
+        df_cols.append([c.im for c in fD])
+        for r in range(2):
+            for c in range(2):
+                dL[r][c][i] = LD[r][c].im
+    return df_cols, dL
 
 
 def word_kernel(sys: FullyActuatedSystem, words, batched: bool = False):

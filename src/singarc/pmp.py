@@ -6,6 +6,11 @@ closed-form law built from the costate decomposition on the singular
 surface, and the generic linear solve over the alpha coefficients.  They
 must agree wherever both are defined; the test suite enforces this, since
 published displays of the closed form have had sign and index slips.
+
+The closed form is one recording, ``_law_terms`` of the reference tableau
+``liegeom.u1_singular_brackets``; ``law_kernel`` compiles it as a float
+kernel (``singular_u1``) and a batched one (``singular_u1_batch``).  Where
+the float kernel stops, the reference runs and raises what it raised.
 """
 from __future__ import annotations
 
@@ -15,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arm2dof import FullyActuatedSystem, _components
-from .duals import chunks
+from .duals import STOPS, chunks, compiled
 from .errors import (CostateDegenerate, DegenerateSystem, RkViolation)
 from .liegeom import (AlphaTensor, BracketTableau, _alpha_solve,
-                      _dual_tableau, _frame_words, _stacked_fields,
-                      _word_columns, alpha_coefficients, batched_law_kernel,
-                      fused_terms, u1_singular_brackets, word_field)
+                      _frame_words, _stacked_fields, _word_columns,
+                      alpha_coefficients, dyn_jacobian, u1_singular_brackets,
+                      word_field)
 
 LAMBDA4_RTOL = 1e-9
 DEGENERACY_TOL = 1e-12
@@ -125,9 +130,9 @@ def hamiltonian(sys: FullyActuatedSystem, x, u, lam):
 
 def adjoint_rhs(sys: FullyActuatedSystem, x, u, lam) -> np.ndarray:
     """-(d(f + Gu)/dx)^T lambda: the integrator's costate equation, on the
-    Jacobian data of the bracket tableau."""
-    tab = u1_singular_brackets(sys, x)
-    return np.asarray(costate_rate(tab.df_cols, tab.dL, _components(u),
+    tableau's first-order Jacobian data (``liegeom.dyn_jacobian``)."""
+    df_cols, dL = dyn_jacobian(sys, list(_components(x)))
+    return np.asarray(costate_rate(df_cols, dL, _components(u),
                                    _components(lam)))
 
 
@@ -263,6 +268,20 @@ def _law_terms(tab: BracketTableau, c: float):
     return mu, nu, gamma, r, s, alpha1, alpha2, b_g2
 
 
+def law_kernel(sys: FullyActuatedSystem, batched: bool = False):
+    """``(x0, .., x3, c) -> _law_terms(u1_singular_brackets(sys, x), c)`` as
+    straight-line code from ``duals.compiled``.  The float form raises
+    OffTrace at the singular-mass guard and ZeroDivisionError at an exact
+    zero divisor, where the reference raises.  batched=True gives the form
+    over 1-D arrays: the float form's terms bit for bit at every sample
+    outside the mask ``bad`` of those where the float form raises.
+    """
+    return compiled(sys, "law_kernel", ("x0", "x1", "x2", "x3", "c"),
+                    lambda *v: _law_terms(u1_singular_brackets(sys, v[:4]),
+                                          v[4]),
+                    batched=batched)
+
+
 def _law_guards(x, lam, exclusion, mu, law):
     """The singular law's guards in the order they apply, as (reason,
     tripped) pairs: floats give one flag, (4, N) columns one per sample.
@@ -285,23 +304,26 @@ def _law_at(sys: FullyActuatedSystem, x, lam, c: float, exclusion: float):
     """(reason, law terms) at one state: the first guard that trips and
     None, or "ok" and the _law_terms tuple.
 
-    Plain floats take the compiled kernel; off its branch, or for other
-    scalars, the reference, which raises what it always raised (mu is
-    guarded before its law divides by it).
+    Plain floats take the float law_kernel; off its branch, or for other
+    scalars, the reference tableau, which raises what it always raised (mu
+    is guarded before _law_terms divides by it).
     """
     comps = list(_components(x))
-    out = tab = None
+    terms = tab = None
 
     def mu():
-        nonlocal out, tab
-        out = fused_terms(sys, comps, c)
-        if out is not None:
-            return out[-1][0]
-        tab = _dual_tableau(sys, comps)
+        nonlocal terms, tab
+        if all(type(v) is float for v in comps):
+            try:
+                terms = law_kernel(sys)(*comps, c)
+                return terms[0]
+            except STOPS:
+                pass
+        tab = u1_singular_brackets(sys, comps)
         return tab.L[0][0]
 
     def law():
-        return out[-1] if out is not None else _law_terms(tab, c)
+        return terms if terms is not None else _law_terms(tab, c)
 
     for reason, tripped in _law_guards(comps, lam, exclusion, mu, law):
         if tripped:
@@ -371,7 +393,7 @@ def singular_u1_batch(sys: FullyActuatedSystem, X, Lam, c,
     u1 = np.empty(n)
     code = np.zeros(n, dtype=np.int8)
     redo = np.zeros(n, dtype=bool)
-    for part, terms, bad in chunks(batched_law_kernel(sys), [*X, cs],
+    for part, terms, bad in chunks(law_kernel(sys, batched=True), [*X, cs],
                                    LAW_CHUNK):
         x, lam, first = X[:, part], Lam[:, part], code[part]
 

@@ -174,9 +174,13 @@ def _band_value(sys, traj, tol: Tolerances) -> float:
     g_norm = max(
         float(np.sqrt(sum(np.asarray(L[r][k]) ** 2 for r in range(n))).max())
         for k in range(n))
-    # a costate norm that overflows is inf, without a numpy warning
+    # each row's norm at a power of two near 1, scaled back exactly (normal
+    # rows keep np.linalg.norm's value bit for bit): tiny squares do not
+    # underflow to a zero band; a norm past the float range is inf, quietly
+    _, exp = np.frexp(np.abs(traj.lam).max(axis=1))
     with np.errstate(over="ignore"):
-        lam_max = float(np.linalg.norm(traj.lam, axis=1).max())
+        lam_max = float(np.ldexp(np.linalg.norm(
+            np.ldexp(traj.lam, -exp[:, None]), axis=1), exp).max())
     return tol.rel_band * lam_max * g_norm
 
 

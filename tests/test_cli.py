@@ -282,6 +282,21 @@ def test_tiny_costates_are_not_degenerate_rows(extremal, tmp_path, capsys):
         u1 == "violation" for u1, _ in labels)
 
 
+def test_tiny_costates_keep_their_band(extremal, tmp_path, capsys):
+    """With costates near 1e-170 the relative band does not underflow to
+    zero: the u1 samples of the singular arc stay in it, and none is
+    judged as a bang and labelled a violation."""
+    n = 300
+    path = str(tmp_path / "tiny.csv")
+    save_trajectory(Trajectory(t=extremal.t[:n], x=extremal.x[:n],
+                               u=extremal.u[:n],
+                               lam=1e-170 * extremal.lam[:n]), path)
+    assert main(["diagnose", path, "--out", str(tmp_path / "s.csv")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["lambda_degenerate_rows"] == []
+    assert "violation" not in summary["classification"]
+
+
 def test_diagnose_counts_bang_in_band_samples(sat_sing_sat, tmp_path,
                                               capsys):
     traj, _, _ = sat_sing_sat

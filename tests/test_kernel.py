@@ -1,5 +1,5 @@
-"""The compiled kernels against their references: the tableau/law kernel
-against the Dual/HyperDual code, the extremal right-hand side against
+"""The compiled kernels against their references: the law kernel against
+_law_terms of the Dual/HyperDual tableau, the extremal right-hand side against
 _extremal_rate, the bracket-word kernels against word_field, the replay
 step kernel against the Python RK4 stages; and the one store they are all
 built and cached in."""
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from oracles import replay_reference
-from singarc import cli, integrate, liegeom
+from singarc import cli, integrate, pmp
 from singarc.arm2dof import Arm2DOF, ArmParams
 from singarc.duals import _COMPILED, OffTrace, compiled, cos
 from singarc.errors import (EXIT_CODES, CostateDegenerate, LinearSolveFailure,
@@ -28,12 +28,12 @@ from singarc.integrate import (IntegratorConfig, Trajectory, _extremal_rate,
                                replay_kernel, resimulate, save_trajectory)
 from singarc.liegeom import (B_SET_WORDS, WORD_CHUNK, _word_columns,
                              alpha_coefficients, b_set_certificate,
-                             batched_law_kernel, frame_rank, fused_kernel,
-                             fused_reference, u1_singular_brackets,
-                             word_field, word_kernel)
-from singarc.pmp import (LAMBDA4_RTOL, LAW_CHUNK, in_Rk, lambda4_degenerate,
-                         singular_law_coeffs, singular_u1, singular_u1_batch,
-                         sk_rank, state_rate, switching)
+                             frame_rank, u1_singular_brackets, word_field,
+                             word_kernel)
+from singarc.pmp import (LAMBDA4_RTOL, LAW_CHUNK, _law_terms, in_Rk,
+                         lambda4_degenerate, law_kernel, singular_law_coeffs,
+                         singular_u1, singular_u1_batch, sk_rank, state_rate,
+                         switching)
 
 LAW_TERMS = ("mu", "nu", "gamma", "r", "s", "alpha1", "alpha2", "b_g2")
 
@@ -44,6 +44,11 @@ def _flat(v):
             yield from _flat(e)
     else:
         yield v
+
+
+def _law_reference(plant, x, c):
+    """What law_kernel is recorded from, evaluated on floats."""
+    return _law_terms(u1_singular_brackets(plant, x), c)
 
 
 def _assert_same_numbers(got, want):
@@ -87,7 +92,7 @@ def test_the_kernel_store_builds_on_first_use_and_frees_with_the_plant():
     assert set(_COMPILED[owner]) == {("product", False), ("product", True)}
 
     plant = Arm2DOF()
-    fused_kernel(plant)
+    law_kernel(plant)
     replay_kernel(plant)
     gc.collect()
     owners = len(_COMPILED)
@@ -103,11 +108,10 @@ def test_the_kernel_store_builds_on_first_use_and_frees_with_the_plant():
 def test_kernel_equals_the_dual_reference_bit_for_bit(arm, x, c):
     x = list(x)
     assume(in_Rk(x, 1e-3))
-    got = fused_kernel(arm)(*x, c)
-    want = fused_reference(arm, x, c)
-    _assert_same_numbers(got, want)
-    # the law terms are the last block, in _law_terms order
-    assert len(got[-1]) == len(LAW_TERMS)
+    got = law_kernel(arm)(*x, c)
+    _assert_same_numbers(got, _law_reference(arm, x, c))
+    # the law terms, in _law_terms order
+    assert len(got) == len(LAW_TERMS)
 
 
 def test_kernel_is_recorded_once_per_plant_and_lazily():
@@ -115,10 +119,10 @@ def test_kernel_is_recorded_once_per_plant_and_lazily():
     assert plant not in _COMPILED
     u1_singular_brackets(plant, np.asarray(ref.X0)[:, None])  # arrays: no
     assert plant not in _COMPILED
-    kernel = fused_kernel(plant)
-    assert fused_kernel(plant) is kernel
-    assert set(_COMPILED[plant]) == {("fused_kernel", False)}
-    assert fused_kernel(Arm2DOF()) is not kernel
+    kernel = law_kernel(plant)
+    assert law_kernel(plant) is kernel
+    assert set(_COMPILED[plant]) == {("law_kernel", False)}
+    assert law_kernel(Arm2DOF()) is not kernel
     # the tableau of the reference state through both public paths
     single = u1_singular_brackets(plant, ref.X0)
     batch = u1_singular_brackets(plant, np.asarray(ref.X0)[:, None])
@@ -131,11 +135,10 @@ def test_plants_with_different_parameters_get_their_own_kernels():
     heavy = Arm2DOF()
     x = [float(v) for v in ref.X0]
     for plant in (light, heavy):
-        _assert_same_numbers(fused_kernel(plant)(*x, -10.0),
-                             fused_reference(plant, x, -10.0))
-    assert fused_kernel(light) is not fused_kernel(heavy)
-    assert fused_kernel(light)(*x, -10.0)[-1] \
-        != fused_kernel(heavy)(*x, -10.0)[-1]
+        _assert_same_numbers(law_kernel(plant)(*x, -10.0),
+                             _law_reference(plant, x, -10.0))
+    assert law_kernel(light) is not law_kernel(heavy)
+    assert law_kernel(light)(*x, -10.0) != law_kernel(heavy)(*x, -10.0)
 
 
 class SingularAtElbow(Arm2DOF):
@@ -156,19 +159,21 @@ def test_mass_guard_survives_code_generation():
     plant = SingularAtElbow()
     x = [0.1, SingularAtElbow.Q2, 0.3, 0.5]
     with pytest.raises(LinearSolveFailure):
-        u1_singular_brackets(plant, x)                       # kernel
+        u1_singular_brackets(plant, x)                       # floats
     with pytest.raises(LinearSolveFailure):
-        u1_singular_brackets(plant, np.array(x)[:, None])   # Dual path
+        u1_singular_brackets(plant, np.array(x)[:, None])   # arrays
+    with pytest.raises(LinearSolveFailure):
+        singular_law_coeffs(plant, x, 0.0)          # kernel, then reference
     # the kernel itself stops at the guard, before dividing by the det
     with pytest.raises(OffTrace):
-        fused_kernel(plant)(*x, 0.0)
+        law_kernel(plant)(*x, 0.0)
     # the reference arm's inertia has no division: the guard is the first
-    source = fused_kernel(Arm2DOF()).source
+    source = law_kernel(Arm2DOF()).source
     assert source.index("raise OffTrace") < source.index(" / ")
     # away from Q2 the plant is regular and the kernel matches again
     y = [0.1, 1.2, 0.3, 0.5]
-    _assert_same_numbers(fused_kernel(plant)(*y, -10.0),
-                         fused_reference(plant, y, -10.0))
+    _assert_same_numbers(law_kernel(plant)(*y, -10.0),
+                         _law_reference(plant, y, -10.0))
 
 
 def test_a_stop_on_the_scalar_law_path_runs_the_kernel_once(monkeypatch):
@@ -176,30 +181,41 @@ def test_a_stop_on_the_scalar_law_path_runs_the_kernel_once(monkeypatch):
     the kernel again first; the reference raises what it raises."""
     calls = []
 
-    def counting(plant):
+    def counting(plant, batched=False):
         calls.append(plant)
-        return fused_kernel(plant)
+        return law_kernel(plant, batched)
 
-    monkeypatch.setattr(liegeom, "fused_kernel", counting)
+    monkeypatch.setattr(pmp, "law_kernel", counting)
     x = [0.1, SingularAtElbow.Q2, 0.3, 0.5]
     with pytest.raises(LinearSolveFailure):
         singular_u1(SINGULAR_PLANT, x, ref.LAM0, -10.0)
     assert calls == [SINGULAR_PLANT]
 
 
-def test_non_float_scalars_take_the_reference_path(arm):
+def test_non_float_scalars_take_the_reference_path():
+    """np.float64 coordinates give the reference's np.float64 terms, which
+    equal the kernel's floats."""
+    plant = Arm2DOF()
     x = [np.float64(v) for v in ref.X0]
-    tab = u1_singular_brackets(arm, x)
-    want = fused_reference(arm, x, 0.0)
-    assert type(tab.ffg1[0]) is np.float64
-    np.testing.assert_array_equal(np.asarray(tab.ffg1, dtype=float),
-                                  np.asarray(want[5], dtype=float))
+    coeffs = singular_law_coeffs(plant, x, c=ref.U2_BANG)
+    assert type(coeffs.r) is np.float64
+    assert plant not in _COMPILED
+    want = law_kernel(plant)(*map(float, x), ref.U2_BANG)
+    assert (coeffs.mu, coeffs.r, coeffs.s) == (want[0], want[3], want[4])
+
+
+def test_the_tableau_at_floats_builds_no_kernel():
+    plant = Arm2DOF()
+    tab = u1_singular_brackets(plant, [float(v) for v in ref.X0])
+    u1_singular_brackets(plant, np.asarray(ref.X0))
+    assert type(tab.ffg1[0]) is float
+    assert plant not in _COMPILED
 
 
 def test_law_coefficients_match_the_reference_terms(arm):
     x = [float(v) for v in ref.X0]
     coeffs = singular_law_coeffs(arm, x, c=ref.U2_BANG)
-    want = fused_reference(arm, x, ref.U2_BANG)[-1]
+    want = _law_reference(arm, x, ref.U2_BANG)
     got = tuple(getattr(coeffs, name if name != "b_g2" else "b_dot_g2")
                 for name in LAW_TERMS)
     assert got == want
@@ -411,14 +427,18 @@ def test_batched_law_on_the_extremal_is_the_integrators_u1(arm, extremal):
 
 
 def test_batched_law_kernel_is_built_lazily_and_apart():
+    """One recording, two forms, each built on its first use."""
     plant = Arm2DOF()
     singular_u1(plant, ref.X0, ref.LAM0, ref.U2_BANG)
-    assert set(_COMPILED[plant]) == {("fused_kernel", False)}
+    assert set(_COMPILED[plant]) == {("law_kernel", False)}
+    X, Lam = np.asarray(ref.X0)[:, None], np.asarray(ref.LAM0)[:, None]
+    singular_u1_batch(plant, X, Lam, ref.U2_BANG)
+    assert set(_COMPILED[plant]) == {("law_kernel", False),
+                                     ("law_kernel", True)}
     other = Arm2DOF()
-    singular_u1_batch(other, np.asarray(ref.X0)[:, None],
-                      np.asarray(ref.LAM0)[:, None], ref.U2_BANG)
+    singular_u1_batch(other, X, Lam, ref.U2_BANG)
     assert set(_COMPILED[other]) == {("law_kernel", True)}
-    assert batched_law_kernel(other) is not fused_kernel(other)
+    assert law_kernel(other, batched=True) is not law_kernel(other)
 
 
 def test_batched_law_masks_the_singular_mass_guard():
@@ -558,7 +578,7 @@ def _word_forms(plant):
 def test_word_kernels_are_built_lazily_per_plant_word_tuple_and_form():
     plant = Arm2DOF()
     u1_singular_brackets(plant, ref.X0)
-    fused_kernel(plant)
+    law_kernel(plant)
     assert _word_forms(plant) == set()
     kernel = word_kernel(plant, ("fg1", "fg2"))
     assert word_kernel(plant, ["fg1", "fg2"]) is kernel
@@ -593,7 +613,7 @@ def test_batched_kernels_delete_each_dead_temporary_after_its_last_use():
     temporary that is not returned is deleted by the statement right after
     the last one that reads it, and nothing reads it afterwards."""
     plant = Arm2DOF()
-    sources = [batched_law_kernel(plant).source] + [
+    sources = [law_kernel(plant, batched=True).source] + [
         word_kernel(plant, words, batched=True).source
         for words in WORD_SETS]
     for source in sources:
@@ -615,7 +635,7 @@ def test_batched_kernels_delete_each_dead_temporary_after_its_last_use():
 
 def test_float_kernels_delete_nothing():
     plant = Arm2DOF()
-    sources = [fused_kernel(plant).source, extremal_kernel(plant).source,
+    sources = [law_kernel(plant).source, extremal_kernel(plant).source,
                replay_kernel(plant).source] + [
         word_kernel(plant, words).source for words in WORD_SETS]
     for source in sources:

@@ -14,8 +14,9 @@ from singarc import duals, integrate, liegeom
 from singarc.arm2dof import Arm2DOF
 from singarc.duals import Tape
 from singarc.errors import CostateDegenerate, DegenerateSystem, RkViolation
-from singarc.liegeom import iterated_bracket, word_field
-from singarc.pmp import (adjoint_rhs, costate_on_surface,
+from singarc.liegeom import (iterated_bracket, u1_singular_brackets,
+                             word_field)
+from singarc.pmp import (adjoint_rhs, costate_on_surface, costate_rate,
                          general_singular_solve, general_singular_system,
                          hamiltonian, in_Rk, lambda4_degenerate,
                          lemma1_certificate, phi_second_derivative,
@@ -49,6 +50,19 @@ def test_adjoint_matches_finite_differences(arm, extremal):
         want = fd_adjoint(arm, x, u, lam)
         assert np.linalg.norm(got - want) <= 1e-6 * max(
             np.linalg.norm(want), 1.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(x=st.tuples(*[st.floats(-math.pi, math.pi)] * 2,
+                   *[st.floats(-5.0, 5.0)] * 2),
+       u=st.tuples(*[st.floats(-20.0, 20.0)] * 2),
+       lam=st.tuples(*[st.floats(-20.0, 20.0)] * 4))
+def test_adjoint_is_the_costate_rate_on_the_tableau(arm, x, u, lam):
+    """adjoint_rhs reads only the tableau's first-order block: the same
+    numbers as costate_rate on its df_cols and dL."""
+    tab = u1_singular_brackets(arm, list(x))
+    want = costate_rate(tab.df_cols, tab.dL, u, lam)
+    assert adjoint_rhs(arm, np.asarray(x), u, lam).tolist() == list(want)
 
 
 def test_switching_vanishes_for_zero_costate(arm):

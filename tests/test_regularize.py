@@ -16,7 +16,7 @@ from singarc.pmp import costate_ratio, switching
 from singarc.regularize import (LABEL_BANG_IN_BAND, LABEL_LOWER,
                                 LABEL_SINGULAR, LABEL_UNCHECKED, LABEL_UPPER,
                                 LABEL_VIOLATION, AuditResult,
-                                SingularInterval, Tolerances,
+                                SingularInterval, Tolerances, _band_value,
                                 detect_singular_arcs, ingest, pmp_audit,
                                 regularize_u1, switching_series)
 
@@ -356,6 +356,27 @@ def test_audit_ranks_the_flat_band_verdicts(arm):
         assert labels.tolist() == want
         npt.assert_array_equal(labels,
                                audit_labels(arm, traj, bounds, tol)[:, 0])
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 500, 1e-170, 1e-300,
+                                   1e160, 1e300])
+def test_the_relative_band_scales_with_the_costates(arm, extremal, scale):
+    """Neither the squares of tiny costates (underflow) nor those of huge
+    ones (overflow) reach the band: it follows the costate scale, exactly
+    for a power of two."""
+    n = 300
+
+    def at(s):
+        return _band_value(arm, Trajectory(
+            t=extremal.t[:n], x=extremal.x[:n], u=extremal.u[:n],
+            lam=s * extremal.lam[:n]), Tolerances())
+
+    band = at(1.0)
+    assert band > 0.0
+    if math.frexp(scale)[0] == 0.5:
+        assert at(scale) == scale * band
+    else:
+        assert at(scale) == pytest.approx(scale * band, rel=1e-14, abs=0.0)
 
 
 def test_audit_flags_zero_costate_rows(arm, extremal):
