@@ -19,7 +19,10 @@ Bracket words compile through ``word_kernel``, which records
 ``alpha_coefficients``, ``b_set_certificate``) and ``pmp.switching`` read
 their columns from it, batches in chunks of ``WORD_CHUNK`` samples.
 ``certify_sweep`` runs the three certificates over a sample of states one
-such chunk at a time and keeps only their reductions.  ``word_field`` and
+such chunk at a time and keeps only their reductions; ``_b_set_screen``
+decides there, from one cofactor vector with a priori rounding bounds,
+the B-set failures that no SVD could pass, and only the undecided states
+take ``_b_set_verdict``'s SVD.  ``word_field`` and
 ``iterated_bracket`` stay the reference and never run compiled code.
 Every kernel is built, cached per plant and chunked by ``duals.compiled``
 and ``duals.chunks``.
@@ -260,6 +263,86 @@ def _b_set_verdict(family, c: float, rtol: float = B_SET_RTOL):
     return ok, evidence
 
 
+_SCREEN_SLACK = 2.0 ** -47        # 64 u, u = 2^-53 the unit roundoff
+# The six 2x2 minors of two columns, by row pair (_PAIR_I, _PAIR_J); for
+# each deleted row l = 0..3, the rows (i, j, k) left and the minors of the
+# pairs (j, k), (i, k) and (i, j); and the cofactor signs (-1)^(l+3).
+_PAIR_I, _PAIR_J = [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]
+_ROWS_LEFT = ([1, 0, 0, 0], [2, 2, 1, 1], [3, 3, 3, 2])
+_MINORS_LEFT = ([5, 5, 4, 3], [4, 2, 2, 1], [3, 1, 0, 0])
+_COFACTOR_SIGNS = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+
+
+def _b_set_screen(family, bang_values, rtol: float = B_SET_RTOL):
+    """Per bang value c, the mask of the samples of family ((5, 4, N), from
+    _b_set_family) that certainly fail _b_set_verdict at c; False means
+    undecided, never a pass.
+
+    A = [a b w v] with a, b, w = g2, fg2, ffg2 and v = fffg2 + c*g1ffg2,
+    computed as _b_set_verdict computes it.  The cofactor vector n of
+    (a, b, w), from 2x2 minors, is orthogonal to a, b and w and gives
+    n.v = det A, so with e = n/||n||, sigma_min(A) <= ||A^T e|| =
+    |det A|/||n||_2 <= |det A|/||n||_inf; and sigma_max(A) >= the largest
+    column norm.  A sample is decided when these bounds give
+    sigma_min <= rtol/2 * sigma_max, after allowing for rounding:
+
+    - Range.  Decided samples have every entry 0 or of magnitude in
+      [2^-100, 2^100].  A float of magnitude at least 2^-k is a multiple
+      of 2^-(k+52), so no nonzero difference of such floats is smaller;
+      following the products and sums below, every nonzero intermediate
+      lies in [2^-600, 2^420].  Nothing underflows or overflows, and
+      fl(x op y) = (x op y)(1 + delta), |delta| <= u, holds throughout.
+      Samples with an inf or nan entry are out of range and are zeroed
+      before the arithmetic, so they raise no warning.
+    - Rounding (Higham, Accuracy and Stability of Numerical Algorithms,
+      2nd ed., sec. 3.1).  Each term of a sum of products that passes
+      through at most k roundings is off by at most gamma_k = k*u/(1 -
+      k*u) of its magnitude.  Each 3x3 minor d_l takes k = 5 (product,
+      difference, product, two sums), det A = sum(n_l v_l) k = 9; so
+      |d_l| >= |fl(d_l)| - gamma_5 * D_l and |det A| <= |fl(det A)| +
+      gamma_9 * P, where D_l and P are the same sums over |entries| (P is
+      the permanent of |A|), computed in the same order and so within
+      gamma_5 and gamma_9 of their own values.  The slack 64 u covers
+      gamma_9/(1 - gamma_9) plus the rounding of the bounds themselves
+      with room to spare; it is a power of two, so scaling by it is
+      exact.  The computed right-hand side is at most (1 + 8u) times
+      rtol/2 * ||n||_inf * sigma_max.
+    - The factor 1/2.  LAPACK's computed singular values lie within
+      p(4)*u*sigma_max of the exact ones (LAPACK Users' Guide, 3rd ed.,
+      sec. 4.9), with p a modest polynomial.  A proven sigma_min <=
+      rtol/2 * (1 + 8u) * sigma_max then fails sigma_min > rtol *
+      sigma_max in LAPACK's own numbers as long as p(4) < rtol/(2u),
+      about 4.5e5.
+    """
+    def in_range(a, axis):
+        # False at inf and nan
+        m = np.abs(a)
+        return ((m == 0.0) | ((m >= 2.0 ** -100) & (m <= 2.0 ** 100))
+                ).all(axis=axis)
+
+    ok = in_range(family, (0, 1))
+    fam = np.where(ok, family, 0.0)
+    a, b, w = fam[0], fam[1], fam[2]
+    p, q = a[_PAIR_I] * b[_PAIR_J], a[_PAIR_J] * b[_PAIR_I]
+    m, m_abs = p - q, np.abs(p) + np.abs(q)
+    i, j, k = _ROWS_LEFT
+    jk, ik, ij = _MINORS_LEFT
+    d = w[i] * m[jk] - w[j] * m[ik] + w[k] * m[ij]
+    d_abs = (np.abs(w[i]) * m_abs[jk] + np.abs(w[j]) * m_abs[ik]
+             + np.abs(w[k]) * m_abs[ij])
+    n = d * _COFACTOR_SIGNS
+    n_low = (np.abs(d) - _SCREEN_SLACK * d_abs).max(axis=0)
+    ok &= n_low > 0.0
+    shared_norm = np.sqrt(np.square(fam[:3]).sum(axis=1)).max(axis=0)
+    for c in bang_values:
+        v = fam[3] + c * fam[4]
+        det_high = (np.abs((n * v).sum(axis=0))
+                    + _SCREEN_SLACK * (np.abs(v) * d_abs).sum(axis=0))
+        col_norm = np.maximum(shared_norm, np.sqrt(np.square(v).sum(axis=0)))
+        yield ok & in_range(v, 0) & (
+            det_high <= 0.5 * rtol * n_low * col_norm)
+
+
 @dataclass(frozen=True)
 class SweepReduction:
     """What ``certify_sweep`` keeps of the three families over all states.
@@ -283,6 +366,13 @@ def certify_sweep(sys: FullyActuatedSystem, states,
     sample's numbers are computed alike in chunks, and min, max and counts
     do not depend on how the samples are split.  A span violation raises
     SpanViolation from the chunk where it occurs.
+
+    The B-set verdicts are _b_set_verdict's: _b_set_screen decides the
+    samples that certainly fail, from one cofactor vector per chunk, and
+    only the rest go through _b_set_verdict's SVD.  Only the counts and the
+    failure mask leave the sweep, so the reductions are those of the SVD
+    at every sample.  The frame keeps its SVD: its two smallest singular
+    values coincide, which leaves no cheap bracket on the smallest.
     """
     rank, alpha1 = math.inf, -math.inf
     failures = [0] * len(bang_values)
@@ -295,13 +385,16 @@ def certify_sweep(sys: FullyActuatedSystem, states,
         alpha1 = np.maximum(alpha1, np.abs(
             alpha_coefficients(sys, x).values[:, :, 0]).max())
         family = _b_set_family(sys, x)
-        for k, c in enumerate(bang_values):
-            fails = ~_b_set_verdict(family, c)[0]
+        screened = _b_set_screen(family, bang_values)
+        for k, (c, fails) in enumerate(zip(bang_values, screened)):
+            rest = np.flatnonzero(~fails)
+            if rest.size:
+                fails[rest] = ~_b_set_verdict(family[:, :, rest], c)[0]
             if fails.any():
                 failures[k] += int(np.count_nonzero(fails))
                 velocity[k] = np.maximum(velocity[k], np.abs(
                     part[fails, 2] + part[fails, 3]).max())
-        del family      # not held through the next chunk
+        del family, screened    # not held through the next chunk
     return SweepReduction(
         min_frame_rank=float(rank), max_abs_alpha_ij1=float(alpha1),
         b_set=tuple((c, count, float(v) if count else None)

@@ -240,9 +240,11 @@ def costate_on_surface(sys: FullyActuatedSystem, x, lambda2: float,
     Published initial costates for singular extremals round (or assume a
     model variant), landing near but not on the singular surface; this
     rebuilds them exactly on it, preserving the second and fourth entries
-    that parameterize the law.
+    that parameterize the law.  It takes the reference tableau: one
+    evaluation does not pay for recording and compiling the float
+    law_kernel, whose terms are the reference's under ==.
     """
-    coeffs = singular_law_coeffs(sys, x, c=0.0)
+    coeffs = _law_coeffs(sys, x, 0.0, 1e-3, kernel=False)
     lam = lambda2 * coeffs.a_basis + lambda4 * coeffs.b_basis
     return lam
 
@@ -300,20 +302,21 @@ def _law_guards(x, lam, exclusion, mu, law):
     yield "b_g2", abs(terms[7]) <= DEGENERACY_TOL
 
 
-def _law_at(sys: FullyActuatedSystem, x, lam, c: float, exclusion: float):
+def _law_at(sys: FullyActuatedSystem, x, lam, c: float, exclusion: float,
+            kernel: bool = True):
     """(reason, law terms) at one state: the first guard that trips and
     None, or "ok" and the _law_terms tuple.
 
-    Plain floats take the float law_kernel; off its branch, or for other
-    scalars, the reference tableau, which raises what it always raised (mu
-    is guarded before _law_terms divides by it).
+    Plain floats take the float law_kernel unless kernel is False; off its
+    branch, or for other scalars, the reference tableau, which raises what
+    it always raised (mu is guarded before _law_terms divides by it).
     """
     comps = list(_components(x))
     terms = tab = None
 
     def mu():
         nonlocal terms, tab
-        if all(type(v) is float for v in comps):
+        if kernel and all(type(v) is float for v in comps):
             try:
                 terms = law_kernel(sys)(*comps, c)
                 return terms[0]
@@ -352,7 +355,14 @@ def singular_law_coeffs(sys: FullyActuatedSystem, x, c: float,
     terms as the Dual path, so the regularizer's u1 equals the
     integrator's bit for bit.
     """
-    reason, law = _law_at(sys, x, None, c, exclusion)
+    return _law_coeffs(sys, x, c, exclusion)
+
+
+def _law_coeffs(sys: FullyActuatedSystem, x, c: float, exclusion: float,
+                kernel: bool = True) -> SingularLawCoeffs:
+    """singular_law_coeffs, through the float law_kernel or, with kernel
+    False, the reference tableau."""
+    reason, law = _law_at(sys, x, None, c, exclusion, kernel)
     if law is None:
         raise _law_error(reason, x)
     mu, nu, gamma, r, s, alpha1, alpha2, b_g2 = law

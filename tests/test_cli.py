@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import reference as ref
+from singarc import liegeom
 from singarc.cli import _floats, load_config, main
 from singarc.errors import EXIT_PARTIAL_REGULARIZATION
 from singarc.integrate import (Trajectory, hamiltonian_trace,
@@ -525,6 +526,23 @@ def test_the_streamed_sweep_reports_the_full_batch_certificates(
             "max_failure_velocity_sum": float(vel.max()) if vel.size
             else None,
         }
+
+
+def test_certify_sends_few_b_set_verdicts_to_the_svd(monkeypatch, capsys):
+    """The screen decides all but a few of the 10^5 B-set verdicts of
+    certify --samples 50000 --seed 1: at most 1% reach the SVD."""
+    verdict = liegeom._b_set_verdict
+    sent = []
+
+    def spy(family, c, rtol=liegeom.B_SET_RTOL):
+        sent.append(family.shape[-1])
+        return verdict(family, c, rtol)
+
+    monkeypatch.setattr(liegeom, "_b_set_verdict", spy)
+    assert main(["certify", "--samples", "50000", "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [b["failures"] for b in report["b_set"].values()] == [50000] * 2
+    assert sum(sent) <= 1000
 
 
 def _certify_peak(samples):

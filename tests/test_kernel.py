@@ -30,10 +30,10 @@ from singarc.liegeom import (B_SET_WORDS, WORD_CHUNK, _word_columns,
                              alpha_coefficients, b_set_certificate,
                              frame_rank, u1_singular_brackets, word_field,
                              word_kernel)
-from singarc.pmp import (LAMBDA4_RTOL, LAW_CHUNK, _law_terms, in_Rk,
-                         lambda4_degenerate, law_kernel, singular_law_coeffs,
-                         singular_u1, singular_u1_batch, sk_rank, state_rate,
-                         switching)
+from singarc.pmp import (LAMBDA4_RTOL, LAW_CHUNK, _law_terms,
+                         costate_on_surface, in_Rk, lambda4_degenerate,
+                         law_kernel, singular_law_coeffs, singular_u1,
+                         singular_u1_batch, sk_rank, state_rate, switching)
 
 LAW_TERMS = ("mu", "nu", "gamma", "r", "s", "alpha1", "alpha2", "b_g2")
 
@@ -210,6 +210,31 @@ def test_the_tableau_at_floats_builds_no_kernel():
     u1_singular_brackets(plant, np.asarray(ref.X0))
     assert type(tab.ffg1[0]) is float
     assert plant not in _COMPILED
+
+
+def test_construct_builds_no_float_law_kernel(monkeypatch, tmp_path):
+    """costate_on_surface evaluates the reference tableau once, so
+    construct records no float law kernel; the lifted costate is the one
+    the kernel's coefficients give, under ==."""
+    plants = []
+    system = cli.RunConfig.system
+
+    def spy(cfg):
+        plants.append(system(cfg))
+        return plants[-1]
+
+    monkeypatch.setattr(cli.RunConfig, "system", spy)
+    assert cli.main(["construct", "--step", "1e-3",
+                     "--out", str(tmp_path / "run.csv")]) == 0
+    assert len(plants) == 1
+    assert ("law_kernel", False) not in _COMPILED[plants[0]]
+    plant = Arm2DOF()
+    lam = costate_on_surface(plant, ref.X0, ref.LAMBDA2, ref.LAMBDA4)
+    assert plant not in _COMPILED
+    coeffs = singular_law_coeffs(plant, ref.X0, c=0.0)
+    assert set(_COMPILED[plant]) == {("law_kernel", False)}
+    npt.assert_array_equal(lam, ref.LAMBDA2 * coeffs.a_basis
+                           + ref.LAMBDA4 * coeffs.b_basis)
 
 
 def test_law_coefficients_match_the_reference_terms(arm):

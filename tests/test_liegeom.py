@@ -2,12 +2,16 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference as ref
 from oracles import fd_jacobian, fd_word, rel_err, H_JACOBIAN
+from singarc import liegeom
 from singarc.arm2dof import Arm2DOF
 from singarc.errors import DerivativeUnavailable, SpanViolation
-from singarc.liegeom import (_alpha_solve, alpha_coefficients,
+from singarc.liegeom import (B_SET_RTOL, _alpha_solve, _b_set_family,
+                             _b_set_screen, _b_set_verdict, alpha_coefficients,
                              b_set_certificate, bracket_field, drift_field,
                              frame_rank, input_field, iterated_bracket,
                              lie_bracket, parse_word, u1_singular_brackets,
@@ -218,6 +222,108 @@ def test_momentum_differential_annihilates_the_b_set(arm):
         assert abs(dp1 @ arm.drift(x)) <= 1e-8
         # g1 does not: that is the actuation direction
         assert abs(dp1 @ arm.input_columns(x)[:, 0]) > 0.9
+
+
+BANGS = (-20.0, 20.0)
+
+
+def _screen_and_svd(family, c):
+    """The screen's decided mask and _b_set_verdict's (ok, evidence) at c."""
+    return next(_b_set_screen(family, (c,))), _b_set_verdict(family, c)
+
+
+# angles and rates in the certify box and far beyond it: at rates near
+# 1e12 the fourth bracket words leave the screen's range
+screen_angles = st.floats(-3.2, 3.2) | st.floats(-50.0, 50.0)
+screen_rates = (st.floats(-2.0, 2.0) | st.floats(-1e3, 1e3)
+                | st.floats(-1e12, 1e12))
+screen_states = st.lists(st.tuples(screen_angles, screen_angles,
+                                   screen_rates, screen_rates),
+                         min_size=1, max_size=16)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(states=screen_states, c=st.sampled_from(BANGS))
+def test_every_screened_b_set_verdict_is_the_svds(arm, states, c):
+    """The screen decides only failures, and each one is a failure of
+    _b_set_verdict's SVD, sample by sample."""
+    family = _b_set_family(arm, np.array(states).T)
+    decided, (ok, _) = _screen_and_svd(family, c)
+    assert decided.shape == ok.shape == (len(states),)
+    assert not (decided & ok).any()
+
+
+def test_the_screen_decides_the_certify_box_and_agrees(arm):
+    rng = np.random.default_rng(25)
+    family = _b_set_family(arm, ref.sample_states(rng, 2000).T)
+    for c, decided in zip(BANGS, _b_set_screen(family, BANGS)):
+        ok, _ = _b_set_verdict(family, c)
+        assert not ok.any()
+        assert decided.mean() >= 0.99
+
+
+@pytest.mark.parametrize("k", range(-16, -5))
+def test_the_screen_sends_states_near_rtol_to_the_svd(k):
+    """Fourth columns 10^k * sigma_max off the span of the other three:
+    every decided verdict is the SVD's failure and no state whose SVD
+    ratio is above rtol/2 is decided.  At k = -10 such states fail the
+    SVD and still go to it; from k = -11 down the screen decides all."""
+    rng = np.random.default_rng(100 + k)
+    N, c = 200, 20.0
+    shared = rng.normal(size=(N, 4, 3))
+    q, _ = np.linalg.qr(shared, mode="complete")
+    normal = q[:, :, 3]                       # unit, orthogonal to the span
+    scale = np.linalg.norm(shared, ord=2, axis=(1, 2))
+    v = (shared @ rng.normal(size=(N, 3, 1)))[:, :, 0] \
+        + 10.0 ** k * scale[:, None] * normal
+    g1ffg2 = rng.normal(size=(N, 4))
+    family = np.stack([shared[:, :, 0], shared[:, :, 1], shared[:, :, 2],
+                       v - c * g1ffg2, g1ffg2]).transpose(0, 2, 1)
+    decided, (ok, ev) = _screen_and_svd(family, c)
+    ratio = ev["sigma_min"] / ev["sigma_max"]
+    near = ratio > 0.5 * B_SET_RTOL
+    assert not (decided & ok).any()
+    assert not decided[near].any()
+    if k == -10:
+        assert near.any() and not ok[near].any()
+    if k <= -11:
+        assert decided.all()
+
+
+def test_a_non_finite_column_is_never_screened(arm):
+    """inf and nan entries fall outside the screen's range: those states
+    go to the SVD, which treats them as it always did, and the screen's
+    arithmetic on the rest raises no floating-point error."""
+    family = _b_set_family(arm, ref.sample_states(
+        np.random.default_rng(26), 8).T)
+    family[0, 2, 0] = np.inf
+    family[3, 3, 1] = np.nan
+    family[4, 0, 2] = -np.inf
+    family[3, 1, 3] = 1e300          # finite, beyond the range
+    with np.errstate(all="raise"):
+        for c, decided in zip(BANGS, _b_set_screen(family, BANGS)):
+            assert not decided[:4].any()
+            assert decided[4:].all()
+            with pytest.raises(np.linalg.LinAlgError):
+                _b_set_verdict(family[:, :, :3], c)
+
+
+def test_the_sweep_takes_the_svd_verdict_where_the_screen_is_undecided(
+        monkeypatch, arm):
+    """With an SVD that passes every state it is given, the sweep's
+    failures are exactly the screened ones: undecided states take the
+    SVD's verdict, not the screen's."""
+    states = ref.sample_states(np.random.default_rng(27), 3000)
+    states[::50, 2:] *= 1e12       # fourth words beyond the screen's range
+    family = _b_set_family(arm, states.T)
+    screened = list(_b_set_screen(family, BANGS))
+    monkeypatch.setattr(liegeom, "_b_set_verdict", lambda family, c: (
+        np.ones(family.shape[-1], dtype=bool), None))
+    sweep = liegeom.certify_sweep(arm, states, BANGS)
+    for (c, count, velocity), decided in zip(sweep.b_set, screened):
+        assert c in BANGS and 0 < count == decided.sum() < len(states)
+        assert velocity == np.abs(states[decided, 2]
+                                  + states[decided, 3]).max()
 
 
 def test_b_set_certificate_requires_two_channels(arm):
