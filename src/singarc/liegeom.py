@@ -19,10 +19,13 @@ Bracket words compile through ``word_kernel``, which records
 ``alpha_coefficients``, ``b_set_certificate``) and ``pmp.switching`` read
 their columns from it, batches in chunks of ``WORD_CHUNK`` samples.
 ``certify_sweep`` runs the three certificates over a sample of states one
-such chunk at a time and keeps only their reductions; ``_b_set_screen``
-decides there, from one cofactor vector with a priori rounding bounds,
-the B-set failures that no SVD could pass, and only the undecided states
-take ``_b_set_verdict``'s SVD.  ``word_field`` and
+such chunk at a time and keeps only their reductions.  Two screens with
+a priori rounding bounds keep LAPACK off most states there:
+``_frame_screen`` brackets each frame's sigma_min through the Pfaffian
+of its skew part, so only the states that can hold the minimum take
+frame_rank's SVD, and ``_b_set_screen`` decides, from one cofactor
+vector, the B-set failures that no SVD could pass, so only the
+undecided states take ``_b_set_verdict``'s SVD.  ``word_field`` and
 ``iterated_bracket`` stay the reference and never run compiled code.
 Every kernel is built, cached per plant and chunked by ``duals.compiled``
 and ``duals.chunks``.
@@ -273,6 +276,15 @@ _MINORS_LEFT = ([5, 5, 4, 3], [4, 2, 2, 1], [3, 1, 0, 0])
 _COFACTOR_SIGNS = np.array([[-1.0], [1.0], [-1.0], [1.0]])
 
 
+def _in_range(a, axis):
+    """Whether every entry along axis is 0 or of magnitude in [2^-100,
+    2^100]: the range in which the screens' rounding bounds hold.  False
+    at inf and nan."""
+    m = np.abs(a)
+    return ((m == 0.0) | ((m >= 2.0 ** -100) & (m <= 2.0 ** 100))
+            ).all(axis=axis)
+
+
 def _b_set_screen(family, bang_values, rtol: float = B_SET_RTOL):
     """Per bang value c, the mask of the samples of family ((5, 4, N), from
     _b_set_family) that certainly fail _b_set_verdict at c; False means
@@ -314,13 +326,7 @@ def _b_set_screen(family, bang_values, rtol: float = B_SET_RTOL):
       sigma_max in LAPACK's own numbers as long as p(4) < rtol/(2u),
       about 4.5e5.
     """
-    def in_range(a, axis):
-        # False at inf and nan
-        m = np.abs(a)
-        return ((m == 0.0) | ((m >= 2.0 ** -100) & (m <= 2.0 ** 100))
-                ).all(axis=axis)
-
-    ok = in_range(family, (0, 1))
+    ok = _in_range(family, (0, 1))
     fam = np.where(ok, family, 0.0)
     a, b, w = fam[0], fam[1], fam[2]
     p, q = a[_PAIR_I] * b[_PAIR_J], a[_PAIR_J] * b[_PAIR_I]
@@ -339,8 +345,75 @@ def _b_set_screen(family, bang_values, rtol: float = B_SET_RTOL):
         det_high = (np.abs((n * v).sum(axis=0))
                     + _SCREEN_SLACK * (np.abs(v) * d_abs).sum(axis=0))
         col_norm = np.maximum(shared_norm, np.sqrt(np.square(v).sum(axis=0)))
-        yield ok & in_range(v, 0) & (
+        yield ok & _in_range(v, 0) & (
             det_high <= 0.5 * rtol * n_low * col_norm)
+
+
+_FRAME_SLACK = 2.0 ** -30         # 2^23 u
+_PF_SIGNS = np.array([[1.0], [-1.0], [1.0]])
+
+
+def _frame_screen(cols):
+    """A bracket (low, high) on frame_rank's sigma_min at each sample of
+    cols ((4, 4, N), the _frame_words(2) columns: A[i, j] = cols[j, i]);
+    (-inf, inf) where undecided.
+
+    A = K + S with K = (A - A^T)/2 skew and S = (A + A^T)/2.  The frame
+    is [[0, -L], [L, B]] with L = M^-1 symmetric and B antisymmetric, so
+    S is round-off; the bracket is tight because of that, and valid
+    without it.  A 4x4 skew K has the singular values (w1, w1, w2, w2),
+    w1 >= w2, with w1^2 + w2^2 = s = sum_{i<j} k_ij^2 and w1 * w2 = |Pf|,
+    Pf = k01 k23 - k02 k13 + k03 k12.  So the sums of squares
+
+        (k01 + k23)^2 + (k02 - k13)^2 + (k03 + k12)^2 = s + 2 Pf,
+        (k01 - k23)^2 + (k02 + k13)^2 + (k03 - k12)^2 = s - 2 Pf
+
+    are (w1 + w2)^2 and (w1 - w2)^2 in some order; with r+ and r- their
+    roots, w_max = (r+ + r-)/2 and est = sigma_min(K) = |r+ - r-|/2.  (The
+    root of the quadratic in s and Pf^2 is not used: its discriminant
+    s^2 - 4 Pf^2 cancels where w1 ~ w2, which costs sqrt(u) of w_max.)
+    Weyl's bound gives |sigma_min(A) - est| <= ||S||_2 <= ||S||_F, and
+    the bracket is est -+ tol, tol = ||S||_F + 2^-30 (w_max + ||S||_F):
+
+    - Range.  Decided samples have every entry 0 or of magnitude in
+      [2^-100, 2^100] (_in_range), so every entry is a multiple of
+      2^-152, and every nonzero intermediate below lies in [2^-306,
+      2^205].  Nothing underflows or overflows, fl(x op y) = (x op y)(1 +
+      delta), |delta| <= u = 2^-53, holds throughout, and halving and the
+      signs are exact.  Other samples are undecided; their arithmetic
+      runs with its warnings off and is thrown away.
+    - Rounding (Higham, 2nd ed., sec. 3.1).  The computed K has k_ij(1 +
+      delta) and is skew, so its singular values are within u ||K||_F <=
+      2u w_max of K's (Weyl).  Each sum of squares takes at most five
+      roundings per term and is within gamma_5 of its value, its root
+      within gamma_4, so est is within gamma_6 w_max of the computed K's
+      sigma_min, and the computed w_max within gamma_5 of its own.  The
+      computed ||S||_F (at most nine roundings per square in S's entries,
+      the squares and the sums, and one in the root) is within gamma_10
+      of ||S||_F.
+    - LAPACK.  Its computed singular values lie within p(4) u sigma_max(A)
+      of the exact ones (LAPACK Users' Guide, 3rd ed., sec. 4.9), and
+      sigma_max(A) <= w_max + ||S||_F.
+
+    In all, LAPACK's sigma_min is within ||S||_F + (8u + p(4) u) (w_max +
+    ||S||_F), up to O(u^2), of est; 2^-30 = 2^23 u leaves room for the
+    rounding of tol and of est -+ tol as long as p(4) < 2^22, some 4e6.
+    Nothing divides, so a zero K needs no exception.
+    """
+    ok = _in_range(cols, (0, 1))
+    upper, lower = cols[_PAIR_J, _PAIR_I], cols[_PAIR_I, _PAIR_J]
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = (upper - lower) * 0.5         # k01, k02, k03, k12, k13, k23
+        pair = _PF_SIGNS * k[5:2:-1]      # k23, -k13, k12
+        r_plus = np.sqrt(np.square(k[:3] + pair).sum(axis=0))
+        r_minus = np.sqrt(np.square(k[:3] - pair).sum(axis=0))
+        est = np.abs(r_plus - r_minus) * 0.5
+        w_max = (r_plus + r_minus) * 0.5
+        s_norm = np.sqrt(np.square(cols[range(4), range(4)]).sum(axis=0)
+                         + 2.0 * np.square((upper + lower) * 0.5).sum(axis=0))
+        tol = s_norm + _FRAME_SLACK * (w_max + s_norm)
+        return (np.where(ok, est - tol, -math.inf),
+                np.where(ok, est + tol, math.inf))
 
 
 @dataclass(frozen=True)
@@ -349,11 +422,15 @@ class SweepReduction:
 
     b_set holds (c, failures, largest |v1 + v2| over the failing states,
     or None without a failure) per bang value c, in the order given.
+    frame_svd_states and b_set_svd_states count the states that went
+    through LAPACK past the screens (the B-set once per bang value).
     """
 
     min_frame_rank: float
     max_abs_alpha_ij1: float
     b_set: tuple[tuple[float, int, float | None], ...]
+    frame_svd_states: int
+    b_set_svd_states: int
 
 
 def certify_sweep(sys: FullyActuatedSystem, states,
@@ -367,21 +444,38 @@ def certify_sweep(sys: FullyActuatedSystem, states,
     do not depend on how the samples are split.  A span violation raises
     SpanViolation from the chunk where it occurs.
 
+    The frame's minimum is the least of frame_rank's LAPACK values, taken
+    only at the states that can hold it: _frame_screen brackets every
+    sample's sigma_min, and a state whose lower end lies above an upper
+    end or a LAPACK value already seen cannot be the minimum.  LAPACK
+    works on one matrix at a time, so a value does not depend on which
+    states share its call.
+
     The B-set verdicts are _b_set_verdict's: _b_set_screen decides the
     samples that certainly fail, from one cofactor vector per chunk, and
     only the rest go through _b_set_verdict's SVD.  Only the counts and the
     failure mask leave the sweep, so the reductions are those of the SVD
-    at every sample.  The frame keeps its SVD: its two smallest singular
-    values coincide, which leaves no cheap bracket on the smallest.
+    at every sample.
     """
-    rank, alpha1 = math.inf, -math.inf
+    rank, bound, alpha1 = math.inf, math.inf, -math.inf
     failures = [0] * len(bang_values)
     velocity = [-math.inf] * len(bang_values)
+    frame_svd = b_set_svd = 0
     for start in range(0, len(states), WORD_CHUNK):
         part = states[start:start + WORD_CHUNK]
         x = part.T
-        # np.minimum/np.maximum keep a nan, as the full batch's min/max do
-        rank = np.minimum(rank, frame_rank(sys, x).min())
+        frame = np.asarray(_word_columns(sys, _frame_words(sys.n), x))
+        low, high = _frame_screen(frame)
+        bound = min(bound, high.min())
+        take = np.flatnonzero(low <= bound)
+        if take.size:
+            # frame_rank's matrices, (N, 4, 4), of the states taken
+            s = np.linalg.svd(frame[:, :, take].T, compute_uv=False)
+            # np.minimum/np.maximum keep a nan, as the full batch's min/max do
+            rank = np.minimum(rank, s[:, -1].min())
+            bound = min(bound, rank)
+            frame_svd += take.size
+        del frame, low, high    # not held through the B-set's kernel
         alpha1 = np.maximum(alpha1, np.abs(
             alpha_coefficients(sys, x).values[:, :, 0]).max())
         family = _b_set_family(sys, x)
@@ -390,6 +484,7 @@ def certify_sweep(sys: FullyActuatedSystem, states,
             rest = np.flatnonzero(~fails)
             if rest.size:
                 fails[rest] = ~_b_set_verdict(family[:, :, rest], c)[0]
+                b_set_svd += rest.size
             if fails.any():
                 failures[k] += int(np.count_nonzero(fails))
                 velocity[k] = np.maximum(velocity[k], np.abs(
@@ -398,7 +493,8 @@ def certify_sweep(sys: FullyActuatedSystem, states,
     return SweepReduction(
         min_frame_rank=float(rank), max_abs_alpha_ij1=float(alpha1),
         b_set=tuple((c, count, float(v) if count else None)
-                    for c, count, v in zip(bang_values, failures, velocity)))
+                    for c, count, v in zip(bang_values, failures, velocity)),
+        frame_svd_states=frame_svd, b_set_svd_states=b_set_svd)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .liegeom import (AlphaTensor, BracketTableau, _alpha_solve,
                       word_field)
 
 LAMBDA4_RTOL = 1e-9
+_NORM_SCALE = 2.0 ** 600    # brings the squares of any finite costate in range
 DEGENERACY_TOL = 1e-12
 LAW_CHUNK = 1024      # samples per batched kernel call
 
@@ -196,17 +197,32 @@ def in_Rk(x, exclusion: float = 1e-3):
 def lambda4_degenerate(lam):
     """The law's costate guard: |lambda4| <= LAMBDA4_RTOL * max(1, ||lambda||).
 
-    Floats or (4, N) columns.  The norm is a sum of products, not ** 2,
-    so a huge finite entry overflows to inf and trips the guard.  Plain
-    floats stay off numpy: the integrator asks once per step.  The max is
-    two comparisons, which is the rule exactly (a positive factor keeps
-    the order of floats), with a nan norm counted as 1, as np.fmax does.
+    Floats or (4, N) columns.  The norm is a sum of products, not ** 2.
+    Where that sum overflows (from ||lambda|| ~ 1.3e154 on), the norm is
+    taken again of lambda scaled by 2^-600 (exact, bar entries too small
+    to move it), so it is inf only past the float range or at an inf
+    entry.  Plain floats stay off
+    numpy: the integrator asks once per step.  The max is two
+    comparisons, which is the rule exactly (a positive factor keeps the
+    order of floats), with a nan norm counted as 1, as np.fmax does.
     """
     l0, l1, l2, l3 = lam
     if type(l0) is type(l1) is type(l2) is type(l3) is float:
         norm = math.sqrt(l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3)
+        if norm == math.inf:
+            s0, s1, s2, s3 = (v / _NORM_SCALE for v in lam)
+            norm = _NORM_SCALE * math.sqrt(s0 * s0 + s1 * s1 + s2 * s2
+                                           + s3 * s3)
     else:
         norm = np.sqrt(_dot(lam, lam))
+        over = norm == math.inf
+        # one costate's norm is a numpy scalar, and np.any on it costs more
+        # than the rest of the guard
+        if over.any() if over.ndim else over:
+            scaled = [v / _NORM_SCALE for v in lam]
+            with np.errstate(over="ignore"):
+                norm = np.where(over, _NORM_SCALE * np.sqrt(
+                    _dot(scaled, scaled)), norm)
     size = abs(l3)
     return (size <= LAMBDA4_RTOL) | (size <= LAMBDA4_RTOL * norm)
 

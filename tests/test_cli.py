@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 import reference as ref
-from singarc import liegeom
+from singarc import cli, liegeom
 from singarc.cli import _floats, load_config, main
-from singarc.errors import EXIT_PARTIAL_REGULARIZATION
 from singarc.integrate import (Trajectory, hamiltonian_trace,
                                load_trajectory, save_trajectory)
 from singarc.liegeom import (WORD_CHUNK, alpha_coefficients,
@@ -235,24 +234,26 @@ def test_diagnose_full_summary(extremal_file, tmp_path, capsys):
 
 def test_huge_costates_are_diagnosed_without_a_warning(extremal, tmp_path,
                                                       capsys):
-    """Costates near 1e161 overflow every costate norm: the lambda4 guard
-    trips at each sample (so the law is unchecked), and nothing reaches
+    """Costates near 1e161 and 1e301 overflow the sum of squares behind
+    the lambda4 guard's norm; the guard scales instead, so the law is
+    checked at every sample, the repair succeeds, and nothing reaches
     stderr."""
     n = 300
     path = str(tmp_path / "huge.csv")
-    save_trajectory(Trajectory(t=extremal.t[:n], x=extremal.x[:n],
-                               u=extremal.u[:n],
-                               lam=1e160 * extremal.lam[:n]), path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = main(["diagnose", path, "--out", str(tmp_path / "s.csv")])
-        out, err = capsys.readouterr()
-        assert rc == 0 and err == ""
-        assert json.loads(out)["classification"] == {
-            "lower-bang": n, "singular-unchecked": n}
-        rc = main(["regularize", path, "--out", str(tmp_path / "f.csv")])
-        assert rc == EXIT_PARTIAL_REGULARIZATION
-        assert capsys.readouterr().err == ""
+    for scale in (1e160, 1e300):
+        save_trajectory(Trajectory(t=extremal.t[:n], x=extremal.x[:n],
+                                   u=extremal.u[:n],
+                                   lam=scale * extremal.lam[:n]), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["diagnose", path, "--out", str(tmp_path / "s.csv")])
+            out, err = capsys.readouterr()
+            assert rc == 0 and err == ""
+            assert json.loads(out)["classification"] == {
+                "lower-bang": n, "singular": n}
+            rc = main(["regularize", path, "--out", str(tmp_path / "f.csv")])
+            assert rc == 0
+            assert capsys.readouterr().err == ""
 
 
 def _series_labels(path):
@@ -543,6 +544,22 @@ def test_certify_sends_few_b_set_verdicts_to_the_svd(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert [b["failures"] for b in report["b_set"].values()] == [50000] * 2
     assert sum(sent) <= 1000
+
+
+def test_certify_takes_lapack_at_few_states(monkeypatch, capsys):
+    """certify --samples 50000 --seed 1 sends 2 of its 5 * 10^4 frames and
+    13 of its 10^5 B-set verdicts to LAPACK; the rest are screened."""
+    sweeps = []
+
+    def spy(*args):
+        sweeps.append(liegeom.certify_sweep(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(cli, "certify_sweep", spy)
+    assert main(["certify", "--samples", "50000", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert 1 <= sweeps[0].frame_svd_states <= 10
+    assert sweeps[0].b_set_svd_states <= 100
 
 
 def _certify_peak(samples):

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 import reference as ref
 from oracles import fd_jacobian, fd_word, rel_err, H_JACOBIAN
 from singarc import liegeom
-from singarc.arm2dof import Arm2DOF
+from singarc.arm2dof import Arm2DOF, ArmParams
 from singarc.errors import DerivativeUnavailable, SpanViolation
-from singarc.liegeom import (B_SET_RTOL, _alpha_solve, _b_set_family,
-                             _b_set_screen, _b_set_verdict, alpha_coefficients,
-                             b_set_certificate, bracket_field, drift_field,
-                             frame_rank, input_field, iterated_bracket,
-                             lie_bracket, parse_word, u1_singular_brackets,
-                             word_field)
+from singarc.liegeom import (B_SET_RTOL, WORD_CHUNK, _alpha_solve, _b_set_family,
+                             _b_set_screen, _b_set_verdict, _frame_screen,
+                             _frame_words, _word_columns, alpha_coefficients,
+                             b_set_certificate, bracket_field, certify_sweep,
+                             drift_field, frame_rank, input_field,
+                             iterated_bracket, lie_bracket, parse_word,
+                             u1_singular_brackets, word_field)
 from singarc.pmp import general_singular_system
 
 DEPTH3_WORDS = ("ffg1", "ffg2", "g1fg1", "g1fg2", "g2fg1", "g2fg2")
@@ -324,6 +325,109 @@ def test_the_sweep_takes_the_svd_verdict_where_the_screen_is_undecided(
         assert c in BANGS and 0 < count == decided.sum() < len(states)
         assert velocity == np.abs(states[decided, 2]
                                   + states[decided, 3]).max()
+
+
+# a plant unlike the reference arm in every parameter; its frame is skew
+# only to ~1e-13 at the largest rates below
+SECOND = Arm2DOF(ArmParams(link_length=(0.6, 0.4), com_position=(0.3, 0.25),
+                           mass=(12.0, 4.0), inertia_z=(0.8, 0.3)))
+
+
+def _frame(plant, X):
+    """The frame's word columns at the rows of X: (4, 4, N)."""
+    return np.asarray(_word_columns(plant, _frame_words(2), X.T))
+
+
+def test_the_frame_is_skew_symmetric_to_round_off(arm):
+    """[g_i, fg_i] = [[0, -M^-1], [M^-1, B]] with B antisymmetric: the
+    frame screen is tight because of this (and valid without it)."""
+    X = ref.sample_states(np.random.default_rng(28), 2000)
+    for plant in (arm, SECOND):
+        A = _frame(plant, X).T                          # (N, 4, 4)
+        skew = np.linalg.norm(A + A.transpose(0, 2, 1), axis=(1, 2))
+        assert (skew <= 1e-13 * np.linalg.norm(A, axis=(1, 2))).all()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(states=st.lists(st.tuples(screen_angles, screen_angles,
+                                 st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                       min_size=1, max_size=16),
+       k=st.integers(-20, 20), second=st.booleans())
+def test_the_frame_screen_brackets_lapacks_sigma_min(arm, states, k, second):
+    """At every state, with rates scaled by 2^k, [low, high] holds
+    frame_rank's LAPACK value, and a decided bracket is within 1e-8
+    sigma_max wide."""
+    plant = SECOND if second else arm
+    X = np.array(states)
+    X[:, 2:] *= 2.0 ** k
+    frame = _frame(plant, X)
+    low, high = _frame_screen(frame)
+    smin = frame_rank(plant, X.T)
+    assert (low <= smin).all() and (smin <= high).all()
+    decided = np.isfinite(low)
+    smax = np.linalg.norm(frame.T[decided], 2, axis=(1, 2))
+    assert (high[decided] - low[decided] <= 1e-8 * smax).all()
+
+
+def test_the_frame_screen_holds_at_a_double_singular_pair():
+    """Skew frames with w1 = w2 (1 + d), d down to 0, plus a symmetric
+    part from round-off to 1e-3 w1: where the roots of s and Pf^2 would
+    lose sqrt(u), the bracket still holds LAPACK's sigma_min and is no
+    wider than Weyl's bound and the 2^-30 margin make it."""
+    rng = np.random.default_rng(29)
+    N = 400
+    q, _ = np.linalg.qr(rng.normal(size=(N, 4, 4)))
+    w2 = 10.0 ** rng.uniform(-3, 3, N)
+    w1 = w2 * (1.0 + np.where(np.arange(N) % 4 == 0, 0.0,
+                              10.0 ** rng.uniform(-16, -4, N)))
+    w1[1::8] = w2[1::8]
+    w2[1::8] = 0.0                     # rank two
+    J = np.zeros((N, 4, 4))
+    J[:, 0, 1], J[:, 2, 3] = w1, w2
+    J -= J.transpose(0, 2, 1)
+    sym = rng.normal(size=(N, 4, 4)) * (
+        10.0 ** rng.uniform(-16, -3, N) * w1)[:, None, None]
+    sym += sym.transpose(0, 2, 1)
+    A = q @ J @ q.transpose(0, 2, 1) + sym
+    low, high = _frame_screen(A.T)
+    smin = np.linalg.svd(A, compute_uv=False)[:, -1]
+    assert np.isfinite(low).all()
+    assert (low <= smin).all() and (smin <= high).all()
+    width = 2.0 * np.linalg.norm(sym, axis=(1, 2)) + 1e-8 * w1
+    assert (high - low <= width).all()
+
+
+def test_out_of_range_frames_are_undecided_and_take_the_svd(arm):
+    """Rates near 1e40 or 1e-200 put frame entries outside [2^-100, 2^100]:
+    those states are undecided, and since they hold the sweep's smallest
+    sigma_min, the sweep's minimum is frame_rank's only if they took the
+    SVD.  That LAPACK value then bounds the next chunk, which sends no
+    state to the SVD, not even a repeat of the best decided state."""
+    X = ref.sample_states(np.random.default_rng(30), WORD_CHUNK + 300)
+    X[:300:100, 2:] *= 1e40
+    X[2:300:100, 2:] *= 1e-200
+    low, high = _frame_screen(_frame(arm, X[:WORD_CHUNK]))
+    undecided = np.isinf(low)
+    assert undecided[:300:100].all() and undecided[2:300:100].all()
+    assert undecided.sum() == 6 and np.isinf(high[undecided]).all()
+    X[WORD_CHUNK] = X[high.argmin()]
+    ranks = frame_rank(arm, X.T)
+    assert ranks.argmin() in (0, 2, 100, 102, 200, 202)
+    sweep = certify_sweep(arm, X, BANGS)
+    assert sweep.min_frame_rank == float(ranks.min())
+    assert sweep.frame_svd_states == np.count_nonzero(low <= high.min())
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -20, 1e-3, 1.0, 30.0, 2.0 ** 20])
+def test_the_sweeps_frame_minimum_is_frame_ranks_bit_for_bit(arm, scale):
+    """Across chunk boundaries, on both plants and at scaled rates, the
+    screened sweep's minimum equals the full batch's LAPACK minimum."""
+    X = ref.sample_states(np.random.default_rng(31), 9000)
+    X[:, 2:] *= scale
+    for plant in (arm, SECOND):
+        sweep = certify_sweep(plant, X, BANGS)
+        assert sweep.min_frame_rank == float(frame_rank(plant, X.T).min())
+        assert sweep.frame_svd_states >= 1
 
 
 def test_b_set_certificate_requires_two_channels(arm):

@@ -201,33 +201,38 @@ def test_lambda4_guard_is_one_rule_for_floats_and_columns():
     rows = [[1.0, 2.0, 3.0, 0.0],
             [0.0, 0.0, 0.0, 1e-9], [0.0, 0.0, 0.0, 2e-9],  # floor 1e-9
             [0.0, 1e3, 0.0, 1e-6], [0.0, 1e3, 0.0, 2e-6],  # 1e-9 * norm
-            [1e200, 1e200, 0.0, 1.0]]  # the norm overflows to inf
-    want = [True, True, False, True, False, True]
+            [1e200, 1e200, 0.0, 1.0],  # the sum of squares overflows
+            [0.0, 0.0, 0.0, 1e160], [1e308, 1e308, 0.0, 1e300],
+            [math.inf, 0.0, 0.0, 1.0]]
+    want = [True, True, False, True, False, True, False, False, True]
     assert [bool(lambda4_degenerate(r)) for r in rows] == want
     npt.assert_array_equal(lambda4_degenerate(np.array(rows).T), want)
 
 
-def test_huge_costates_trip_the_guard_without_a_warning(arm):
+def test_huge_costates_are_judged_without_a_warning(arm):
     """Costates scaled by 1e160 overflow the sum of squares: the guard
-    trips, as its rule says, and neither it, _dot nor the switching norm
-    warns, for floats or for columns."""
+    judges them by the scaled norm, as it judges the unscaled costates,
+    and neither it, _dot nor the switching norm warns, for floats or for
+    columns."""
     rows = [[1e160 * float(v) for v in ref.LAM0],
-            [0.0, 0.0, 0.0, 1e160]]    # trips only because the sum overflows
+            [0.0, 0.0, 0.0, 1e160],
+            [1e160, 1e160, 0.0, 1e140]]    # |lambda4| < 1e-9 ||lambda||
+    want = [False, False, True]
     Lam = np.array(rows).T
     X = np.tile(np.asarray(ref.X0)[:, None], (1, len(rows)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert [lambda4_degenerate(r) for r in rows] == [True, True]
-        assert [lambda4_degenerate(np.array(r)) for r in rows] == [True, True]
-        npt.assert_array_equal(lambda4_degenerate(Lam), [True, True])
+        assert [lambda4_degenerate(r) for r in rows] == want
+        assert [lambda4_degenerate(np.array(r)) for r in rows] == want
+        npt.assert_array_equal(lambda4_degenerate(Lam), want)
         rec = switching(arm, X, Lam)
-        npt.assert_array_equal(rec.lambda_norm, [math.inf, math.inf])
+        npt.assert_array_equal(rec.lambda_norm, [math.inf] * 3)
         assert switching(arm, ref.X0, rows[0]).lambda_norm == math.inf
         assert np.isfinite(rec.phi).all()
         # <lambda, xdot> overflows to -inf and +inf at lambda near 1e308
         top = np.array([[1e308] * 4, [0.0, 0.0, 0.0, -1e308]]).T
         U = np.array([[0.0] * 2, [ref.U2_BANG] * 2])
-        npt.assert_array_equal(hamiltonian(arm, X, U, top),
+        npt.assert_array_equal(hamiltonian(arm, X[:, :2], U, top),
                                [-math.inf, math.inf])
 
 
