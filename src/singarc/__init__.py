@@ -19,9 +19,9 @@ from .liegeom import (AlphaTensor, alpha_coefficients, b_set_certificate,
                       frame_rank, iterated_bracket, lie_bracket, parse_word,
                       word_field)
 from .pmp import (GeneralSingularSystem, SingularLawCoeffs, SwitchingRecord,
-                  costate_on_surface, costate_ratio, general_singular_solve,
-                  general_singular_system, hamiltonian, in_Rk,
-                  lambda4_degenerate, lemma1_certificate,
+                  costate_norm, costate_on_surface, costate_ratio,
+                  general_singular_solve, general_singular_system,
+                  hamiltonian, in_Rk, lambda4_degenerate, lemma1_certificate,
                   phi_second_derivative, sign_rule, singular_law_coeffs,
                   singular_u1, sk_rank, switching)
 from .regularize import (AuditResult, RegularizationReport, SingularInterval,
@@ -47,10 +47,11 @@ __all__ = [
     "iterated_bracket", "lie_bracket", "parse_word", "word_field",
     # maximum-principle rules and the singular laws
     "SwitchingRecord", "SingularLawCoeffs", "GeneralSingularSystem",
-    "hamiltonian", "switching", "sign_rule", "in_Rk", "lambda4_degenerate",
-    "costate_ratio", "lemma1_certificate", "sk_rank", "costate_on_surface",
-    "singular_law_coeffs", "singular_u1", "general_singular_system",
-    "general_singular_solve", "phi_second_derivative",
+    "hamiltonian", "switching", "sign_rule", "in_Rk", "costate_norm",
+    "lambda4_degenerate", "costate_ratio", "lemma1_certificate", "sk_rank",
+    "costate_on_surface", "singular_law_coeffs", "singular_u1",
+    "general_singular_system", "general_singular_solve",
+    "phi_second_derivative",
     # detection, repair and audit
     "Tolerances", "SingularInterval", "RegularizationReport", "AuditResult",
     "ingest", "switching_series", "detect_singular_arcs", "regularize_u1",

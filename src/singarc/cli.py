@@ -23,7 +23,7 @@ from .integrate import (IntegratorConfig, hamiltonian_trace,
                         integrate_extremal, resimulate, save_trajectory,
                         write_csv)
 from .liegeom import certify_sweep
-from .pmp import costate_on_surface, costate_ratio, in_Rk
+from .pmp import costate_norm, costate_on_surface, costate_ratio, in_Rk
 from .regularize import (AUDIT_LABELS, LABEL_VIOLATION, Tolerances,
                          detect_singular_arcs, ingest, pmp_audit,
                          regularize_u1, switching_series)
@@ -149,7 +149,7 @@ def cmd_construct(cfg: RunConfig, out: str) -> int:
                               cfg.integrator, c=cfg.u2, bounds=cfg.bounds)
     save_trajectory(traj, out)
     phi, phi_dot = switching_series(sys_, traj)
-    lam_max = float(np.linalg.norm(traj.lam, axis=1).max())
+    lam_max = float(costate_norm(traj.lam.T).max())
     H = hamiltonian_trace(sys_, traj)
     print(f"samples: {len(traj)}")
     print("endpoint:", " ".join(_g(v) for v in traj.x[-1]))

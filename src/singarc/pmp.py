@@ -28,7 +28,7 @@ from .liegeom import (AlphaTensor, BracketTableau, _alpha_solve,
                       word_field)
 
 LAMBDA4_RTOL = 1e-9
-_NORM_SCALE = 2.0 ** 600    # brings the squares of any finite costate in range
+_EXACT_SUM = 2.0 ** -900    # square sums this large lose nothing to underflow
 DEGENERACY_TOL = 1e-12
 LAW_CHUNK = 1024      # samples per batched kernel call
 
@@ -46,11 +46,11 @@ _LAW_ERRORS = {
 
 @dataclass(frozen=True)
 class SwitchingRecord:
-    """phi_i = <lambda, g_i> and phi_i' = <lambda, fg_i> per channel."""
+    """phi_i = <lambda, g_i> and phi_i' = <lambda, fg_i> per channel.  Both
+    scale with lambda: judge them against costate_norm(lambda)."""
 
     phi: np.ndarray
     phi_dot: np.ndarray
-    lambda_norm: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,7 @@ def switching(sys: FullyActuatedSystem, x, lam) -> SwitchingRecord:
     cols = _word_columns(sys, _frame_words(n), x)
     phi = [_dot(lc[n:], cols[i][n:]) for i in range(n)]
     phi_dot = [_dot(lc, cols[n + i]) for i in range(n)]
-    norm = np.sqrt(_dot(lc, lc))
-    return SwitchingRecord(phi=np.asarray(phi), phi_dot=np.asarray(phi_dot),
-                           lambda_norm=norm)
+    return SwitchingRecord(phi=np.asarray(phi), phi_dot=np.asarray(phi_dot))
 
 
 def sign_rule(phi, lower, upper, band=0.0):
@@ -165,13 +163,12 @@ def lemma1_certificate(sys: FullyActuatedSystem, x, lam,
     """True iff some channel has phi_i or phi_i' away from zero.
 
     The frame property makes simultaneous vanishing impossible for
-    lam != 0, so False flags a degenerate costate.
+    lam != 0, so False flags a degenerate costate.  The band is tol *
+    costate_norm(lam): the verdict does not depend on lambda's scale.
     """
     lam = np.asarray(lam, dtype=float)
-    if not np.any(lam):
-        return False
     rec = switching(sys, x, lam)
-    band = tol * max(1.0, float(rec.lambda_norm))
+    band = tol * costate_norm(lam)
     return bool(np.any(np.abs(rec.phi) > band)
                 or np.any(np.abs(rec.phi_dot) > band))
 
@@ -194,37 +191,39 @@ def in_Rk(x, exclusion: float = 1e-3):
             & (abs(x[2] + x[3]) > exclusion))
 
 
-def lambda4_degenerate(lam):
-    """The law's costate guard: |lambda4| <= LAMBDA4_RTOL * max(1, ||lambda||).
+def costate_norm(lam):
+    """||lambda|| for 4 floats or (4, N) columns, one value per column.
 
-    Floats or (4, N) columns.  The norm is a sum of products, not ** 2.
-    Where that sum overflows (from ||lambda|| ~ 1.3e154 on), the norm is
-    taken again of lambda scaled by 2^-600 (exact, bar entries too small
-    to move it), so it is inf only past the float range or at an inf
-    entry.  Plain floats stay off
-    numpy: the integrator asks once per step.  The max is two
-    comparisons, which is the rule exactly (a positive factor keeps the
-    order of floats), with a nan norm counted as 1, as np.fmax does.
+    The maximum principle fixes lambda only up to a positive factor, so
+    this norm works at every scale.  Where the left-to-right sum of
+    squares is free of overflow and underflow, it is that sum's square
+    root.  Elsewhere it is the same sum of lambda * 2^-e, with e the frexp
+    exponent of the largest |entry|, scaled back by 2^e.  Both give the
+    same bits where both are in range, so costate_norm(2^k lambda) is
+    2^k costate_norm(lambda) for normal lambda.  The result is finite and
+    > 0 for every finite nonzero lambda whose norm is a float, and inf at
+    an inf entry; numpy warns of nothing.  Four plain floats stay on
+    math: the integrator asks once per step.
     """
     l0, l1, l2, l3 = lam
     if type(l0) is type(l1) is type(l2) is type(l3) is float:
-        norm = math.sqrt(l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3)
-        if norm == math.inf:
-            s0, s1, s2, s3 = (v / _NORM_SCALE for v in lam)
-            norm = _NORM_SCALE * math.sqrt(s0 * s0 + s1 * s1 + s2 * s2
-                                           + s3 * s3)
-    else:
-        norm = np.sqrt(_dot(lam, lam))
-        over = norm == math.inf
-        # one costate's norm is a numpy scalar, and np.any on it costs more
-        # than the rest of the guard
-        if over.any() if over.ndim else over:
-            scaled = [v / _NORM_SCALE for v in lam]
-            with np.errstate(over="ignore"):
-                norm = np.where(over, _NORM_SCALE * np.sqrt(
-                    _dot(scaled, scaled)), norm)
-    size = abs(l3)
-    return (size <= LAMBDA4_RTOL) | (size <= LAMBDA4_RTOL * norm)
+        total = l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3
+        if _EXACT_SUM <= total < math.inf:
+            return math.sqrt(total)
+        return float(costate_norm(np.array(lam)))
+    with np.errstate(over="ignore"):
+        _, exp = np.frexp(np.maximum(np.maximum(abs(l0), abs(l1)),
+                                     np.maximum(abs(l2), abs(l3))))
+        scaled = [np.ldexp(v, -exp) for v in lam]
+        return np.ldexp(np.sqrt(_dot(scaled, scaled)), exp)
+
+
+def lambda4_degenerate(lam):
+    """The law's costate guard: |lambda4| <= LAMBDA4_RTOL * ||lambda||,
+    one relative rule with no floor, so its verdict does not depend on
+    lambda's scale.  Floats or (4, N) columns; the norm is costate_norm.
+    """
+    return abs(lam[3]) <= LAMBDA4_RTOL * costate_norm(lam)
 
 
 def costate_ratio(lam):
@@ -476,11 +475,10 @@ def general_singular_solve(sys: FullyActuatedSystem, x, lam, k: int,
                            c_k: float) -> np.ndarray:
     """The unique ubar with every phi_i'' = 0 (i != k), when it exists."""
     system = general_singular_system(sys, x, lam, k, c_k)
-    lam = np.asarray(lam, dtype=float)
     if abs(system.delta_k) <= DEGENERACY_TOL:
         raise DegenerateSystem(
             f"delta_{k} = {system.delta_k:.3e}: no unique singular control")
-    if abs(system.phi_k) <= DEGENERACY_TOL * max(1.0, float(np.linalg.norm(lam))):
+    if abs(system.phi_k) <= DEGENERACY_TOL * costate_norm(lam):
         raise DegenerateSystem(
             f"phi_{k} = {system.phi_k:.3e}: bang channel not separated")
     rhs = -(system.psi_k + c_k * system.b_kk * system.phi_k)

@@ -19,7 +19,7 @@ import numpy as np
 from .arm2dof import ControlBounds, FullyActuatedSystem
 from .errors import MissingCostates
 from .integrate import IntegratorConfig, Trajectory, resimulate
-from .pmp import sign_rule, singular_u1_batch, switching
+from .pmp import costate_norm, sign_rule, singular_u1_batch, switching
 
 LABEL_UPPER = "upper-bang"
 LABEL_LOWER = "lower-bang"
@@ -36,10 +36,11 @@ class Tolerances:
     """Bands for detection and audit.
 
     phi_band overrides the relative rule when set; otherwise the band is
-    rel_band * max_t ||lambda|| * max_t ||g||, which tracks the scale of the
-    ingested costates.  law_exclusion is the operative admissibility band
-    for evaluating the closed form (see IntegratorConfig.rk_exclusion for
-    why it is tighter than the diagnostic 1e-3).
+    rel_band * max_t costate_norm(lambda) * max_t ||g||, which tracks the
+    scale of the ingested costates at any size.  law_exclusion is the
+    operative admissibility band for evaluating the closed form (see
+    IntegratorConfig.rk_exclusion for why it is tighter than the
+    diagnostic 1e-3).
     """
 
     phi_band: float | None = None
@@ -174,13 +175,7 @@ def _band_value(sys, traj, tol: Tolerances) -> float:
     g_norm = max(
         float(np.sqrt(sum(np.asarray(L[r][k]) ** 2 for r in range(n))).max())
         for k in range(n))
-    # each row's norm at a power of two near 1, scaled back exactly (normal
-    # rows keep np.linalg.norm's value bit for bit): tiny squares do not
-    # underflow to a zero band; a norm past the float range is inf, quietly
-    _, exp = np.frexp(np.abs(traj.lam).max(axis=1))
-    with np.errstate(over="ignore"):
-        lam_max = float(np.ldexp(np.linalg.norm(
-            np.ldexp(traj.lam, -exp[:, None]), axis=1), exp).max())
+    lam_max = float(costate_norm(traj.lam.T).max())
     return tol.rel_band * lam_max * g_norm
 
 

@@ -26,8 +26,9 @@ from singarc.integrate import IntegratorConfig, hamiltonian_trace, \
 from singarc.liegeom import (alpha_coefficients, b_set_certificate,
                              frame_rank, input_field, iterated_bracket,
                              lie_bracket)
-from singarc.pmp import (costate_on_surface, general_singular_solve,
-                         lemma1_certificate, singular_u1, switching)
+from singarc.pmp import (costate_norm, costate_on_surface,
+                         general_singular_solve, lemma1_certificate,
+                         singular_u1, switching)
 from singarc.regularize import (Tolerances, detect_singular_arcs,
                                 regularize_u1, switching_series)
 
@@ -163,7 +164,8 @@ def test_criterion_05_second_channel_impossibility_evidence(arm):
         on_dp1 = kappa * shoulder_momentum_differential(arm, xs.T).T
         assert float(np.abs(lams - on_dp1).max()) <= 1e-10
         sw = switching(arm, xs.T, lams.T)
-        assert float((np.abs(sw.phi[1]) / sw.lambda_norm).max()) <= 1e-12
+        scale = costate_norm(lams.T)
+        assert float((np.abs(sw.phi[1]) / scale).max()) <= 1e-12
         assert float(np.abs(sw.phi[0] - kappa).max()) <= 1e-12
 
 

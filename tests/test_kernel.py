@@ -30,7 +30,7 @@ from singarc.liegeom import (B_SET_WORDS, WORD_CHUNK, _word_columns,
                              alpha_coefficients, b_set_certificate,
                              frame_rank, u1_singular_brackets, word_field,
                              word_kernel)
-from singarc.pmp import (LAMBDA4_RTOL, LAW_CHUNK, _law_terms,
+from singarc.pmp import (LAMBDA4_RTOL, LAW_CHUNK, _law_terms, costate_norm,
                          costate_on_surface, in_Rk, lambda4_degenerate,
                          law_kernel, singular_law_coeffs, singular_u1,
                          singular_u1_batch, sk_rank, state_rate, switching)
@@ -389,11 +389,11 @@ def law_sample(draw, exclusion, edges=_band_edges):
         st.builds(lambda s, n: _nudged(s * exclusion, n) - qd1,
                   SIGNS, ULPS)))
     lam = [draw(st.floats(-20.0, 20.0)) for _ in range(3)]
-    floor = LAMBDA4_RTOL * max(1.0, math.sqrt(sum(v * v for v in lam)))
+    edge = LAMBDA4_RTOL * costate_norm(lam + [0.0])
     free = st.floats(-20.0, 20.0)
     lam.append(draw(st.one_of(
         free, free, st.just(0.0),
-        st.builds(lambda s, n: _nudged(s * floor, n), SIGNS, ULPS))))
+        st.builds(lambda s, n: _nudged(s * edge, n), SIGNS, ULPS))))
     c = draw(st.one_of(st.sampled_from((-10.0, 10.0)),
                        st.floats(-10.0, 10.0)))
     return [draw(angles), theta2, qd1, qd2], lam, c
@@ -431,8 +431,9 @@ def test_batched_law_equals_singular_u1_near_a_singular_mass(batch):
 def test_band_edge_batches_reach_every_state_guard(arm):
     """The sweep of the property test crosses each state guard's edge."""
     seen = set()
+    edge = LAMBDA4_RTOL * costate_norm([0.0, 0.5, 0.5, 0.0])
     for theta2 in (math.pi / 2 + 1e-6, _nudged(math.pi / 2 + 1e-6, 1)):
-        for l4 in (LAMBDA4_RTOL * 1.0, _nudged(LAMBDA4_RTOL, 1)):
+        for l4 in (edge, _nudged(edge, 1)):
             X = np.array([[0.1, theta2, 0.3, 0.5]]).T
             Lam = np.array([[0.0, 0.5, 0.5, l4]]).T
             seen |= set(_assert_batch_is_per_sample(arm, X, Lam, -10.0,

@@ -20,6 +20,9 @@ def test_each_rule_has_one_home():
     assert not hasattr(pmp, "bang_control")
     assert not hasattr(regularize, "costate_ratio_trace")
     assert not hasattr(integrate, "_outside_law_domain")
-    for name in ("sign_rule", "in_Rk", "lambda4_degenerate",
+    # one costate norm: no rescale constant, no norm carried per record
+    assert not hasattr(pmp, "_NORM_SCALE")
+    assert "lambda_norm" not in pmp.SwitchingRecord.__dataclass_fields__
+    for name in ("sign_rule", "in_Rk", "costate_norm", "lambda4_degenerate",
                  "costate_ratio"):
         assert getattr(singarc, name) is getattr(pmp, name)

@@ -16,12 +16,12 @@ from singarc.duals import Tape
 from singarc.errors import CostateDegenerate, DegenerateSystem, RkViolation
 from singarc.liegeom import (iterated_bracket, u1_singular_brackets,
                              word_field)
-from singarc.pmp import (adjoint_rhs, costate_on_surface, costate_rate,
-                         general_singular_solve, general_singular_system,
-                         hamiltonian, in_Rk, lambda4_degenerate,
-                         lemma1_certificate, phi_second_derivative,
-                         sign_rule, singular_law_coeffs, singular_u1, sk_rank,
-                         switching)
+from singarc.pmp import (adjoint_rhs, costate_norm, costate_on_surface,
+                         costate_rate, general_singular_solve,
+                         general_singular_system, hamiltonian, in_Rk,
+                         lambda4_degenerate, lemma1_certificate,
+                         phi_second_derivative, sign_rule,
+                         singular_law_coeffs, singular_u1, sk_rank, switching)
 
 
 def test_hamiltonian_is_minus_one_for_zero_costate(arm):
@@ -69,38 +69,60 @@ def test_switching_vanishes_for_zero_costate(arm):
     rec = switching(arm, ref.X0, np.zeros(4))
     npt.assert_array_equal(rec.phi, np.zeros(2))
     npt.assert_array_equal(rec.phi_dot, np.zeros(2))
-    assert rec.lambda_norm == 0.0
+    assert costate_norm(np.zeros(4)) == 0.0
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# a float of any binary exponent, subnormals included
+spread = st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True,
+                                         exclude_max=True),
+                   st.integers(-1074, 1024))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(lam=st.lists(st.tuples(finite, finite, finite, finite), min_size=1,
-                    max_size=5))
-def test_lambda_norm_is_the_numpy_sum_of_squares(arm, lam):
-    """The costate norm keeps the value and type of the numpy-scalar
-    sqrt(sum(c ** 2)) it replaced: np.float64 for one costate, an array
-    for a batch, bit for bit (overflow to inf included)."""
-    def old_norm(cols):
-        return np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in cols))
+def _normal(v):
+    return v == 0.0 or 2.0 ** -1022 <= abs(v) < math.inf
 
-    Lam = np.array(lam).T                                   # (4, N)
-    X = np.tile(np.asarray(ref.X0)[:, None], (1, Lam.shape[1]))
-    with np.errstate(over="ignore"):
-        batch, want = switching(arm, X, Lam).lambda_norm, old_norm(Lam)
-        assert type(batch) is np.ndarray and batch.shape == (Lam.shape[1],)
-        npt.assert_array_equal(batch.view(np.int64), want.view(np.int64))
-        for k in range(Lam.shape[1]):
-            single = switching(arm, ref.X0, Lam[:, k]).lambda_norm
-            want = old_norm(Lam[:, k].tolist())
-            assert type(single) is type(want) is np.float64
-            assert single.view(np.int64) == want.view(np.int64)
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lam=st.lists(st.one_of(finite, spread), min_size=4, max_size=4),
+       k=st.integers(-1000, 1000), hole=st.integers(0, 3))
+def test_costate_norm_is_exact_and_scale_free(lam, k, hole):
+    """costate_norm is the plain sum-of-squares root wherever that sum is
+    free of overflow and underflow; it scales exactly by 2^k; it is finite
+    and > 0 for every finite nonzero costate whose norm is a float; the
+    float and column forms give the same bits; an inf entry gives inf; and
+    numpy warns of nothing."""
+    scaled = [v * 2.0 ** k for v in lam]
+    Lam = np.array([lam, scaled]).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = costate_norm(lam)
+        assert type(norm) is float
+        cols = costate_norm(Lam)
+        one = costate_norm(np.array(lam))
+        assert type(one) is np.float64 and one == norm
+        npt.assert_array_equal(
+            cols.view(np.int64),
+            np.array([norm, costate_norm(scaled)]).view(np.int64))
+        squares = [v * v for v in lam]
+        total = squares[0] + squares[1] + squares[2] + squares[3]
+        if total < math.inf and all(_normal(s) and s > 0.0
+                                    for v, s in zip(lam, squares) if v):
+            assert norm == math.sqrt(total)
+        if all(map(_normal, lam + scaled + [norm, norm * 2.0 ** k])):
+            assert cols[1] == norm * 2.0 ** k
+        if any(lam):
+            assert norm > 0.0
+        if max(map(abs, lam)) <= 2.0 ** 1022:
+            assert norm < math.inf
+        lam[hole] = math.inf
+        assert costate_norm(lam) == math.inf
+        assert costate_norm(np.array([lam]).T)[0] == math.inf
 
 
 def test_reference_costate_sits_on_the_singular_surface(arm):
     rec = switching(arm, ref.X0, ref.LAM0)
-    scale = float(rec.lambda_norm)
+    scale = costate_norm(ref.LAM0)
     assert abs(rec.phi[0]) <= 1e-12 * scale
     assert abs(rec.phi_dot[0]) <= 1e-12 * scale
     # channel 2 is strict lower bang under the maximum rule
@@ -159,6 +181,10 @@ def test_lemma1_certificate(arm):
         assert lemma1_certificate(arm, x, lam) is True
     # even on the u1-singular surface, channel 2 keeps the certificate true
     assert lemma1_certificate(arm, ref.X0, ref.LAM0) is True
+    # at any scale: the band is relative to costate_norm, with no floor
+    # and no overflow
+    for k in (2.0 ** -40, 1e-300, 1e160, 1e300):
+        assert lemma1_certificate(arm, ref.X0, k * ref.LAM0) is True
 
 
 def test_admissible_set_membership():
@@ -198,22 +224,28 @@ def test_admissibility_predicates_agree_at_the_band_edge():
 
 
 def test_lambda4_guard_is_one_rule_for_floats_and_columns():
+    tiny = 2.0 ** -600
     rows = [[1.0, 2.0, 3.0, 0.0],
-            [0.0, 0.0, 0.0, 1e-9], [0.0, 0.0, 0.0, 2e-9],  # floor 1e-9
+            # no floor: a lone lambda4 is its own norm
+            [0.0, 0.0, 0.0, 1e-9], [0.0, 0.0, 0.0, 2e-9],
             [0.0, 1e3, 0.0, 1e-6], [0.0, 1e3, 0.0, 2e-6],  # 1e-9 * norm
+            # the same rule where the squares underflow
+            [tiny, 0.0, 0.0, 2.0 ** -30 * tiny],
+            [tiny, 0.0, 0.0, 2.0 ** -29 * tiny],
             [1e200, 1e200, 0.0, 1.0],  # the sum of squares overflows
             [0.0, 0.0, 0.0, 1e160], [1e308, 1e308, 0.0, 1e300],
             [math.inf, 0.0, 0.0, 1.0]]
-    want = [True, True, False, True, False, True, False, False, True]
+    want = [True, False, False, True, False, True, False, True, False,
+            False, True]
     assert [bool(lambda4_degenerate(r)) for r in rows] == want
     npt.assert_array_equal(lambda4_degenerate(np.array(rows).T), want)
 
 
 def test_huge_costates_are_judged_without_a_warning(arm):
     """Costates scaled by 1e160 overflow the sum of squares: the guard
-    judges them by the scaled norm, as it judges the unscaled costates,
-    and neither it, _dot nor the switching norm warns, for floats or for
-    columns."""
+    judges them by costate_norm, which stays finite, as it judges the
+    unscaled costates, and neither it, _dot nor switching warns, for
+    floats or for columns."""
     rows = [[1e160 * float(v) for v in ref.LAM0],
             [0.0, 0.0, 0.0, 1e160],
             [1e160, 1e160, 0.0, 1e140]]    # |lambda4| < 1e-9 ||lambda||
@@ -225,9 +257,11 @@ def test_huge_costates_are_judged_without_a_warning(arm):
         assert [lambda4_degenerate(r) for r in rows] == want
         assert [lambda4_degenerate(np.array(r)) for r in rows] == want
         npt.assert_array_equal(lambda4_degenerate(Lam), want)
+        norms = costate_norm(Lam)
+        npt.assert_array_equal(norms, [costate_norm(r) for r in rows])
+        assert norms[0] == pytest.approx(1e160 * costate_norm(ref.LAM0),
+                                         rel=1e-15)
         rec = switching(arm, X, Lam)
-        npt.assert_array_equal(rec.lambda_norm, [math.inf] * 3)
-        assert switching(arm, ref.X0, rows[0]).lambda_norm == math.inf
         assert np.isfinite(rec.phi).all()
         # <lambda, xdot> overflows to -inf and +inf at lambda near 1e308
         top = np.array([[1e308] * 4, [0.0, 0.0, 0.0, -1e308]]).T

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference as ref
 from oracles import audit_labels
@@ -12,7 +14,7 @@ from singarc.arm2dof import ControlBounds
 from singarc.errors import MissingCostates
 from singarc.integrate import (IntegratorConfig, Trajectory,
                                integrate_extremal, save_trajectory)
-from singarc.pmp import costate_ratio, switching
+from singarc.pmp import costate_ratio, lemma1_certificate, switching
 from singarc.regularize import (LABEL_BANG_IN_BAND, LABEL_LOWER,
                                 LABEL_SINGULAR, LABEL_UNCHECKED, LABEL_UPPER,
                                 LABEL_VIOLATION, AuditResult,
@@ -160,7 +162,8 @@ def test_costate_ratio_rejects_degenerate_lambda4(extremal):
     ratio = costate_ratio(lam.T)
     assert np.flatnonzero(np.isnan(ratio)).tolist() == [7]
     assert math.isnan(costate_ratio([1.0, 2.0, 3.0, 0.0]))
-    # the guard is relative to max(1, ||lambda||): 1e-9 of the norm trips
+    # the guard is relative to costate_norm(lambda), with no floor: 1e-9
+    # of the norm trips
     assert math.isnan(costate_ratio([0.0, 1e3, 0.0, 1e-6]))
     assert costate_ratio([0.0, 1e3, 0.0, 2e-6]) == 5e8
 
@@ -377,6 +380,34 @@ def test_the_relative_band_scales_with_the_costates(arm, extremal, scale):
         assert at(scale) == scale * band
     else:
         assert at(scale) == pytest.approx(scale * band, rel=1e-14, abs=0.0)
+
+
+BLOCK = 300
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k=st.integers(-1000, 1000), start=st.integers(0, 7001 - BLOCK))
+def test_verdicts_do_not_depend_on_the_costate_scale(arm, extremal, k,
+                                                      start):
+    """The maximum principle fixes lambda only up to a positive factor:
+    on a block of reference rows with lambda * 2^k, the audit labels, the
+    detected intervals, the repaired u1 and lemma 1's verdicts are those
+    at k = 0."""
+    rows = slice(start, start + BLOCK)
+
+    def verdicts(scale):
+        traj = Trajectory(t=extremal.t[:BLOCK], x=extremal.x[rows],
+                          u=extremal.u[rows], lam=scale * extremal.lam[rows])
+        intervals = detect_singular_arcs(arm, traj)
+        fixed, _ = regularize_u1(arm, traj, intervals)
+        return (pmp_audit(arm, traj).labels.tolist(),
+                [(iv.channel, iv.start, iv.stop, iv.t_start, iv.t_end,
+                  iv.u2_bang_value) for iv in intervals],
+                fixed.u[:, 0].view(np.int64).tolist(),
+                [lemma1_certificate(arm, x, lam)
+                 for x, lam in zip(traj.x, traj.lam)])
+
+    assert verdicts(math.ldexp(1.0, k)) == verdicts(1.0)
 
 
 def test_audit_flags_zero_costate_rows(arm, extremal):
