@@ -1,4 +1,4 @@
-"""Planar 2-DOF manipulator dynamics behind a generic mechanical-system interface.
+"""Planar 2-DOF manipulator dynamics: the one plant, ``Arm2DOF``.
 
 State is x = (q, qdot) in R^4 and the dynamics are control-affine,
 
@@ -10,7 +10,6 @@ exact nested directional derivatives as well as numpy-batched evaluation.
 """
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,69 +69,6 @@ class ControlBounds:
         return float(out) if out.ndim == 0 else out
 
 
-class FullyActuatedSystem(abc.ABC):
-    """Fully actuated mechanical system contract consumed by the Lie/PMP layers.
-
-    Subclasses provide the inertia and Coriolis entries as dual-generic
-    expressions; drift and input columns follow from them.  Two degrees of
-    freedom, one input each (n = 2): the bracket tableau, the integrator,
-    the B-set certificate and the CSV schema all assume it.
-    """
-
-    n: int
-
-    @abc.abstractmethod
-    def mass_entries(self, q):
-        """2 x 2 nested list of inertia entries over the duals algebra."""
-
-    @abc.abstractmethod
-    def coriolis_entries(self, q, qd):
-        """Length-2 list of Coriolis torques over the duals algebra."""
-
-    def dyn(self, x):
-        """Drift components and inverse-inertia rows at x, in one evaluation.
-
-        x: sequence of 4 scalar-like components.  Returns (f, L) where f is
-        the drift list and L the 2 x 2 nested list with L = M(q)^-1.
-        Shared by drift/input_columns so the hot paths pay one solve.
-        """
-        q, qd = x[:2], x[2:]
-        (m11, m12), (_, m22) = self.mass_entries(q)
-        C = self.coriolis_entries(q, qd)
-        det = m11 * m22 - m12 * m12
-        dv = value(det)
-        scale = abs(value(m11 * m22)) + abs(value(m12 * m12))
-        bad = abs(dv) <= _DET_RTOL * scale
-        if (np.any(bad) if type(bad) is np.ndarray else bad):
-            raise LinearSolveFailure("mass matrix numerically singular")
-        l11 = m22 / det
-        l12 = -m12 / det
-        l22 = m11 / det
-        L = [[l11, l12], [l12, l22]]
-        acc = [-(l11 * C[0] + l12 * C[1]), -(l12 * C[0] + l22 * C[1])]
-        return list(qd) + acc, L
-
-    # numpy facades (plain float or batched-array input)
-
-    def drift(self, x) -> np.ndarray:
-        f, _ = self.dyn(list(_components(x)))
-        return np.asarray(f)
-
-    def input_columns(self, x) -> np.ndarray:
-        comps = list(_components(x))
-        _, L = self.dyn(comps)
-        zero = comps[0] * 0.0  # matches the batch shape under array input
-        top = [[zero, zero], [zero, zero]]
-        return np.asarray(top + [list(r) for r in L])
-
-    def mass_matrix(self, q) -> np.ndarray:
-        return np.asarray(self.mass_entries(list(_components(q))))
-
-    def coriolis(self, q, qd) -> np.ndarray:
-        return np.asarray(self.coriolis_entries(list(_components(q)),
-                                                list(_components(qd))))
-
-
 def _components(x):
     """Turn an array-like into a component list (floats or arrays).
 
@@ -146,8 +82,14 @@ def _components(x):
     return list(x)
 
 
-class Arm2DOF(FullyActuatedSystem):
-    """The planar two-link arm, reference parameters by default."""
+class Arm2DOF:
+    """The planar two-link arm, reference parameters by default.
+
+    The inertia and Coriolis entries are dual-generic expressions; drift
+    and input columns follow from them through ``dyn``.  Two degrees of
+    freedom, one input each (n = 2): the bracket tableau, the integrator,
+    the B-set certificate and the CSV schema all assume it.
+    """
 
     n = 2
 
@@ -165,6 +107,7 @@ class Arm2DOF(FullyActuatedSystem):
         self._ke = m2 * xc2 * xc2 + iz2
 
     def mass_entries(self, q):
+        """2 x 2 nested list of inertia entries over the duals algebra."""
         c2 = cos(q[1])
         m11 = self._ka + self._kb * c2
         m12 = self._ke + self._kd * c2
@@ -172,7 +115,30 @@ class Arm2DOF(FullyActuatedSystem):
         return [[m11, m12], [m12, m22]]
 
     def coriolis_entries(self, q, qd):
+        """Length-2 list of Coriolis torques over the duals algebra."""
         h = self._kd * sin(q[1])
         td1, td2 = qd[0], qd[1]
         return [-h * td2 * td2 - 2.0 * h * td1 * td2, h * td1 * td1]
 
+    def dyn(self, x):
+        """Drift components and inverse-inertia rows at x, in one evaluation.
+
+        x: sequence of 4 scalar-like components.  Returns (f, L) where f is
+        the drift list and L the 2 x 2 nested list with L = M(q)^-1, so the
+        hot paths pay one solve for drift and input columns.
+        """
+        q, qd = x[:2], x[2:]
+        (m11, m12), (_, m22) = self.mass_entries(q)
+        C = self.coriolis_entries(q, qd)
+        det = m11 * m22 - m12 * m12
+        dv = value(det)
+        scale = abs(value(m11 * m22)) + abs(value(m12 * m12))
+        bad = abs(dv) <= _DET_RTOL * scale
+        if (np.any(bad) if type(bad) is np.ndarray else bad):
+            raise LinearSolveFailure("mass matrix numerically singular")
+        l11 = m22 / det
+        l12 = -m12 / det
+        l22 = m11 / det
+        L = [[l11, l12], [l12, l22]]
+        acc = [-(l11 * C[0] + l12 * C[1]), -(l12 * C[0] + l22 * C[1])]
+        return list(qd) + acc, L

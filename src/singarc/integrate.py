@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .arm2dof import ControlBounds, FullyActuatedSystem
+from .arm2dof import Arm2DOF, ControlBounds
 from .duals import STOPS, compiled
 from .errors import (ERRORS_BY_NAME, CostateDegenerate, MissingCostates,
                      MonotonicityError, NaNError, OutOfBounds, RkViolation,
@@ -128,8 +128,7 @@ class Trajectory:
         return self.lam is not None
 
 
-def model_signature(sys: FullyActuatedSystem,
-                    bounds: ControlBounds | None = None) -> str:
+def model_signature(sys: Arm2DOF, bounds: ControlBounds | None = None) -> str:
     """Short stable digest of the plant and its torque bounds."""
     parts = [type(sys).__name__, repr(getattr(sys, "params", None))]
     if bounds is not None:
@@ -138,7 +137,7 @@ def model_signature(sys: FullyActuatedSystem,
     return digest[:12]
 
 
-def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
+def integrate_extremal(sys: Arm2DOF, x0, lam0,
                        config: IntegratorConfig | None = None,
                        c: float = -10.0,
                        bounds: ControlBounds | None = None) -> Trajectory:
@@ -225,7 +224,7 @@ def integrate_extremal(sys: FullyActuatedSystem, x0, lam0,
                       lam=lam_block, meta=meta)
 
 
-def _extremal_rate(sys: FullyActuatedSystem, y, c):
+def _extremal_rate(sys: Arm2DOF, y, c):
     """(y', u1) at y = x + lambda (8 values): the singular law on channel
     1 with channel 2 at c, then the state and costate rates."""
     lam = y[4:]
@@ -235,7 +234,7 @@ def _extremal_rate(sys: FullyActuatedSystem, y, c):
             + costate_rate(tab.df_cols, tab.dL, u, lam), u[0])
 
 
-def extremal_kernel(sys: FullyActuatedSystem):
+def extremal_kernel(sys: Arm2DOF):
     """``_extremal_rate`` as straight-line float code from
     ``duals.compiled``: ``(x0, .., x3, l0, .., l3, c) -> (y', u1)``.
 
@@ -286,7 +285,7 @@ def _control_table(t_knots, u_knots, ts, h, interp: str) -> np.ndarray:
     return table
 
 
-def _replay_step(sys: FullyActuatedSystem, x, u, h):
+def _replay_step(sys: Arm2DOF, x, u, h):
     """One RK4 step of ``state_rate(*sys.dyn(z), u[stage])`` from x, where
     u[s] is the control pair at t, t + h/2 and t + h."""
     def rate(z, stage):
@@ -294,7 +293,7 @@ def _replay_step(sys: FullyActuatedSystem, x, u, h):
     return _rk4_step(rate, x, h, rate(x, 0))
 
 
-def replay_kernel(sys: FullyActuatedSystem):
+def replay_kernel(sys: Arm2DOF):
     """``_replay_step`` as straight-line float code from ``duals.compiled``:
     ``(x0, .., x3, u00, u01, u10, u11, u20, u21, h) -> x after the step``.
 
@@ -308,7 +307,7 @@ def replay_kernel(sys: FullyActuatedSystem):
         sys, v[:4], (v[4:6], v[6:8], v[8:10]), v[10]))
 
 
-def resimulate(sys: FullyActuatedSystem, x0, control,
+def resimulate(sys: Arm2DOF, x0, control,
                config: IntegratorConfig | None = None) -> Trajectory:
     """Replay a recorded control signal (a Trajectory or a (t, u) pair)
     through the plant, state only: one replay_kernel call per step."""
@@ -360,7 +359,7 @@ def resimulate(sys: FullyActuatedSystem, x0, control,
     return Trajectory(t=ts, x=xs, u=table[:, 0], lam=None, meta=meta)
 
 
-def hamiltonian_trace(sys: FullyActuatedSystem, traj: Trajectory) -> np.ndarray:
+def hamiltonian_trace(sys: Arm2DOF, traj: Trajectory) -> np.ndarray:
     """H(t) = <lambda, xdot> - 1 along a recorded trajectory."""
     if traj.lam is None:
         raise MissingCostates("trajectory carries no costates")

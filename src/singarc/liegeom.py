@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .arm2dof import FullyActuatedSystem, _components
+from .arm2dof import Arm2DOF, _components
 from .duals import STOPS, Dual, HyperDual, Rec, chunks, compiled, seed
 from .errors import DerivativeUnavailable, SpanViolation
 
@@ -60,14 +60,14 @@ class VectorField:
         return self.fn(x)
 
 
-def drift_field(sys: FullyActuatedSystem) -> VectorField:
+def drift_field(sys: Arm2DOF) -> VectorField:
     def fn(x):
         f, _ = sys.dyn(list(x))
         return f
     return VectorField("f", fn)
 
 
-def input_field(sys: FullyActuatedSystem, i: int) -> VectorField:
+def input_field(sys: Arm2DOF, i: int) -> VectorField:
     """g_i = [0; column i of M(q)^-1], 0-based channel index."""
     n = sys.n
 
@@ -98,11 +98,6 @@ def bracket_field(a, b) -> VectorField:
                        lambda x: _bracket_components(a, b, x))
 
 
-def lie_bracket(a, b, x) -> np.ndarray:
-    """[a,b] evaluated at x (plain float or batched-array components)."""
-    return np.asarray(_bracket_components(a, b, list(_components(x))))
-
-
 def parse_word(word) -> tuple[str, ...]:
     """Split a bracket word like "ffg2" or ("f","g1") into field tokens."""
     if not isinstance(word, str):
@@ -116,7 +111,7 @@ def parse_word(word) -> tuple[str, ...]:
     return tokens
 
 
-def field_by_token(sys: FullyActuatedSystem, token: str) -> VectorField:
+def field_by_token(sys: Arm2DOF, token: str) -> VectorField:
     if token == "f":
         return drift_field(sys)
     if token.startswith("g"):
@@ -127,7 +122,7 @@ def field_by_token(sys: FullyActuatedSystem, token: str) -> VectorField:
     raise ValueError(f"unknown field token {token!r}")
 
 
-def word_field(sys: FullyActuatedSystem, word) -> VectorField:
+def word_field(sys: Arm2DOF, word) -> VectorField:
     """Right-nested bracket field for a word over {f, g1..gn}."""
     tokens = parse_word(word)
     if len(tokens) > MAX_WORD:
@@ -139,7 +134,7 @@ def word_field(sys: FullyActuatedSystem, word) -> VectorField:
     return fld
 
 
-def iterated_bracket(sys: FullyActuatedSystem, word, x) -> np.ndarray:
+def iterated_bracket(sys: Arm2DOF, word, x) -> np.ndarray:
     """Evaluate the right-nested bracket of a word (length <= 4) at x."""
     return np.asarray(word_field(sys, word)(list(_components(x))))
 
@@ -156,13 +151,8 @@ class AlphaTensor:
     values: np.ndarray
     residual: float
 
-    def beta(self, u) -> np.ndarray:
-        """beta[i, k] = sum_j u_j * alpha[i, j, k] for a fixed control u."""
-        u = np.asarray(u, dtype=float)
-        return np.einsum("j,ijk...->ik...", u, self.values)
 
-
-def alpha_coefficients(sys: FullyActuatedSystem, x, rtol: float = 1e-9) -> AlphaTensor:
+def alpha_coefficients(sys: Arm2DOF, x, rtol: float = 1e-9) -> AlphaTensor:
     """Solve the bottom-block systems (g_i f g_j) = sum_k alpha_ijk g_k.
 
     Raises SpanViolation when a reconstruction residual exceeds
@@ -211,7 +201,7 @@ def _alpha_solve(L, gfg, rtol: float = 1e-9) -> AlphaTensor:
     return AlphaTensor(values=values, residual=worst)
 
 
-def _stacked_fields(sys: FullyActuatedSystem, words, x) -> np.ndarray:
+def _stacked_fields(sys: Arm2DOF, words, x) -> np.ndarray:
     A = np.asarray(_word_columns(sys, words, x))   # (m, 2n) or (m, 2n, N)
     return A.T if A.ndim == 2 else A.transpose(2, 1, 0)   # (N, 2n, m)
 
@@ -222,7 +212,7 @@ def _frame_words(n: int) -> tuple[str, ...]:
         tuple(f"fg{i + 1}" for i in range(n))
 
 
-def frame_rank(sys: FullyActuatedSystem, x) -> float | np.ndarray:
+def frame_rank(sys: Arm2DOF, x) -> float | np.ndarray:
     """Smallest singular value of [g_1..g_n, fg_1..fg_n] at x."""
     A = _stacked_fields(sys, _frame_words(sys.n), x)
     s = np.linalg.svd(A, compute_uv=False)
@@ -230,8 +220,7 @@ def frame_rank(sys: FullyActuatedSystem, x) -> float | np.ndarray:
     return float(smin) if smin.ndim == 0 else smin
 
 
-def b_set_certificate(sys: FullyActuatedSystem, x, c: float,
-                      rtol: float = B_SET_RTOL):
+def b_set_certificate(sys: Arm2DOF, x, c: float, rtol: float = B_SET_RTOL):
     """Independence certificate for {g2, fg2, ffg2, fffg2 + c*g1ffg2}.
 
     c is the bang value of the first channel.  Returns (ok, evidence) where
@@ -242,7 +231,7 @@ def b_set_certificate(sys: FullyActuatedSystem, x, c: float,
     return _b_set_verdict(_b_set_family(sys, x), c, rtol)
 
 
-def _b_set_family(sys: FullyActuatedSystem, x) -> np.ndarray:
+def _b_set_family(sys: Arm2DOF, x) -> np.ndarray:
     """The B_SET_WORDS columns at x, which do not depend on the bang value:
     (5, 4) or (5, 4, N)."""
     if sys.n != 2:
@@ -433,8 +422,7 @@ class SweepReduction:
     b_set_svd_states: int
 
 
-def certify_sweep(sys: FullyActuatedSystem, states,
-                  bang_values) -> SweepReduction:
+def certify_sweep(sys: Arm2DOF, states, bang_values) -> SweepReduction:
     """frame_rank, alpha_coefficients and b_set_certificate at every row
     of states ((N, 2n)), folded into running reductions WORD_CHUNK rows at
     a time, so nothing N-sized is held but the states.
@@ -521,7 +509,7 @@ class BracketTableau:
     dL: list           # dL[r][c][i] = d L_rc / d x_i
 
 
-def u1_singular_brackets(sys: FullyActuatedSystem, x) -> BracketTableau:
+def u1_singular_brackets(sys: Arm2DOF, x) -> BracketTableau:
     """Fused evaluation of the brackets needed by the u1-singular law.
 
     The Dual/HyperDual reference over any scalar algebra of ``duals``
@@ -605,7 +593,7 @@ def u1_singular_brackets(sys: FullyActuatedSystem, x) -> BracketTableau:
                           df_cols=df_cols, dL=dL)
 
 
-def dyn_jacobian(sys: FullyActuatedSystem, comps):
+def dyn_jacobian(sys: Arm2DOF, comps):
     """(df_cols, dL) at comps: df_cols[i] = Df . e_i and dL[r][c][i] =
     d L_rc / d x_i, from one first-order Dual evaluation of sys.dyn per
     basis direction."""
@@ -623,7 +611,7 @@ def dyn_jacobian(sys: FullyActuatedSystem, comps):
     return df_cols, dL
 
 
-def word_kernel(sys: FullyActuatedSystem, words, batched: bool = False):
+def word_kernel(sys: Arm2DOF, words, batched: bool = False):
     """``word_field(sys, w)`` for every w in words as straight-line code,
     recorded into one tape (subexpressions the words share run once) and
     built by ``duals.compiled`` per plant, word tuple and form.
@@ -648,7 +636,7 @@ def word_kernel(sys: FullyActuatedSystem, words, batched: bool = False):
                     batched=batched, numpy_trig=batched)
 
 
-def _word_columns(sys: FullyActuatedSystem, words, x):
+def _word_columns(sys: Arm2DOF, words, x):
     """``word_field(sys, w)(x)`` for each w in words, through word_kernel.
 
     Plain floats give one list of 2n floats per word; 1-D array
@@ -670,7 +658,7 @@ def _word_columns(sys: FullyActuatedSystem, words, x):
     return [word_field(sys, w)(comps) for w in words]
 
 
-def _batched_word_columns(sys: FullyActuatedSystem, words, comps):
+def _batched_word_columns(sys: Arm2DOF, words, comps):
     size = comps[0].shape[0]
     out = np.empty((len(words), len(comps), size))
     redo = np.empty(size, dtype=bool)

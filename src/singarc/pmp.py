@@ -19,16 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arm2dof import FullyActuatedSystem, _components
+from .arm2dof import Arm2DOF, _components
 from .duals import STOPS, chunks, compiled
 from .errors import (CostateDegenerate, DegenerateSystem, RkViolation)
-from .liegeom import (AlphaTensor, BracketTableau, _alpha_solve,
-                      _frame_words, _stacked_fields, _word_columns,
-                      alpha_coefficients, dyn_jacobian, u1_singular_brackets,
-                      word_field)
+from .liegeom import (BracketTableau, _alpha_solve, _frame_words,
+                      _word_columns, u1_singular_brackets, word_field)
 
 LAMBDA4_RTOL = 1e-9
 _EXACT_SUM = 2.0 ** -900    # square sums this large lose nothing to underflow
+_SMALLEST_NORMAL = 2.0 ** -1022
 DEGENERACY_TOL = 1e-12
 LAW_CHUNK = 1024      # samples per batched kernel call
 
@@ -120,7 +119,7 @@ def costate_rate(df_cols, dL, u, lam):
         for i, col in enumerate(df_cols))
 
 
-def hamiltonian(sys: FullyActuatedSystem, x, u, lam):
+def hamiltonian(sys: Arm2DOF, x, u, lam):
     """<lambda, f + G u> - 1; constant along autonomous extremals.
 
     Batched x (4, N), u (2, N) and lam (4, N) give one value per sample.
@@ -129,15 +128,7 @@ def hamiltonian(sys: FullyActuatedSystem, x, u, lam):
     return _dot(_components(lam), xdot) - 1.0
 
 
-def adjoint_rhs(sys: FullyActuatedSystem, x, u, lam) -> np.ndarray:
-    """-(d(f + Gu)/dx)^T lambda: the integrator's costate equation, on the
-    tableau's first-order Jacobian data (``liegeom.dyn_jacobian``)."""
-    df_cols, dL = dyn_jacobian(sys, list(_components(x)))
-    return np.asarray(costate_rate(df_cols, dL, _components(u),
-                                   _components(lam)))
-
-
-def switching(sys: FullyActuatedSystem, x, lam) -> SwitchingRecord:
+def switching(sys: Arm2DOF, x, lam) -> SwitchingRecord:
     """Evaluate phi and phi' on every channel; batched x/lam supported.
 
     g_i and fg_i are frame_rank's columns, from word_kernel.
@@ -156,21 +147,6 @@ def sign_rule(phi, lower, upper, band=0.0):
     of phi picks no value there.  Floats or arrays, elementwise."""
     out = np.where(phi > band, upper, np.where(phi < -band, lower, np.nan))
     return float(out) if out.ndim == 0 else out
-
-
-def lemma1_certificate(sys: FullyActuatedSystem, x, lam,
-                       tol: float = 1e-12) -> bool:
-    """True iff some channel has phi_i or phi_i' away from zero.
-
-    The frame property makes simultaneous vanishing impossible for
-    lam != 0, so False flags a degenerate costate.  The band is tol *
-    costate_norm(lam): the verdict does not depend on lambda's scale.
-    """
-    lam = np.asarray(lam, dtype=float)
-    rec = switching(sys, x, lam)
-    band = tol * costate_norm(lam)
-    return bool(np.any(np.abs(rec.phi) > band)
-                or np.any(np.abs(rec.phi_dot) > band))
 
 
 def in_Rk(x, exclusion: float = 1e-3):
@@ -221,9 +197,13 @@ def costate_norm(lam):
 def lambda4_degenerate(lam):
     """The law's costate guard: |lambda4| <= LAMBDA4_RTOL * ||lambda||,
     one relative rule with no floor, so its verdict does not depend on
-    lambda's scale.  Floats or (4, N) columns; the norm is costate_norm.
+    lambda's scale.  It also trips at a subnormal lambda4 (below
+    _SMALLEST_NORMAL), where lambda2/lambda4 has already lost bits and
+    the law cannot be checked.  Floats or (4, N) columns; the norm is
+    costate_norm.
     """
-    return abs(lam[3]) <= LAMBDA4_RTOL * costate_norm(lam)
+    a4 = abs(lam[3])
+    return (a4 < _SMALLEST_NORMAL) | (a4 <= LAMBDA4_RTOL * costate_norm(lam))
 
 
 def costate_ratio(lam):
@@ -234,21 +214,7 @@ def costate_ratio(lam):
     return float(out) if out.ndim == 0 else out
 
 
-def sk_rank(sys: FullyActuatedSystem, x, k: int):
-    """Smallest singular value of {g_i} + {fg_i, ffg_i : i != k} at x."""
-    if not 1 <= k <= sys.n:
-        raise ValueError(f"channel k = {k} out of range for n = {sys.n}")
-    words = [f"g{i + 1}" for i in range(sys.n)]
-    for i in range(sys.n):
-        if i + 1 != k:
-            words += [f"fg{i + 1}", f"ffg{i + 1}"]
-    A = _stacked_fields(sys, words, x)
-    s = np.linalg.svd(A, compute_uv=False)
-    smin = s[..., -1]
-    return float(smin) if smin.ndim == 0 else smin
-
-
-def costate_on_surface(sys: FullyActuatedSystem, x, lambda2: float,
+def costate_on_surface(sys: Arm2DOF, x, lambda2: float,
                        lambda4: float) -> np.ndarray:
     """Costate with phi_1 = phi_1' = 0 at x and the given free components.
 
@@ -285,7 +251,7 @@ def _law_terms(tab: BracketTableau, c: float):
     return mu, nu, gamma, r, s, alpha1, alpha2, b_g2
 
 
-def law_kernel(sys: FullyActuatedSystem, batched: bool = False):
+def law_kernel(sys: Arm2DOF, batched: bool = False):
     """``(x0, .., x3, c) -> _law_terms(u1_singular_brackets(sys, x), c)`` as
     straight-line code from ``duals.compiled``.  The float form raises
     OffTrace at the singular-mass guard and ZeroDivisionError at an exact
@@ -317,7 +283,7 @@ def _law_guards(x, lam, exclusion, mu, law):
     yield "b_g2", abs(terms[7]) <= DEGENERACY_TOL
 
 
-def _law_at(sys: FullyActuatedSystem, x, lam, c: float, exclusion: float,
+def _law_at(sys: Arm2DOF, x, lam, c: float, exclusion: float,
             kernel: bool = True):
     """(reason, law terms) at one state: the first guard that trips and
     None, or "ok" and the _law_terms tuple.
@@ -360,7 +326,7 @@ def _law_error(reason: str, x) -> Exception:
     return cls(message.format(np.asarray(x)))
 
 
-def singular_law_coeffs(sys: FullyActuatedSystem, x, c: float,
+def singular_law_coeffs(sys: Arm2DOF, x, c: float,
                         exclusion: float = 1e-3) -> SingularLawCoeffs:
     """Closed-form law coefficients at x with the second control at c.
 
@@ -373,7 +339,7 @@ def singular_law_coeffs(sys: FullyActuatedSystem, x, c: float,
     return _law_coeffs(sys, x, c, exclusion)
 
 
-def _law_coeffs(sys: FullyActuatedSystem, x, c: float, exclusion: float,
+def _law_coeffs(sys: Arm2DOF, x, c: float, exclusion: float,
                 kernel: bool = True) -> SingularLawCoeffs:
     """singular_law_coeffs, through the float law_kernel or, with kernel
     False, the reference tableau."""
@@ -389,7 +355,7 @@ def _law_coeffs(sys: FullyActuatedSystem, x, c: float, exclusion: float,
                              alpha2=alpha2, b_dot_g2=b_g2, c=c)
 
 
-def singular_u1(sys: FullyActuatedSystem, x, lam, c: float,
+def singular_u1(sys: Arm2DOF, x, lam, c: float,
                 exclusion: float = 1e-3) -> float:
     """u1 = r(x) * lambda2/lambda4 + s(x) on a u1-singular arc."""
     lam = np.asarray(lam, dtype=float)
@@ -399,8 +365,7 @@ def singular_u1(sys: FullyActuatedSystem, x, lam, c: float,
     return law_u1(law, lam)
 
 
-def singular_u1_batch(sys: FullyActuatedSystem, X, Lam, c,
-                      exclusion: float = 1e-3):
+def singular_u1_batch(sys: Arm2DOF, X, Lam, c, exclusion: float = 1e-3):
     """singular_u1 at every column of X and Lam (4, N), without raising.
 
     c is one float or one per sample.  Returns (u1, reason): reason holds
@@ -442,7 +407,7 @@ def singular_u1_batch(sys: FullyActuatedSystem, X, Lam, c,
     return u1, np.asarray(LAW_REASONS)[code]
 
 
-def general_singular_system(sys: FullyActuatedSystem, x, lam, k: int,
+def general_singular_system(sys: Arm2DOF, x, lam, k: int,
                             c_k: float) -> GeneralSingularSystem:
     """Assemble the order-two singularity system for bang channel k.
 
@@ -471,7 +436,7 @@ def general_singular_system(sys: FullyActuatedSystem, x, lam, k: int,
                                  c_k=c_k, k=k, phi_k=phi_k)
 
 
-def general_singular_solve(sys: FullyActuatedSystem, x, lam, k: int,
+def general_singular_solve(sys: Arm2DOF, x, lam, k: int,
                            c_k: float) -> np.ndarray:
     """The unique ubar with every phi_i'' = 0 (i != k), when it exists."""
     system = general_singular_system(sys, x, lam, k, c_k)
@@ -483,22 +448,3 @@ def general_singular_solve(sys: FullyActuatedSystem, x, lam, k: int,
             f"phi_{k} = {system.phi_k:.3e}: bang channel not separated")
     rhs = -(system.psi_k + c_k * system.b_kk * system.phi_k)
     return np.linalg.solve(system.A_k * system.phi_k, rhs)
-
-
-def phi_second_derivative(sys: FullyActuatedSystem, x, lam, u) -> np.ndarray:
-    """phi_i'' = <lambda, ffg_i> + sum_k beta_ik phi_k for every channel.
-
-    Valid without any singularity assumption; beta folds the controls
-    into the alpha tensor.
-    """
-    n = sys.n
-    lam = np.asarray(lam, dtype=float)
-    comps = list(_components(x))
-    alpha = alpha_coefficients(sys, x)
-    beta = alpha.beta(np.asarray(u, dtype=float))
-    rec = switching(sys, x, lam)
-    out = np.empty(n)
-    for i in range(n):
-        ffgi = word_field(sys, f"ffg{i + 1}")(comps)
-        out[i] = _dot(lam, ffgi) + float(beta[i] @ rec.phi)
-    return out

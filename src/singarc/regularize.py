@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arm2dof import ControlBounds, FullyActuatedSystem
+from .arm2dof import Arm2DOF, ControlBounds
 from .errors import MissingCostates
 from .integrate import IntegratorConfig, Trajectory, resimulate
 from .pmp import costate_norm, sign_rule, singular_u1_batch, switching
@@ -158,7 +158,7 @@ def ingest(path: str) -> Trajectory:
     return Trajectory(t=traj.t, x=traj.x, u=traj.u, lam=traj.lam, meta=meta)
 
 
-def switching_series(sys: FullyActuatedSystem, traj: Trajectory):
+def switching_series(sys: Arm2DOF, traj: Trajectory):
     """phi and phi' (samples x channels): pmp.switching over the run."""
     if traj.lam is None:
         raise MissingCostates("switching series needs costates")
@@ -203,7 +203,7 @@ def _merge_runs(runs: list[tuple[int, int]], gap: int) -> list[tuple[int, int]]:
     return merged
 
 
-def detect_singular_arcs(sys: FullyActuatedSystem, traj: Trajectory,
+def detect_singular_arcs(sys: Arm2DOF, traj: Trajectory,
                          bounds: ControlBounds | None = None,
                          tol: Tolerances | None = None
                          ) -> list[SingularInterval]:
@@ -244,18 +244,19 @@ def detect_singular_arcs(sys: FullyActuatedSystem, traj: Trajectory,
     return intervals
 
 
-def regularize_u1(sys: FullyActuatedSystem, traj: Trajectory,
+def regularize_u1(sys: Arm2DOF, traj: Trajectory,
                   intervals: Sequence[SingularInterval],
                   bounds: ControlBounds | None = None,
                   tol: Tolerances | None = None,
-                  resim_config: IntegratorConfig | None = None,
                   ) -> tuple[Trajectory, RegularizationReport]:
     """Rewrite channel 1: closed form inside intervals, bang outside.
 
     The closed form is never clamped.  A sample where it exits the bounds
     or leaves the admissible set keeps its recorded value, is excluded from
     the rewrite, and shows up in skipped_samples with a partial flag; the
-    theory stops applying there, so silent repair would be a lie.
+    theory stops applying there, so silent repair would be a lie.  The
+    endpoint error replays the rewritten control to t[-1] with step 1e-4
+    and linear interpolation.
     """
     if traj.lam is None:
         raise MissingCostates("regularization needs costates")
@@ -266,9 +267,6 @@ def regularize_u1(sys: FullyActuatedSystem, traj: Trajectory,
         bounds = ControlBounds()
     if tol is None:
         tol = Tolerances()
-    if resim_config is None:
-        resim_config = IntegratorConfig(step=1e-4, horizon=float(traj.t[-1]),
-                                        interp="linear")
 
     phi, _ = switching_series(sys, traj)
     n_samples = len(traj)
@@ -312,7 +310,9 @@ def regularize_u1(sys: FullyActuatedSystem, traj: Trajectory,
     meta["flags"] = sorted(set(meta.get("flags", [])) | set(flags))
     out = Trajectory(t=traj.t, x=traj.x, u=new_u, lam=traj.lam, meta=meta)
 
-    resim = resimulate(sys, traj.x[0], out, resim_config)
+    resim = resimulate(sys, traj.x[0], out,
+                       IntegratorConfig(step=1e-4, horizon=float(traj.t[-1]),
+                                        interp="linear"))
     target = traj.x[-1]
     err_abs = float(np.linalg.norm(resim.x[-1] - target))
     err_rel = err_abs / max(float(np.linalg.norm(target)), 1e-30)
@@ -342,7 +342,7 @@ def regularize_u1(sys: FullyActuatedSystem, traj: Trajectory,
     return out, report
 
 
-def pmp_audit(sys: FullyActuatedSystem, traj: Trajectory,
+def pmp_audit(sys: Arm2DOF, traj: Trajectory,
               bounds: ControlBounds | None = None,
               tol: Tolerances | None = None) -> AuditResult:
     """Classify every (sample, channel) against the maximum principle.

@@ -16,14 +16,22 @@ and two band tests.
 ``replay_reference`` is ``integrate.resimulate`` with the control read by
 a per-stage closure and the RK4 step written out in place, the form the
 vectorized control table and the shared step replaced.
+
+``lemma1_certificate``, ``sk_rank``, ``phi_second_derivative`` and
+``alpha_beta`` are checks built on the package's bracket columns that no
+command runs: Lemma 1's frame property, the S_k frames, and phi_i'' from
+the alpha tensor.
 """
 import math
 
 import numpy as np
 
+from singarc.arm2dof import _components
 from singarc.errors import CostateDegenerate, RkViolation
 from singarc.integrate import Trajectory
-from singarc.pmp import singular_u1, state_rate
+from singarc.liegeom import _stacked_fields, alpha_coefficients, word_field
+from singarc.pmp import (_dot, costate_norm, singular_u1, state_rate,
+                         switching)
 from singarc.regularize import (LABEL_BANG_IN_BAND, LABEL_LOWER,
                                 LABEL_SINGULAR, LABEL_UNCHECKED, LABEL_UPPER,
                                 LABEL_VIOLATION, _band_value, switching_series)
@@ -223,3 +231,56 @@ def replay_reference(sys_, x0, control, config):
         x = [x[i] + (h / 6.0) * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
              for i in range(4)]
     return ts, xs, us
+
+
+def lemma1_certificate(sys, x, lam, tol: float = 1e-12) -> bool:
+    """True iff some channel has phi_i or phi_i' away from zero.
+
+    The frame property makes simultaneous vanishing impossible for
+    lam != 0, so False flags a degenerate costate.  The band is tol *
+    costate_norm(lam): the verdict does not depend on lambda's scale.
+    """
+    lam = np.asarray(lam, dtype=float)
+    rec = switching(sys, x, lam)
+    band = tol * costate_norm(lam)
+    return bool(np.any(np.abs(rec.phi) > band)
+                or np.any(np.abs(rec.phi_dot) > band))
+
+
+def sk_rank(sys, x, k: int):
+    """Smallest singular value of {g_i} + {fg_i, ffg_i : i != k} at x."""
+    if not 1 <= k <= sys.n:
+        raise ValueError(f"channel k = {k} out of range for n = {sys.n}")
+    words = [f"g{i + 1}" for i in range(sys.n)]
+    for i in range(sys.n):
+        if i + 1 != k:
+            words += [f"fg{i + 1}", f"ffg{i + 1}"]
+    A = _stacked_fields(sys, words, x)
+    s = np.linalg.svd(A, compute_uv=False)
+    smin = s[..., -1]
+    return float(smin) if smin.ndim == 0 else smin
+
+
+def alpha_beta(alpha, u) -> np.ndarray:
+    """beta[i, k] = sum_j u_j * alpha[i, j, k] for a fixed control u."""
+    u = np.asarray(u, dtype=float)
+    return np.einsum("j,ijk...->ik...", u, alpha.values)
+
+
+def phi_second_derivative(sys, x, lam, u) -> np.ndarray:
+    """phi_i'' = <lambda, ffg_i> + sum_k beta_ik phi_k for every channel.
+
+    Valid without any singularity assumption; beta folds the controls
+    into the alpha tensor.
+    """
+    n = sys.n
+    lam = np.asarray(lam, dtype=float)
+    comps = list(_components(x))
+    alpha = alpha_coefficients(sys, x)
+    beta = alpha_beta(alpha, np.asarray(u, dtype=float))
+    rec = switching(sys, x, lam)
+    out = np.empty(n)
+    for i in range(n):
+        ffgi = word_field(sys, f"ffg{i + 1}")(comps)
+        out[i] = _dot(lam, ffgi) + float(beta[i] @ rec.phi)
+    return out

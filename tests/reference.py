@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 
-from singarc.arm2dof import Arm2DOF
+from singarc.arm2dof import _components
 from singarc.integrate import Trajectory, _rk4_step
-from singarc.pmp import adjoint_rhs, state_rate
+from singarc.liegeom import dyn_jacobian
+from singarc.pmp import costate_rate, state_rate
 
 # start of the reference singular extremal
 X0 = np.array([math.pi / 20.0, math.pi / 20.0, 0.3, 0.5])
@@ -41,6 +42,14 @@ BOX_HIGH = np.array([math.pi, math.pi, 2.0, 2.0])
 
 def sample_states(rng, count):
     return rng.uniform(BOX_LOW, BOX_HIGH, size=(count, 4))
+
+
+def adjoint_rhs(sys_, x, u, lam) -> np.ndarray:
+    """-(d(f + Gu)/dx)^T lambda: the integrator's costate equation, on the
+    tableau's first-order Jacobian data (``liegeom.dyn_jacobian``)."""
+    df_cols, dL = dyn_jacobian(sys_, list(_components(x)))
+    return np.asarray(costate_rate(df_cols, dL, _components(u),
+                                   _components(lam)))
 
 
 def bang_run(sys_, x_start, lam_start, u, step, nsteps, forward=True):

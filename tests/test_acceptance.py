@@ -19,16 +19,15 @@ import numpy as np
 import numpy.testing as npt
 
 import reference as ref
-from oracles import fd_word, rel_err
+from oracles import fd_word, lemma1_certificate, rel_err
 from singarc.duals import Dual
 from singarc.integrate import IntegratorConfig, hamiltonian_trace, \
     integrate_extremal
 from singarc.liegeom import (alpha_coefficients, b_set_certificate,
-                             frame_rank, input_field, iterated_bracket,
-                             lie_bracket)
+                             bracket_field, frame_rank, input_field,
+                             iterated_bracket)
 from singarc.pmp import (costate_norm, costate_on_surface,
-                         general_singular_solve, lemma1_certificate,
-                         singular_u1, switching)
+                         general_singular_solve, singular_u1, switching)
 from singarc.regularize import (Tolerances, detect_singular_arcs,
                                 regularize_u1, switching_series)
 
@@ -63,7 +62,8 @@ def test_criterion_02_bracket_identities_at_scale(arm):
     batch = ref.sample_states(rng, 10_000).T
     start = time.perf_counter()
 
-    w = lie_bracket(input_field(arm, 0), input_field(arm, 1), batch)
+    w = np.asarray(bracket_field(input_field(arm, 0),
+                                 input_field(arm, 1))(list(batch)))
     assert float(np.abs(w).max()) <= 1e-11
 
     for word in ("g1fg1", "g1fg2", "g2fg1", "g2fg2"):

@@ -10,6 +10,7 @@ import pytest
 import reference as ref
 from singarc import cli, liegeom
 from singarc.cli import _floats, load_config, main
+from singarc.errors import EXIT_PARTIAL_REGULARIZATION
 from singarc.integrate import (Trajectory, hamiltonian_trace,
                                load_trajectory, save_trajectory)
 from singarc.liegeom import (WORD_CHUNK, alpha_coefficients,
@@ -238,22 +239,26 @@ def test_huge_costates_are_diagnosed_without_a_warning(extremal, tmp_path,
     not depend on the costate scale: at lambda x 1e-300 and 1e-10 the
     lambda4 guard has no absolute floor to trip, at 1e160 and 1e300 its
     norm does not overflow.  The law is checked at every sample, the
-    repair succeeds, and nothing reaches stderr."""
+    repair succeeds, and nothing reaches stderr.  At 2^-1060 lambda4 is
+    subnormal and lambda2/lambda4 has lost bits: every u1 sample is
+    unchecked, none a violation, and the repair leaves them alone."""
     n = 300
     path = str(tmp_path / "huge.csv")
-    for scale in (1e-300, 1e-10, 1e160, 1e300):
+    for scale in (1e-300, 1e-10, 1e160, 1e300, 2.0 ** -1060):
         save_trajectory(Trajectory(t=extremal.t[:n], x=extremal.x[:n],
                                    u=extremal.u[:n],
                                    lam=scale * extremal.lam[:n]), path)
+        subnormal = scale < 2.0 ** -1022
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["diagnose", path, "--out", str(tmp_path / "s.csv")])
             out, err = capsys.readouterr()
             assert rc == 0 and err == ""
             assert json.loads(out)["classification"] == {
-                "lower-bang": n, "singular": n}
+                "lower-bang": n,
+                "singular-unchecked" if subnormal else "singular": n}
             rc = main(["regularize", path, "--out", str(tmp_path / "f.csv")])
-            assert rc == 0
+            assert rc == (EXIT_PARTIAL_REGULARIZATION if subnormal else 0)
             assert capsys.readouterr().err == ""
 
 

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from oracles import replay_reference
+from oracles import replay_reference, sk_rank
 from singarc import cli, integrate, pmp
 from singarc.arm2dof import Arm2DOF, ArmParams
 from singarc.duals import _COMPILED, OffTrace, compiled, cos
@@ -33,7 +33,7 @@ from singarc.liegeom import (B_SET_WORDS, WORD_CHUNK, _word_columns,
 from singarc.pmp import (LAMBDA4_RTOL, LAW_CHUNK, _law_terms, costate_norm,
                          costate_on_surface, in_Rk, lambda4_degenerate,
                          law_kernel, singular_law_coeffs, singular_u1,
-                         singular_u1_batch, sk_rank, state_rate, switching)
+                         singular_u1_batch, state_rate, switching)
 
 LAW_TERMS = ("mu", "nu", "gamma", "r", "s", "alpha1", "alpha2", "b_g2")
 
@@ -499,8 +499,8 @@ def test_batched_law_reports_a_vanishing_mu():
 # -- the bracket-word kernels against word_field ---------------------------
 
 def _compiled_word_sets(plant):
-    """Every word tuple the package compiles, built on plant by its
-    consumers: the frame, alpha, the B-set, switching and S_k."""
+    """Every word tuple compiled on plant, built by its consumers: the
+    frame, alpha, the B-set and switching, and the tests' S_k frames."""
     x = [float(v) for v in ref.X0]
     frame_rank(plant, x)
     alpha_coefficients(plant, x)

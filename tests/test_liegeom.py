@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from oracles import fd_jacobian, fd_word, rel_err, H_JACOBIAN
+from oracles import (alpha_beta, fd_jacobian, fd_word, plant_fields,
+                     rel_err, H_JACOBIAN)
 from singarc import liegeom
 from singarc.arm2dof import Arm2DOF, ArmParams
 from singarc.errors import DerivativeUnavailable, SpanViolation
@@ -15,7 +16,7 @@ from singarc.liegeom import (B_SET_RTOL, WORD_CHUNK, _alpha_solve, _b_set_family
                              _frame_words, _word_columns, alpha_coefficients,
                              b_set_certificate, bracket_field, certify_sweep,
                              drift_field, frame_rank, input_field,
-                             iterated_bracket, lie_bracket, parse_word,
+                             iterated_bracket, parse_word,
                              u1_singular_brackets, word_field)
 from singarc.pmp import general_singular_system
 
@@ -28,9 +29,10 @@ def test_bracket_is_antisymmetric(arm):
     g1 = input_field(arm, 0)
     fg2 = word_field(arm, "fg2")
     for x in ref.sample_states(rng, 8):
+        comps = x.tolist()
         for a, b in ((f, g1), (f, fg2), (g1, fg2)):
-            npt.assert_array_equal(lie_bracket(a, b, x),
-                                   -lie_bracket(b, a, x))
+            npt.assert_array_equal(bracket_field(a, b)(comps),
+                                   -np.asarray(bracket_field(b, a)(comps)))
 
 
 def test_input_fields_commute_exactly(arm):
@@ -38,7 +40,8 @@ def test_input_fields_commute_exactly(arm):
     move purely in the velocity coordinates."""
     rng = np.random.default_rng(11)
     X = ref.sample_states(rng, 50)
-    w = lie_bracket(input_field(arm, 0), input_field(arm, 1), X.T)
+    w = np.asarray(bracket_field(input_field(arm, 0),
+                                 input_field(arm, 1))(list(X.T)))
     npt.assert_array_equal(w, np.zeros_like(w))
 
 
@@ -48,9 +51,9 @@ def test_jacobi_identity(arm):
     g1 = input_field(arm, 0)
     g2 = input_field(arm, 1)
     for x in ref.sample_states(rng, 6):
-        t1 = lie_bracket(f, bracket_field(g1, g2), x)
-        t2 = lie_bracket(g1, bracket_field(g2, f), x)
-        t3 = lie_bracket(g2, bracket_field(f, g1), x)
+        comps = x.tolist()
+        t1, t2, t3 = (np.asarray(bracket_field(a, bracket_field(b, c))(comps))
+                      for a, b, c in ((f, g1, g2), (g1, g2, f), (g2, f, g1)))
         scale = max(np.linalg.norm(t) for t in (t1, t2, t3))
         assert np.linalg.norm(t1 + t2 + t3) <= 1e-9 * max(scale, 1.0)
 
@@ -58,10 +61,10 @@ def test_jacobi_identity(arm):
 def test_fg_top_block_is_minus_input_column(arm):
     rng = np.random.default_rng(13)
     for x in ref.sample_states(rng, 10):
-        G = arm.input_columns(x)
+        _, L = arm.dyn(x.tolist())
         for i, word in enumerate(("fg1", "fg2")):
             w = iterated_bracket(arm, word, x)
-            npt.assert_array_equal(w[:2], -G[2:, i])
+            npt.assert_array_equal(w[:2], [-L[0][i], -L[1][i]])
 
 
 def test_gfg_top_block_vanishes(arm):
@@ -74,9 +77,10 @@ def test_gfg_top_block_vanishes(arm):
 
 def test_single_letter_words_are_the_fields(arm):
     x = np.asarray(ref.X0)
-    npt.assert_array_equal(iterated_bracket(arm, "f", x), arm.drift(x))
+    f, L = arm.dyn(x.tolist())
+    npt.assert_array_equal(iterated_bracket(arm, "f", x), f)
     npt.assert_array_equal(iterated_bracket(arm, "g2", x),
-                           arm.input_columns(x)[:, 1])
+                           [0.0, 0.0, L[0][1], L[1][1]])
 
 
 def test_word_parsing_and_limits(arm):
@@ -117,7 +121,7 @@ def test_alpha_reconstructs_the_gfg_brackets(arm):
     for x in ref.sample_states(rng, 10):
         alpha = alpha_coefficients(arm, x)
         assert alpha.residual <= 1e-9
-        G = arm.input_columns(x)
+        G = np.vstack([np.zeros((2, 2)), arm.dyn(x.tolist())[1]])
         for i in range(2):
             for j in range(2):
                 w = iterated_bracket(arm, f"g{i + 1}fg{j + 1}", x)
@@ -161,10 +165,10 @@ def test_compiled_alpha_is_the_general_routes_alpha(arm):
 def test_beta_contracts_alpha_against_the_control(arm):
     alpha = alpha_coefficients(arm, ref.X0)
     for j, e in enumerate(np.eye(2)):
-        npt.assert_array_equal(alpha.beta(e), alpha.values[:, j, :])
+        npt.assert_array_equal(alpha_beta(alpha, e), alpha.values[:, j, :])
     u = np.array([1.3, -0.4])
     expect = u[0] * alpha.values[:, 0, :] + u[1] * alpha.values[:, 1, :]
-    npt.assert_allclose(alpha.beta(u), expect, rtol=1e-13)
+    npt.assert_allclose(alpha_beta(alpha, u), expect, rtol=1e-13)
 
 
 def test_alpha_span_violation_is_detectable(arm):
@@ -208,8 +212,8 @@ def test_momentum_differential_annihilates_the_b_set(arm):
     """p1 = (M qdot)_1 obeys p1' = u1, so dp1 pairs to zero with every
     bracket word built from f, g2 alone and with fffg2's g1-correction."""
     def p1(x):
-        M = arm.mass_matrix(x[:2])
-        return np.array([M[0, 0] * x[2] + M[0, 1] * x[3]])
+        (m11, m12), _ = arm.mass_entries(x[:2].tolist())
+        return np.array([m11 * x[2] + m12 * x[3]])
 
     rng = np.random.default_rng(21)
     for x in ref.sample_states(rng, 6):
@@ -219,10 +223,11 @@ def test_momentum_differential_annihilates_the_b_set(arm):
             pairing = abs(dp1 @ vec)
             assert pairing <= 1e-8 * max(
                 np.linalg.norm(dp1) * np.linalg.norm(vec), 1.0), (w, pairing)
+        f, L = arm.dyn(x.tolist())
         # f itself pairs to zero too (no applied torque in the drift)
-        assert abs(dp1 @ arm.drift(x)) <= 1e-8
+        assert abs(dp1 @ f) <= 1e-8
         # g1 does not: that is the actuation direction
-        assert abs(dp1 @ arm.input_columns(x)[:, 0]) > 0.9
+        assert abs(dp1[2:] @ [L[0][0], L[1][0]]) > 0.9
 
 
 BANGS = (-20.0, 20.0)
@@ -448,18 +453,17 @@ def test_fused_tableau_matches_word_fields(arm):
             want = iterated_bracket(arm, word, x)
             npt.assert_allclose(got, want, rtol=0,
                                 atol=1e-12 * max(np.linalg.norm(want), 1.0))
-        npt.assert_array_equal(np.asarray(tab.L), arm.input_columns(x)[2:])
+        npt.assert_array_equal(np.asarray(tab.L), arm.dyn(x.tolist())[1])
 
 
 def test_fused_tableau_jacobian_slots_match_finite_differences(arm):
     x = np.asarray(ref.X0)
     tab = u1_singular_brackets(arm, x)
-    J = fd_jacobian(lambda y: arm.drift(y), x, H_JACOBIAN)
+    J = fd_jacobian(plant_fields(arm)[0], x, H_JACOBIAN)
     npt.assert_allclose(np.stack(tab.df_cols, axis=1), J, rtol=0, atol=1e-7)
 
     def L_entries(y):
-        G = arm.input_columns(y)
-        return np.array([G[2, 0], G[2, 1], G[3, 0], G[3, 1]])
+        return np.ravel(arm.dyn(y.tolist())[1])
 
     JL = fd_jacobian(L_entries, x, H_JACOBIAN)
     got = np.array([[tab.dL[0][0][i] for i in range(4)],

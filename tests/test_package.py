@@ -1,6 +1,8 @@
 """The package's public surface."""
+import inspect
+
 import singarc
-from singarc import integrate, pmp, regularize
+from singarc import arm2dof, integrate, liegeom, pmp, regularize
 
 
 def test_star_import_binds_exactly_the_public_names():
@@ -26,3 +28,16 @@ def test_each_rule_has_one_home():
     for name in ("sign_rule", "in_Rk", "costate_norm", "lambda4_degenerate",
                  "costate_ratio"):
         assert getattr(singarc, name) is getattr(pmp, name)
+    # one plant class, and no code in the package that only tests run
+    removed = {pmp: ("sk_rank", "adjoint_rhs", "lemma1_certificate",
+                     "phi_second_derivative"),
+               liegeom: ("lie_bracket",), liegeom.AlphaTensor: ("beta",),
+               arm2dof: ("FullyActuatedSystem",),
+               arm2dof.Arm2DOF: ("drift", "input_columns", "mass_matrix",
+                                 "coriolis")}
+    for home, names in removed.items():
+        for name in names:
+            assert name not in singarc.__all__
+            assert not hasattr(home, name), name
+    params = inspect.signature(regularize.regularize_u1).parameters
+    assert "resim_config" not in params

@@ -9,19 +9,18 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from oracles import fd_adjoint, outside_law_domain
+from oracles import (fd_adjoint, lemma1_certificate, outside_law_domain,
+                     phi_second_derivative, sk_rank)
 from singarc import duals, integrate, liegeom
 from singarc.arm2dof import Arm2DOF
 from singarc.duals import Tape
 from singarc.errors import CostateDegenerate, DegenerateSystem, RkViolation
 from singarc.liegeom import (iterated_bracket, u1_singular_brackets,
                              word_field)
-from singarc.pmp import (adjoint_rhs, costate_norm, costate_on_surface,
-                         costate_rate, general_singular_solve,
-                         general_singular_system, hamiltonian, in_Rk,
-                         lambda4_degenerate, lemma1_certificate,
-                         phi_second_derivative, sign_rule,
-                         singular_law_coeffs, singular_u1, sk_rank, switching)
+from singarc.pmp import (costate_norm, costate_on_surface, costate_rate,
+                         general_singular_solve, general_singular_system,
+                         hamiltonian, in_Rk, lambda4_degenerate, sign_rule,
+                         singular_law_coeffs, singular_u1, switching)
 
 
 def test_hamiltonian_is_minus_one_for_zero_costate(arm):
@@ -34,7 +33,7 @@ def test_hamiltonian_reference_value(arm):
 
 
 def test_adjoint_vanishes_for_zero_costate(arm):
-    rhs = adjoint_rhs(arm, ref.X0, (5.0, -5.0), np.zeros(4))
+    rhs = ref.adjoint_rhs(arm, ref.X0, (5.0, -5.0), np.zeros(4))
     npt.assert_array_equal(rhs, np.zeros(4))
 
 
@@ -46,7 +45,7 @@ def test_adjoint_matches_finite_differences(arm, extremal):
     cases += [(extremal.x[k], extremal.u[k], extremal.lam[k])
               for k in range(0, len(extremal), 1000)]
     for x, u, lam in cases:
-        got = adjoint_rhs(arm, x, u, lam)
+        got = ref.adjoint_rhs(arm, x, u, lam)
         want = fd_adjoint(arm, x, u, lam)
         assert np.linalg.norm(got - want) <= 1e-6 * max(
             np.linalg.norm(want), 1.0)
@@ -62,7 +61,7 @@ def test_adjoint_is_the_costate_rate_on_the_tableau(arm, x, u, lam):
     numbers as costate_rate on its df_cols and dL."""
     tab = u1_singular_brackets(arm, list(x))
     want = costate_rate(tab.df_cols, tab.dL, u, lam)
-    assert adjoint_rhs(arm, np.asarray(x), u, lam).tolist() == list(want)
+    assert ref.adjoint_rhs(arm, np.asarray(x), u, lam).tolist() == list(want)
 
 
 def test_switching_vanishes_for_zero_costate(arm):
@@ -234,9 +233,11 @@ def test_lambda4_guard_is_one_rule_for_floats_and_columns():
             [tiny, 0.0, 0.0, 2.0 ** -29 * tiny],
             [1e200, 1e200, 0.0, 1.0],  # the sum of squares overflows
             [0.0, 0.0, 0.0, 1e160], [1e308, 1e308, 0.0, 1e300],
-            [math.inf, 0.0, 0.0, 1.0]]
+            [math.inf, 0.0, 0.0, 1.0],
+            # a subnormal lambda4 trips, although it is its own norm
+            [0.0, 0.0, 0.0, 2.0 ** -1030], [0.0, 0.0, 0.0, 2.0 ** -1022]]
     want = [True, False, False, True, False, True, False, True, False,
-            False, True]
+            False, True, True, False]
     assert [bool(lambda4_degenerate(r)) for r in rows] == want
     npt.assert_array_equal(lambda4_degenerate(np.array(rows).T), want)
 

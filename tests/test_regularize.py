@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from oracles import audit_labels
+from oracles import audit_labels, lemma1_certificate
 from singarc.arm2dof import ControlBounds
 from singarc.errors import MissingCostates
 from singarc.integrate import (IntegratorConfig, Trajectory,
                                integrate_extremal, save_trajectory)
-from singarc.pmp import costate_ratio, lemma1_certificate, switching
+from singarc.pmp import costate_ratio, switching
 from singarc.regularize import (LABEL_BANG_IN_BAND, LABEL_LOWER,
                                 LABEL_SINGULAR, LABEL_UNCHECKED, LABEL_UPPER,
                                 LABEL_VIOLATION, AuditResult,
