@@ -3,11 +3,17 @@
 Every command reads the packaged defaults, overlays an optional config
 file, then applies command-line flags, and is deterministic given those
 inputs.  Outputs are plain CSV series and JSON summaries; no plotting.
+
+The module keeps one plant, for the last parameter set a command ran on:
+commands in one process on the same ``[model]`` share it and so the
+compiled kernels cached on it (see ``duals.compiled``), and a one-shot
+invocation builds every kernel once, on first use.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -48,13 +54,22 @@ class RunConfig:
     seed: int
 
     def system(self) -> Arm2DOF:
-        return Arm2DOF(self.params)
+        """The plant for params: the same object as the last command's
+        when that ran on equal parameters, so its kernels carry over."""
+        return _plant(self.params)
 
     def initial_costate(self, sys_) -> np.ndarray:
         if self.lambda0 is not None:
             return np.asarray(self.lambda0, dtype=float)
         return costate_on_surface(sys_, np.asarray(self.x0), self.lambda2,
                                   self.lambda4)
+
+
+@functools.lru_cache(maxsize=1)
+def _plant(params: ArmParams) -> Arm2DOF:
+    # a kernel depends only on the plant's type and parameters, and the
+    # plant holds no state, so reusing it gives the same bits
+    return Arm2DOF(params)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -116,6 +131,10 @@ def load_config(path: str | None = None,
         else overrides["samples"]
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    seed = sampling.getint("seed") if overrides.get("seed") is None \
+        else overrides["seed"]
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return RunConfig(
         params=params,
         bounds=bounds,
@@ -129,8 +148,7 @@ def load_config(path: str | None = None,
         box_low=_floats(sampling["box_low"]),
         box_high=_floats(sampling["box_high"]),
         samples=samples,
-        seed=sampling.getint("seed") if overrides.get("seed") is None
-        else overrides["seed"],
+        seed=seed,
     )
 
 

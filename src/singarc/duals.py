@@ -387,6 +387,12 @@ def compiled(owner, key, inputs, record, batched: bool = False,
     tuple that starts with one, which fixes what record records.  Kernels
     live as long as their owner, which must not change once it has one.
     The tape is dropped: recording again costs less than keeping it.
+
+    The store is keyed by the owner object, not by its type and
+    parameters.  Two equal plants each record their own kernels: a plant
+    that counts its own evaluations sees every recording it causes, and a
+    dropped plant frees its kernels with it.  A caller that wants kernels
+    to carry over keeps the plant (the CLI keeps one per parameter set).
     """
     per_owner = _COMPILED.setdefault(owner, {})
     kernel = per_owner.get((key, batched))

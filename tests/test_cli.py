@@ -1,14 +1,16 @@
 """Command-line front end, exercised in-process through main(argv)."""
+import gc
 import json
 import os
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import reference as ref
-from singarc import cli, liegeom
+from singarc import cli, duals, liegeom
 from singarc.cli import _floats, load_config, main
 from singarc.errors import EXIT_PARTIAL_REGULARIZATION
 from singarc.integrate import (Trajectory, hamiltonian_trace,
@@ -111,7 +113,9 @@ def test_missing_config_file_fails_cleanly(capsys):
     (["construct", "--step", "-1"], "step must be positive, got -1.0"),
     (["certify", "--samples", "0"], "samples must be >= 1, got 0"),
     (["certify", "--samples", "-5"], "samples must be >= 1, got -5"),
-], ids=["step-0", "step-negative", "samples-0", "samples-negative"])
+    (["certify", "--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["step-0", "step-negative", "samples-0", "samples-negative",
+        "seed-negative"])
 def test_zero_and_negative_overrides_are_rejected(argv, message, tmp_path,
                                                   capsys):
     """An explicit 0 is a value, not "use the default"."""
@@ -119,6 +123,18 @@ def test_zero_and_negative_overrides_are_rejected(argv, message, tmp_path,
     err = capsys.readouterr().err
     assert rc == 1
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "never").exists()
+
+
+def test_a_negative_seed_in_the_config_is_rejected_by_name(tmp_path,
+                                                           capsys):
+    """numpy's own refusal does not name the seed; the config check does."""
+    path = tmp_path / "seed.cfg"
+    path.write_text("[sampling]\nseed = -1\n")
+    rc = main(["certify", "--samples", "10", "--config", str(path),
+               "--out", str(tmp_path / "never")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not (tmp_path / "never").exists()
 
 
@@ -587,6 +603,64 @@ def test_certify_memory_does_not_grow_with_the_sweep(capsys):
     large = _certify_peak(5 * WORD_CHUNK)
     capsys.readouterr()
     assert large - small <= 64 * 4 * WORD_CHUNK
+
+
+# the second plant of the installed-package smoke test
+SECOND_PLANT = ("[model]\nlink_length = 0.6, 0.4\ncom_position = 0.3, 0.25\n"
+                "mass = 12.0, 4.0\ninertia_z = 0.8, 0.3\n")
+
+
+def test_commands_in_one_process_keep_the_last_parameter_sets_plant(
+        monkeypatch, tmp_path, capsys):
+    """The CLI keeps one plant, the last parameter set's: a command on the
+    same [model] records no kernel, one on another [model] records its
+    own and frees the first plant's, and every output is the one a fresh
+    process writes."""
+    second = tmp_path / "second.cfg"
+    second.write_text(SECOND_PLANT)
+    packaged = ["certify", "--samples", "5000"]
+    other = packaged + ["--config", str(second)]
+
+    def one_shot(argv):
+        cli._plant.cache_clear()
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    want = {"packaged": one_shot(packaged), "other": one_shot(other)}
+    assert want["packaged"] != want["other"]
+
+    recorded = []
+    compile_ = duals.Tape.compile
+
+    def spy(tape, outputs, name, **kwargs):
+        recorded.append(name)
+        return compile_(tape, outputs, name, **kwargs)
+
+    monkeypatch.setattr(duals.Tape, "compile", spy)
+
+    def run(argv):
+        recorded.clear()
+        assert main(argv) == 0
+        return capsys.readouterr().out, sorted(recorded)
+
+    cli._plant.cache_clear()
+    out, kernels = run(packaged)
+    assert out == want["packaged"] and kernels
+    first = weakref.ref(load_config().system())
+    assert run(other) == (want["other"], kernels)
+    gc.collect()
+    assert first() is None
+    # back on the packaged arm: a new plant, which records again
+    assert run(packaged) == (want["packaged"], kernels)
+    assert run(packaged) == (want["packaged"], [])
+
+    csv = tmp_path / "run.csv"
+    construct = ["construct", "--step", "1e-3", "--out", str(csv)]
+    stdout, built = run(construct)
+    written = csv.read_bytes()
+    assert built
+    assert run(construct) == (stdout, [])
+    assert csv.read_bytes() == written
 
 
 def test_certify_output_is_pinned_byte_for_byte(tmp_path, capsys):

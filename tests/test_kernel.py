@@ -218,6 +218,7 @@ def test_construct_builds_no_float_law_kernel(monkeypatch, tmp_path):
     the kernel's coefficients give, under ==."""
     plants = []
     system = cli.RunConfig.system
+    cli._plant.cache_clear()     # a plant of this test's own commands
 
     def spy(cfg):
         plants.append(system(cfg))
@@ -721,6 +722,7 @@ def test_construct_and_certify_build_no_replay_kernel(monkeypatch, tmp_path):
         return replay_kernel(plant)
 
     monkeypatch.setattr(integrate, "replay_kernel", spy)
+    cli._plant.cache_clear()     # a plant of this test's own commands
     run = str(tmp_path / "run.csv")
     assert cli.main(["construct", "--step", "1e-3", "--out", run]) == 0
     assert cli.main(["certify", "--samples", "100"]) == 0
