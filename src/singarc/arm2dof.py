@@ -48,8 +48,12 @@ class ControlBounds:
     upper: tuple[float, ...] = (20.0, 10.0)
 
     def __post_init__(self):
-        if len(self.lower) != len(self.upper):
-            raise ValueError("bounds must have equal length")
+        # one entry per channel of the two-link arm, as ArmParams has
+        if len(self.lower) != 2 or len(self.upper) != 2 or not all(
+                np.isfinite(v) for v in self.lower + self.upper):
+            raise ValueError("bounds lower and upper must hold two finite "
+                             f"values each, got {self.lower} and "
+                             f"{self.upper}")
         if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("need lower[i] < upper[i] for every channel")
 

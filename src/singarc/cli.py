@@ -15,6 +15,7 @@ import argparse
 import configparser
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -28,7 +29,7 @@ from .errors import (ERRORS_BY_NAME, EXIT_CODES, EXIT_OK,
 from .integrate import (IntegratorConfig, hamiltonian_trace,
                         integrate_extremal, resimulate, save_trajectory,
                         write_csv)
-from .liegeom import certify_sweep
+from .liegeom import WORD_CHUNK, certify_sweep
 from .pmp import costate_norm, costate_on_surface, costate_ratio, in_Rk
 from .regularize import (AUDIT_LABELS, LABEL_VIOLATION, Tolerances,
                          detect_singular_arcs, ingest, pmp_audit,
@@ -127,6 +128,13 @@ def load_config(path: str | None = None,
         law_tol=tols.getfloat("law_tol"),
     )
     sampling = parser["sampling"]
+    box_low, box_high = (_box_corner(sampling, key)
+                         for key in ("box_low", "box_high"))
+    # Generator.uniform draws in [low, high) and needs a finite width
+    if not all(lo <= hi and math.isfinite(hi - lo)
+               for lo, hi in zip(box_low, box_high)):
+        raise ValueError("[sampling] box_low must not exceed box_high, by a "
+                         "finite width, entry by entry")
     samples = sampling.getint("samples") if overrides.get("samples") is None \
         else overrides["samples"]
     if samples < 1:
@@ -145,11 +153,19 @@ def load_config(path: str | None = None,
         u2=initial.getfloat("u2"),
         integrator=integrator,
         tolerances=tolerances,
-        box_low=_floats(sampling["box_low"]),
-        box_high=_floats(sampling["box_high"]),
+        box_low=box_low,
+        box_high=box_high,
         samples=samples,
         seed=seed,
     )
+
+
+def _box_corner(sampling, key: str) -> tuple[float, ...]:
+    vals = _floats(sampling[key])
+    if len(vals) != 4 or not all(map(math.isfinite, vals)):
+        raise ValueError(f"[sampling] {key} must hold four finite values, "
+                         f"got {sampling[key]!r}")
+    return vals
 
 
 def _g(v: float) -> str:
@@ -262,8 +278,12 @@ def cmd_certify(cfg: RunConfig, out: str | None) -> int:
     rng = np.random.default_rng(cfg.seed)
     lo = np.asarray(cfg.box_low)
     hi = np.asarray(cfg.box_high)
-    states = rng.uniform(lo, hi, size=(cfg.samples, lo.size))
-    sweep = certify_sweep(sys_, states,
+    # drawn one chunk at a time: consecutive draws from one generator give
+    # the bits of a single draw of all the states
+    blocks = (rng.uniform(lo, hi, size=(min(WORD_CHUNK, cfg.samples - start),
+                                        lo.size))
+              for start in range(0, cfg.samples, WORD_CHUNK))
+    sweep = certify_sweep(sys_, blocks,
                           (cfg.bounds.lower[0], cfg.bounds.upper[0]))
     report = {
         "samples": cfg.samples,

@@ -19,7 +19,6 @@ adaptive stepping, no event location beyond the abort guards.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -130,6 +129,7 @@ class Trajectory:
 
 def model_signature(sys: Arm2DOF, bounds: ControlBounds | None = None) -> str:
     """Short stable digest of the plant and its torque bounds."""
+    import hashlib      # here, not at the top: only sidecars need SHA-256
     parts = [type(sys).__name__, repr(getattr(sys, "params", None))]
     if bounds is not None:
         parts.append(repr((bounds.lower, bounds.upper)))

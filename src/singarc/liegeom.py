@@ -18,17 +18,17 @@ Bracket words compile through ``word_kernel``, which records
 ``word_field`` for a tuple of words.  The certificates (``frame_rank``,
 ``alpha_coefficients``, ``b_set_certificate``) and ``pmp.switching`` read
 their columns from it, batches in chunks of ``WORD_CHUNK`` samples.
-``certify_sweep`` runs the three certificates over a sample of states one
-such chunk at a time and keeps only their reductions.  Two screens with
-a priori rounding bounds keep LAPACK off most states there:
-``_frame_screen`` brackets each frame's sigma_min through the Pfaffian
-of its skew part, so only the states that can hold the minimum take
-frame_rank's SVD, and ``_b_set_screen`` decides, from one cofactor
-vector, the B-set failures that no SVD could pass, so only the
-undecided states take ``_b_set_verdict``'s SVD.  ``word_field`` and
-``iterated_bracket`` stay the reference and never run compiled code.
-Every kernel is built, cached per plant and chunked by ``duals.compiled``
-and ``duals.chunks``.
+``certify_sweep`` runs the three certificates over blocks of states one
+such chunk at a time and keeps only their reductions, so a sweep holds
+no N-sized array.  Two screens with a priori rounding bounds keep
+LAPACK off most states there: ``_frame_screen`` brackets each frame's
+sigma_min through the Pfaffian of its skew part, so only the states
+that can hold the minimum take frame_rank's SVD, and ``_b_set_screen``
+decides, from one cofactor vector, the B-set failures that no SVD could
+pass, so only the undecided states take ``_b_set_verdict``'s SVD.
+``word_field`` and ``iterated_bracket`` stay the reference and never run
+compiled code.  Every kernel is built, cached per plant and chunked by
+``duals.compiled`` and ``duals.chunks``.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from .duals import STOPS, Dual, HyperDual, Rec, chunks, compiled, seed
 from .errors import DerivativeUnavailable, SpanViolation
 
 MAX_WORD = 4
-WORD_CHUNK = 4096     # samples per batched word-kernel call
+WORD_CHUNK = 2048     # samples per batched word-kernel call
 B_SET_WORDS = ("g2", "fg2", "ffg2", "fffg2", "g1ffg2")
 B_SET_RTOL = 1e-10
 
@@ -422,15 +422,17 @@ class SweepReduction:
     b_set_svd_states: int
 
 
-def certify_sweep(sys: Arm2DOF, states, bang_values) -> SweepReduction:
+def certify_sweep(sys: Arm2DOF, blocks, bang_values) -> SweepReduction:
     """frame_rank, alpha_coefficients and b_set_certificate at every row
-    of states ((N, 2n)), folded into running reductions WORD_CHUNK rows at
-    a time, so nothing N-sized is held but the states.
+    of the state blocks (an iterable of (k, 2n) arrays, read once), folded
+    into running reductions WORD_CHUNK rows at a time, so nothing N-sized
+    is held when the blocks are drawn one at a time.
 
-    The reductions equal those of the three full-batch calls: every
-    sample's numbers are computed alike in chunks, and min, max and counts
-    do not depend on how the samples are split.  A span violation raises
-    SpanViolation from the chunk where it occurs.
+    The reductions equal those of the three full-batch calls over all the
+    rows stacked: every sample's numbers are computed alike in chunks, and
+    min, max and counts do not depend on how the samples are split into
+    blocks or chunks.  A span violation raises SpanViolation from the
+    chunk where it occurs.
 
     The frame's minimum is the least of frame_rank's LAPACK values, taken
     only at the states that can hold it: _frame_screen brackets every
@@ -449,8 +451,9 @@ def certify_sweep(sys: Arm2DOF, states, bang_values) -> SweepReduction:
     failures = [0] * len(bang_values)
     velocity = [-math.inf] * len(bang_values)
     frame_svd = b_set_svd = 0
-    for start in range(0, len(states), WORD_CHUNK):
-        part = states[start:start + WORD_CHUNK]
+    parts = (block[start:start + WORD_CHUNK] for block in blocks
+             for start in range(0, len(block), WORD_CHUNK))
+    for part in parts:
         x = part.T
         frame = np.asarray(_word_columns(sys, _frame_words(sys.n), x))
         low, high = _frame_screen(frame)

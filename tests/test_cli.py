@@ -161,6 +161,71 @@ def test_non_finite_tolerances_are_rejected(argv, config, message,
     assert not (tmp_path / "never.csv").exists()
 
 
+@pytest.mark.parametrize("sampling, message", [
+    ("box_low = -1, -1, -1", "[sampling] box_low must hold four finite "
+     "values, got '-1, -1, -1'"),
+    ("box_high = 1, 1, 1, 1, 1", "[sampling] box_high must hold four finite "
+     "values, got '1, 1, 1, 1, 1'"),
+    ("box_low = -1, nan, -1, -1", "[sampling] box_low must hold four finite "
+     "values, got '-1, nan, -1, -1'"),
+    ("box_high = 1, 1, inf, 1", "[sampling] box_high must hold four finite "
+     "values, got '1, 1, inf, 1'"),
+    ("box_low = 4, -1, -1, -1", "[sampling] box_low must not exceed "
+     "box_high, by a finite width, entry by entry"),
+    ("box_low = -1e308, 0, 0, 0\nbox_high = 1e308, 1, 1, 1",
+     "[sampling] box_low must not exceed box_high, by a finite width, "
+     "entry by entry"),
+], ids=["three-values", "five-values", "nan", "inf", "low-above-high",
+        "infinite-width"])
+def test_a_bad_sampling_box_is_rejected_by_name(sampling, message, tmp_path,
+                                                capsys):
+    """The box certify draws its states in must hold four finite corners,
+    low <= high entry by entry, a finite width apart; anything else ends
+    with exit 1 and one line naming the key, before any state is drawn."""
+    path = tmp_path / "box.cfg"
+    path.write_text(f"[sampling]\n{sampling}\n")
+    rc = main(["certify", "--samples", "10", "--config", str(path),
+               "--out", str(tmp_path / "never")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "never").exists()
+
+
+def test_a_degenerate_box_is_a_valid_box(tmp_path, capsys):
+    """low == high draws that one state every time."""
+    path = tmp_path / "point.cfg"
+    path.write_text("[sampling]\nbox_low = 0.1, 0.2, 0.3, 0.4\n"
+                    "box_high = 0.1, 0.2, 0.3, 0.4\n")
+    assert load_config(str(path)).box_high == (0.1, 0.2, 0.3, 0.4)
+    assert main(["certify", "--samples", "3", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["construct", "regularize"])
+@pytest.mark.parametrize("entries", ["lower = -20\nupper = 20",
+                                     "lower = -20, -10, -5\n"
+                                     "upper = 20, 10, 5",
+                                     "upper = inf, 10"],
+                         ids=["one-each", "three-each", "infinite"])
+def test_bounds_need_one_entry_per_channel(command, entries, extremal_file,
+                                          tmp_path, capsys):
+    """The arm has two channels, each between two finite bounds: another
+    count of entries, or an infinite bound, ends with exit 1 and one error
+    line, not a traceback from the first use of the second channel or
+    LAPACK's complaints about an infinite bang value."""
+    path = tmp_path / "bounds.cfg"
+    path.write_text(f"[bounds]\n{entries}\n")
+    argv = [command] + ([extremal_file] if command == "regularize" else [])
+    rc = main(argv + ["--config", str(path),
+                      "--out", str(tmp_path / "never.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: bounds lower and upper must hold two "
+                          "finite values each, got ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "never.csv").exists()
+
+
 def test_cli_requires_a_command():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -519,7 +584,9 @@ CERTIFY_5000_SEED7 = """{
 
 
 @pytest.mark.parametrize("samples", [1, WORD_CHUNK - 1, WORD_CHUNK,
-                                     WORD_CHUNK + 1, 9000])
+                                     WORD_CHUNK + 1, 2 * WORD_CHUNK - 1,
+                                     2 * WORD_CHUNK, 2 * WORD_CHUNK + 1,
+                                     9000])
 @pytest.mark.parametrize("seed", [3, 11])
 def test_the_streamed_sweep_reports_the_full_batch_certificates(
         samples, seed, capsys):
@@ -595,14 +662,14 @@ def _certify_peak(samples):
 
 
 def test_certify_memory_does_not_grow_with_the_sweep(capsys):
-    """Past one chunk, a state costs its 32 bytes and little more: 16384
-    more states add at most 64 bytes each to the peak (the full-batch
-    sweep added ~290)."""
+    """certify draws its states a chunk at a time: 4 * WORD_CHUNK more
+    states add less to the peak than one chunk of states (32 bytes each;
+    drawing all the states at once added 32 bytes per extra state)."""
     main(["certify", "--samples", "10"])         # one-time allocations
     small = _certify_peak(WORD_CHUNK)
     large = _certify_peak(5 * WORD_CHUNK)
     capsys.readouterr()
-    assert large - small <= 64 * 4 * WORD_CHUNK
+    assert large - small <= 8 * 4 * WORD_CHUNK
 
 
 # the second plant of the installed-package smoke test

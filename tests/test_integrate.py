@@ -1,6 +1,8 @@
 """Extremal integration, replays, persistence, and the abort guards."""
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -428,6 +430,16 @@ def test_overflow_mid_run_is_a_nan_abort(arm, lam0):
                               c=ref.U2_BANG)
     assert len(traj) == 1
     assert traj.meta["abort"] == {"flag": "NaNError", "t": 1e100}
+
+
+def test_only_a_sidecar_loads_hashlib():
+    """SHA-256 (and the OpenSSL it loads) is imported by model_signature
+    when a sidecar is written, not by importing the command line."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        integrate.__file__)))
+    subprocess.run([sys.executable, "-c", "import sys, singarc.cli; "
+                    "assert 'hashlib' not in sys.modules"], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_model_signature_tracks_plant_and_bounds(arm, bounds):

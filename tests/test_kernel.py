@@ -538,12 +538,14 @@ def test_word_kernels_equal_word_field_at_float_states(x):
 
 
 @pytest.mark.parametrize("size", [1, WORD_CHUNK - 1, WORD_CHUNK,
-                                  WORD_CHUNK + 1, 2 * WORD_CHUNK + 1])
+                                  WORD_CHUNK + 1, 2 * WORD_CHUNK - 1,
+                                  2 * WORD_CHUNK, 2 * WORD_CHUNK + 1,
+                                  4 * WORD_CHUNK + 1])
 @settings(max_examples=2, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_word_kernels_equal_word_field_on_batches(size, seed):
     """Equal under == (nan equal to nan, the sign of a zero ignored) on
-    batches on both sides of the chunk size."""
+    batches on both sides of one and of two chunks."""
     X = ref.sample_states(np.random.default_rng(seed), size).T
     for words in WORD_SETS:
         got = _word_columns(WORD_PLANT, words, X)

@@ -325,7 +325,7 @@ def test_the_sweep_takes_the_svd_verdict_where_the_screen_is_undecided(
     screened = list(_b_set_screen(family, BANGS))
     monkeypatch.setattr(liegeom, "_b_set_verdict", lambda family, c: (
         np.ones(family.shape[-1], dtype=bool), None))
-    sweep = liegeom.certify_sweep(arm, states, BANGS)
+    sweep = liegeom.certify_sweep(arm, (states,), BANGS)
     for (c, count, velocity), decided in zip(sweep.b_set, screened):
         assert c in BANGS and 0 < count == decided.sum() < len(states)
         assert velocity == np.abs(states[decided, 2]
@@ -418,7 +418,7 @@ def test_out_of_range_frames_are_undecided_and_take_the_svd(arm):
     X[WORD_CHUNK] = X[high.argmin()]
     ranks = frame_rank(arm, X.T)
     assert ranks.argmin() in (0, 2, 100, 102, 200, 202)
-    sweep = certify_sweep(arm, X, BANGS)
+    sweep = certify_sweep(arm, (X,), BANGS)
     assert sweep.min_frame_rank == float(ranks.min())
     assert sweep.frame_svd_states == np.count_nonzero(low <= high.min())
 
@@ -430,9 +430,36 @@ def test_the_sweeps_frame_minimum_is_frame_ranks_bit_for_bit(arm, scale):
     X = ref.sample_states(np.random.default_rng(31), 9000)
     X[:, 2:] *= scale
     for plant in (arm, SECOND):
-        sweep = certify_sweep(plant, X, BANGS)
+        sweep = certify_sweep(plant, (X,), BANGS)
         assert sweep.min_frame_rank == float(frame_rank(plant, X.T).min())
         assert sweep.frame_svd_states >= 1
+
+
+# a few states past one chunk, so that splits can cross chunk boundaries
+SPLIT_STATES = ref.sample_states(np.random.default_rng(32),
+                                 2 * WORD_CHUNK + 40)
+SPLIT_STATES[::97, 2:] *= 1e-200        # undecided by the frame screen
+SPLIT_STATES[5::97, 2:] *= 1e12         # undecided by the B-set screen
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sizes=st.lists(st.sampled_from([1, 7, WORD_CHUNK - 1, WORD_CHUNK,
+                                       WORD_CHUNK + 1, 3 * WORD_CHUNK]),
+                      min_size=1, max_size=8),
+       second=st.booleans())
+def test_the_sweep_does_not_depend_on_how_the_states_are_split(
+        arm, sizes, second):
+    """certify_sweep over the rows of one array cut into blocks (of 1,
+    WORD_CHUNK +- 1 or more rows, the last one what is left) reports what
+    it reports over the whole array as one block, under ==."""
+    plant = SECOND if second else arm
+    want = certify_sweep(plant, (SPLIT_STATES,), BANGS)
+    cuts = np.cumsum(sizes)
+    blocks = np.split(SPLIT_STATES, cuts[cuts < len(SPLIT_STATES)])
+    got = certify_sweep(plant, iter(blocks), BANGS)
+    assert got.min_frame_rank == want.min_frame_rank
+    assert got.max_abs_alpha_ij1 == want.max_abs_alpha_ij1
+    assert got.b_set == want.b_set
 
 
 def test_b_set_certificate_requires_two_channels(arm):
