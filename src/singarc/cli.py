@@ -73,8 +73,18 @@ def _plant(params: ArmParams) -> Arm2DOF:
     return Arm2DOF(params)
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+def _numbers(section, key: str, kind=float, one: bool = False):
+    """[section] key's comma- or space-separated values, or with one True
+    its only value; anything else is a ValueError naming the key."""
+    text = section[key]
+    try:
+        vals = tuple(kind(tok) for tok in text.replace(",", " ").split())
+        if not one or len(vals) == 1:
+            return vals[0] if one else vals
+    except ValueError:
+        pass
+    want = f"one {kind.__name__}" if one else f"{kind.__name__} values"
+    raise ValueError(f"[{section.name}] {key} must hold {want}, got {text!r}")
 
 
 def load_config(path: str | None = None,
@@ -97,35 +107,31 @@ def load_config(path: str | None = None,
     overrides = overrides or {}
 
     model = parser["model"]
-    params = ArmParams(
-        link_length=_floats(model["link_length"]),
-        com_position=_floats(model["com_position"]),
-        mass=_floats(model["mass"]),
-        inertia_z=_floats(model["inertia_z"]),
-    )
-    bounds = ControlBounds(lower=_floats(parser["bounds"]["lower"]),
-                           upper=_floats(parser["bounds"]["upper"]))
+    params = ArmParams(**{key: _numbers(model, key) for key in (
+        "link_length", "com_position", "mass", "inertia_z")})
+    bounds = ControlBounds(lower=_numbers(parser["bounds"], "lower"),
+                           upper=_numbers(parser["bounds"], "upper"))
     initial = parser["initial"]
-    x0 = _floats(initial["x0"])
+    x0 = _numbers(initial, "x0")
     if len(x0) != 4:
         raise ValueError("x0 needs exactly four components")
-    lambda0 = _floats(initial["lambda0"]) if "lambda0" in initial else None
+    lambda0 = _numbers(initial, "lambda0") if "lambda0" in initial else None
     integ = parser["integrator"]
     integrator = IntegratorConfig(
-        step=integ.getfloat("step") if overrides.get("step") is None
-        else overrides["step"],
-        horizon=integ.getfloat("horizon"),
-        rk_exclusion=integ.getfloat("rk_exclusion"),
+        step=_numbers(integ, "step", one=True)
+        if overrides.get("step") is None else overrides["step"],
+        horizon=_numbers(integ, "horizon", one=True),
+        rk_exclusion=_numbers(integ, "rk_exclusion", one=True),
     )
     tols = parser["tolerances"]
     tolerances = Tolerances(
         phi_band=overrides.get("tol_phi"),
-        rel_band=tols.getfloat("rel_band"),
-        min_samples=tols.getint("min_samples"),
-        gap_samples=tols.getint("gap_samples"),
-        law_exclusion=tols.getfloat("law_exclusion"),
-        u_tol=tols.getfloat("u_tol"),
-        law_tol=tols.getfloat("law_tol"),
+        rel_band=_numbers(tols, "rel_band", one=True),
+        min_samples=_numbers(tols, "min_samples", int, one=True),
+        gap_samples=_numbers(tols, "gap_samples", int, one=True),
+        law_exclusion=_numbers(tols, "law_exclusion", one=True),
+        u_tol=_numbers(tols, "u_tol", one=True),
+        law_tol=_numbers(tols, "law_tol", one=True),
     )
     sampling = parser["sampling"]
     box_low, box_high = (_box_corner(sampling, key)
@@ -135,12 +141,12 @@ def load_config(path: str | None = None,
                for lo, hi in zip(box_low, box_high)):
         raise ValueError("[sampling] box_low must not exceed box_high, by a "
                          "finite width, entry by entry")
-    samples = sampling.getint("samples") if overrides.get("samples") is None \
-        else overrides["samples"]
+    samples = _numbers(sampling, "samples", int, one=True) \
+        if overrides.get("samples") is None else overrides["samples"]
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    seed = sampling.getint("seed") if overrides.get("seed") is None \
-        else overrides["seed"]
+    seed = _numbers(sampling, "seed", int, one=True) \
+        if overrides.get("seed") is None else overrides["seed"]
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return RunConfig(
@@ -148,9 +154,9 @@ def load_config(path: str | None = None,
         bounds=bounds,
         x0=x0,
         lambda0=lambda0,
-        lambda2=initial.getfloat("lambda2"),
-        lambda4=initial.getfloat("lambda4"),
-        u2=initial.getfloat("u2"),
+        lambda2=_numbers(initial, "lambda2", one=True),
+        lambda4=_numbers(initial, "lambda4", one=True),
+        u2=_numbers(initial, "u2", one=True),
         integrator=integrator,
         tolerances=tolerances,
         box_low=box_low,
@@ -161,7 +167,7 @@ def load_config(path: str | None = None,
 
 
 def _box_corner(sampling, key: str) -> tuple[float, ...]:
-    vals = _floats(sampling[key])
+    vals = _numbers(sampling, key)
     if len(vals) != 4 or not all(map(math.isfinite, vals)):
         raise ValueError(f"[sampling] {key} must hold four finite values, "
                          f"got {sampling[key]!r}")

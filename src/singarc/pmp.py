@@ -3,7 +3,7 @@ singular control laws.
 
 Two independent routes produce the first-channel singular control: the
 closed-form law built from the costate decomposition on the singular
-surface, and the generic linear solve over the alpha coefficients.  They
+surface, and the generic solve over the alpha coefficients.  They
 must agree wherever both are defined; the test suite enforces this, since
 published displays of the closed form have had sign and index slips.
 
@@ -76,16 +76,17 @@ class SingularLawCoeffs:
 
 @dataclass(frozen=True)
 class GeneralSingularSystem:
-    """The linear system pinning the singular controls when channel k is
-    the bang one: 0 = psi_k + b_kk*c_k*phi_k + (A_k ubar)*phi_k."""
+    """The equation pinning the other channel j's singular control when
+    channel k is the bang one: 0 = psi_k + b_kk*c_k*phi_k + A_k*ubar*phi_k,
+    psi_k = <lambda, ffg_j>, b_kk = alpha[j, k, k], A_k = alpha[j, j, k],
+    phi_k = <lambda, g_k>; a float each at one state, (N,) on columns."""
 
-    psi_k: np.ndarray
-    b_kk: np.ndarray
-    A_k: np.ndarray
-    delta_k: float
+    psi_k: float | np.ndarray
+    b_kk: float | np.ndarray
+    A_k: float | np.ndarray
     c_k: float
     k: int
-    phi_k: float
+    phi_k: float | np.ndarray
 
 
 def _dot(lam, vec):
@@ -409,42 +410,40 @@ def singular_u1_batch(sys: Arm2DOF, X, Lam, c, exclusion: float = 1e-3):
 
 def general_singular_system(sys: Arm2DOF, x, lam, k: int,
                             c_k: float) -> GeneralSingularSystem:
-    """Assemble the order-two singularity system for bang channel k.
+    """Assemble the order-two singularity equation for bang channel k, at
+    one state or at every column of (4, N) x and lam.
 
     Built from the alpha tensor and iterated-bracket evaluations only, on
     word_field: it shares no code with the closed-form route above and
     runs no compiled kernel, so a code-generation fault cannot hit both.
     """
-    n = sys.n
-    if not 1 <= k <= n:
-        raise ValueError(f"channel k = {k} out of range for n = {n}")
+    if k not in (1, 2):
+        raise ValueError(f"channel k = {k} out of range for n = 2")
+    j = 2 - k                            # the other channel, from 0
     lam = np.asarray(lam, dtype=float)
     comps = list(_components(x))
     _, L = sys.dyn(comps)
-    alpha = _alpha_solve(L, [word_field(sys, f"g{i + 1}fg{j + 1}")(comps)
-                             for i in range(n) for j in range(i, n)])
-    others = [i for i in range(n) if i != k - 1]
-    psi = np.array([_dot(lam, word_field(sys, f"ffg{i + 1}")(comps))
-                    for i in others])
-    b_kk = np.array([alpha.values[i, k - 1, k - 1] for i in others])
-    A_k = np.array([[alpha.values[i, j, k - 1] for j in others]
-                    for i in others])
-    gk = [L[r][k - 1] for r in range(n)]
-    phi_k = float(_dot(lam[n:], gk))
-    return GeneralSingularSystem(psi_k=psi, b_kk=b_kk, A_k=A_k,
-                                 delta_k=float(np.linalg.det(A_k)),
-                                 c_k=c_k, k=k, phi_k=phi_k)
+    alpha = _alpha_solve(L, [word_field(sys, w)(comps)
+                             for w in ("g1fg1", "g1fg2", "g2fg2")]).values
+    return GeneralSingularSystem(
+        psi_k=_dot(lam, word_field(sys, f"ffg{j + 1}")(comps)),
+        b_kk=alpha[j, k - 1, k - 1], A_k=alpha[j, j, k - 1], c_k=c_k, k=k,
+        phi_k=_dot(lam[2:], [L[0][k - 1], L[1][k - 1]]))
 
 
-def general_singular_solve(sys: Arm2DOF, x, lam, k: int,
-                           c_k: float) -> np.ndarray:
-    """The unique ubar with every phi_i'' = 0 (i != k), when it exists."""
+def general_singular_solve(sys: Arm2DOF, x, lam, k: int, c_k: float):
+    """The ubar with phi_j'' = 0, a float at one state and (N,) on columns.
+
+    Raises DegenerateSystem, naming the first column where |A_k| or
+    |phi_k| / costate_norm(lam) is at most DEGENERACY_TOL.
+    """
     system = general_singular_system(sys, x, lam, k, c_k)
-    if abs(system.delta_k) <= DEGENERACY_TOL:
-        raise DegenerateSystem(
-            f"delta_{k} = {system.delta_k:.3e}: no unique singular control")
-    if abs(system.phi_k) <= DEGENERACY_TOL * costate_norm(lam):
-        raise DegenerateSystem(
-            f"phi_{k} = {system.phi_k:.3e}: bang channel not separated")
-    rhs = -(system.psi_k + c_k * system.b_kk * system.phi_k)
-    return np.linalg.solve(system.A_k * system.phi_k, rhs)
+    A, phi = np.ravel(system.A_k), np.ravel(system.phi_k)
+    bad = (abs(A) <= DEGENERACY_TOL) | (
+        abs(phi) <= DEGENERACY_TOL * costate_norm(lam))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DegenerateSystem(f"A_{k} = {A[i]:.3e}, phi_{k} = {phi[i]:.3e} "
+                               f"at column {i}: no unique singular control")
+    return -(system.psi_k + c_k * system.b_kk * system.phi_k) / (
+        system.A_k * system.phi_k)

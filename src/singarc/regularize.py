@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -113,23 +113,17 @@ class RegularizationReport:
     flags: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "intervals": [
-                {k: getattr(iv, k) for k in (
-                    "channel", "start", "stop", "t_start", "t_end",
-                    "max_abs_phi", "max_abs_phi_dot", "u2_bang_value")}
-                for iv in self.intervals],
-            "max_deviation": list(self.max_deviation),
-            "endpoint_error": self.endpoint_error,
-            "endpoint_error_abs": self.endpoint_error_abs,
-            "pmp_consistency": self.pmp_consistency,
-            "skipped_samples": list(self.skipped_samples),
-            "skipped_reasons": list(self.skipped_reasons),
-            "flags": list(self.flags),
-        }
+        return _lists(asdict(self))
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+
+
+def _lists(obj):
+    """obj with every tuple, at any depth, turned into a list."""
+    if isinstance(obj, dict):
+        return {k: _lists(v) for k, v in obj.items()}
+    return [_lists(v) for v in obj] if isinstance(obj, (list, tuple)) else obj
 
 
 @dataclass(frozen=True)

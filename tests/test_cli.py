@@ -1,17 +1,19 @@
 """Command-line front end, exercised in-process through main(argv)."""
+import configparser
 import gc
 import json
 import os
 import tracemalloc
 import warnings
 import weakref
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import reference as ref
 from singarc import cli, duals, liegeom
-from singarc.cli import _floats, load_config, main
+from singarc.cli import _numbers, load_config, main
 from singarc.errors import EXIT_PARTIAL_REGULARIZATION
 from singarc.integrate import (Trajectory, hamiltonian_trace,
                                load_trajectory, save_trajectory)
@@ -61,7 +63,10 @@ def test_load_config_defaults():
     assert cfg.integrator.step == 1e-4 and cfg.integrator.horizon == 0.7
     assert cfg.tolerances.rel_band == 1e-3
     assert cfg.samples == 10000 and cfg.seed == 0
-    assert _floats("1, 2") == (1.0, 2.0) == _floats("1 2")
+    parser = configparser.ConfigParser()
+    parser.read_string("[s]\ncommas = 1, 2\nspaces = 1 2\n")
+    assert _numbers(parser["s"], "commas") == (1.0, 2.0) \
+        == _numbers(parser["s"], "spaces")
 
 
 def test_load_config_overrides_and_overlay(tmp_path):
@@ -100,6 +105,41 @@ def test_unknown_config_keys_are_rejected_by_name(tmp_path, capsys):
     good.write_text("[initial]\nlambda0 = -5.85, -3.0, -10.23, -6.0\n"
                     "[integrator]\nrk_exclusion = 1e-7\n")
     assert load_config(str(good)).integrator.rk_exclusion == 1e-7
+
+
+def _bad_numbers():
+    """A bad value for every numeric key of the packaged config and for
+    the optional lambda0: its first entry not a number, and for an integer
+    key also a fraction."""
+    parser = configparser.ConfigParser()
+    with resources.files("singarc").joinpath("configs/default.cfg") \
+            .open() as fh:
+        parser.read_file(fh)
+    parser["initial"]["lambda0"] = "-5.85, -3.0, -10.23, -6.0"
+    cases = []
+    for name in parser.sections():
+        for key, text in parser[name].items():
+            rest = text.replace(",", " ").split()[1:]
+            cases.append((name, key, " ".join(["a"] + rest)))
+            if key in ("min_samples", "gap_samples", "samples", "seed"):
+                cases.append((name, key, "2.5"))
+    return cases
+
+
+@pytest.mark.parametrize("section, key, text", _bad_numbers())
+def test_a_bad_config_number_is_rejected_by_name(section, key, text,
+                                                 tmp_path, capsys):
+    """A config value that is not a number of the key's kind ends with
+    exit 1 and one line naming the key, not Python's own message."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[{section}]\n{key} = {text}\n")
+    rc = main(["certify", "--config", str(path),
+               "--out", str(tmp_path / "never")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: [{section}] {key} must hold ")
+    assert err.endswith(f", got {text!r}\n") and err.count("\n") == 1
+    assert not (tmp_path / "never").exists()
 
 
 def test_missing_config_file_fails_cleanly(capsys):

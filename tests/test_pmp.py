@@ -387,16 +387,19 @@ def test_general_route_agrees_with_the_closed_form(arm):
     closed = singular_u1(arm, ref.X0, ref.LAM0, c=ref.U2_BANG)
     ubar = general_singular_solve(arm, ref.X0, ref.LAM0, k=2,
                                   c_k=ref.U2_BANG)
-    assert ubar.shape == (1,)
-    assert abs(ubar[0] - closed) <= 1e-8 * max(abs(closed), 1.0)
+    assert np.ndim(ubar) == 0
+    assert abs(ubar - closed) <= 1e-8 * max(abs(closed), 1.0)
 
 
 def test_general_system_fields(arm):
     system = general_singular_system(arm, ref.X0, ref.LAM0, k=2,
                                      c_k=ref.U2_BANG)
     assert system.k == 2 and system.c_k == ref.U2_BANG
-    assert system.psi_k.shape == (1,) and system.A_k.shape == (1, 1)
-    assert system.delta_k == pytest.approx(float(np.linalg.det(system.A_k)))
+    # one equation in one unknown: every field is one value at one state
+    for value in (system.psi_k, system.b_kk, system.A_k, system.phi_k):
+        assert np.ndim(value) == 0
+    alpha = liegeom.alpha_coefficients(arm, ref.X0).values
+    assert system.b_kk == alpha[0, 1, 1] and system.A_k == alpha[0, 0, 1]
     assert system.phi_k < -0.1
     with pytest.raises(ValueError):
         general_singular_system(arm, ref.X0, ref.LAM0, k=3, c_k=0.0)
@@ -417,9 +420,11 @@ def test_reference_routes_never_run_compiled_code(monkeypatch):
     monkeypatch.setattr(liegeom, "word_kernel", refuse)
     plant = Arm2DOF()                    # no kernel built or cached yet
     X = ref.sample_states(np.random.default_rng(32), 8)
-    for k, c_k in ((1, 20.0), (2, ref.U2_BANG)):
-        general_singular_system(plant, ref.X0, ref.LAM0, k=k, c_k=c_k)
-    general_singular_solve(plant, ref.X0, ref.LAM0, k=2, c_k=ref.U2_BANG)
+    lams = np.tile(ref.LAM0[:, None], (1, len(X)))
+    for x, lam in ((ref.X0, ref.LAM0), (X.T, lams)):
+        for k, c_k in ((1, 20.0), (2, ref.U2_BANG)):
+            general_singular_system(plant, x, lam, k=k, c_k=c_k)
+        general_singular_solve(plant, x, lam, k=2, c_k=ref.U2_BANG)
     word_field(plant, "fffg2")(list(ref.X0))
     iterated_bracket(plant, "g1ffg2", ref.X0)
     iterated_bracket(plant, "g2fg2", X.T)
@@ -438,10 +443,68 @@ def test_general_route_requires_a_separated_bang_channel(arm):
         general_singular_solve(arm, ref.X0, lam, k=2, c_k=-10.0)
 
 
+def _solve_or_error(sys_, x, lam, k, c_k):
+    try:
+        return general_singular_solve(sys_, x, lam, k=k, c_k=c_k)
+    except DegenerateSystem as exc:
+        return exc
+
+
+box_states = st.tuples(st.floats(-math.pi, math.pi),
+                       st.floats(-math.pi, math.pi),
+                       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(cases=st.lists(st.tuples(box_states,
+                                st.tuples(*[st.floats(-10.0, 10.0)] * 4)),
+                      min_size=1, max_size=4))
+def test_the_route_on_columns_is_the_route_state_by_state(arm, cases):
+    """One call over (4, N) columns gives, under ==, every field and every
+    ubar of the per-state calls, and raises where one of them does,
+    naming the first such column.  With channel 1 bang every state is
+    degenerate, so the column call raises as each per-state call does."""
+    X = np.array([x for x, _ in cases]).T
+    Lam = np.array([lam for _, lam in cases]).T
+    assume(in_Rk(X).all())
+    system = general_singular_system(arm, X, Lam, k=2, c_k=ref.U2_BANG)
+    for i in range(X.shape[1]):
+        one = general_singular_system(arm, X[:, i], Lam[:, i], k=2,
+                                      c_k=ref.U2_BANG)
+        for name in ("psi_k", "b_kk", "A_k", "phi_k"):
+            assert getattr(system, name)[i] == getattr(one, name), name
+    each = [_solve_or_error(arm, X[:, i], Lam[:, i], 2, ref.U2_BANG)
+            for i in range(X.shape[1])]
+    got = _solve_or_error(arm, X, Lam, 2, ref.U2_BANG)
+    bad = [i for i, v in enumerate(each) if isinstance(v, Exception)]
+    if bad:
+        assert isinstance(got, DegenerateSystem)
+        assert f"at column {bad[0]}:" in str(got)
+    else:
+        npt.assert_array_equal(got, each)
+    for i in range(X.shape[1]):
+        with pytest.raises(DegenerateSystem):
+            general_singular_solve(arm, X[:, i], Lam[:, i], k=1, c_k=20.0)
+    with pytest.raises(DegenerateSystem, match="at column 0:"):
+        general_singular_solve(arm, X, Lam, k=1, c_k=20.0)
+
+
+def test_a_degenerate_column_is_named_among_good_ones(arm, extremal):
+    """phi_2 = 0 at one column of a good stretch of the run: the column
+    call raises, naming that column and no other."""
+    X = extremal.x[:5].T.copy()
+    Lam = extremal.lam[:5].T.copy()
+    general_singular_solve(arm, X, Lam, k=2, c_k=ref.U2_BANG)
+    Lam[:, 3] = [1.0, 0.0, 0.0, 0.0]          # phi_2 = 0 there
+    with pytest.raises(DegenerateSystem,
+                       match=r", phi_2 = 0\.000e\+00 at column 3: "):
+        general_singular_solve(arm, X, Lam, k=2, c_k=ref.U2_BANG)
+
+
 def test_solved_control_zeroes_the_second_derivative(arm):
     ubar = general_singular_solve(arm, ref.X0, ref.LAM0, k=2,
                                   c_k=ref.U2_BANG)
-    u = np.array([ubar[0], ref.U2_BANG])
+    u = np.array([ubar, ref.U2_BANG])
     dd = phi_second_derivative(arm, ref.X0, ref.LAM0, u)
     lam_norm = float(np.linalg.norm(ref.LAM0))
     assert abs(dd[0]) <= 1e-8 * lam_norm
