@@ -20,8 +20,10 @@ operation the dual arithmetic performs on it into a ``Tape``, which then
 compiles the live operations into one straight-line Python function.  Only
 rewrites that cannot change a finite result are made while recording:
 identical operations are shared (``+`` and ``*`` with canonical operand
-order), ``x*0`` becomes the structural zero ``0.0``, ``x*1`` and ``x+-0``
-become ``x``, and operations no output needs are dropped.  Nothing is
+order), ``x*0`` and ``0/x`` become the structural zero ``0.0``, ``x*1`` and
+``x+-0`` become ``x``, and operations no output needs are dropped.  A folded
+``0/x`` leaves a zero check of x behind, so the compiled function still
+raises ZeroDivisionError where the division would.  Nothing is
 reassociated or simplified algebraically.  So on inputs at which the
 replayed evaluation stays finite the compiled function returns the same
 numbers (``==``, bit for bit except possibly the sign of a zero); on
@@ -154,6 +156,7 @@ class OffTrace(ArithmeticError):
 
 _CONSTANT = (int, float)   # plain scalars a Rec may meet; np.float64 is a float
 _INLINED = ("+", "-", "*", "neg", "abs", "<=")
+_TESTED = ("/", "nonzero", "sin", "cos")  # a batched mask tests their operand
 
 
 class Rec:
@@ -201,6 +204,10 @@ class Rec:
         return self.tape.op("/", self, o)
 
     def __rtruediv__(self, o):
+        if type(o) is not Rec and o == 0:
+            # 0/x is 0 wherever it is finite; the check keeps its raise
+            self.tape.op("nonzero", self)
+            return 0.0
         return self.tape.op("/", o, self)
 
     def __neg__(self):
@@ -264,32 +271,51 @@ class Tape:
         outputs is a nest of lists and tuples over Recs and constants; the
         function builds the same nest of floats.  Emitted in recorded
         order: every node an output needs, every check, and every division
-        by a node (it can raise ZeroDivisionError, as the replayed
-        evaluation would).  Operations that cannot raise and have one
-        consumer are written inline into it.  The source is kept as
+        by a node or zero check of a folded ``0/x`` (either can raise
+        ZeroDivisionError, as the replayed evaluation would).  Operations
+        that cannot raise and have one consumer are written inline into
+        it.  A temporary's name is reused once the last statement that
+        reads it has run, so the function has as many locals as values
+        alive at once, not one per temporary (past 255, CPython spends an
+        EXTENDED_ARG on every further local).  The source is kept as
         ``fn.source``.
 
         batched=True emits the same operations for numpy array inputs, one
         sample per element (run it under ``np.errstate(all="ignore")``),
         and returns ``(outputs, bad)``.  Where the float function raises,
         the batched one ORs the sample into the mask ``bad`` instead: a
-        check that holds, an exact zero divisor, an infinite argument of
+        check that holds, an exact zero divisor or checked ``0/x``
+        denominator (one test per operand), an infinite argument of
         sin/cos.  sin/cos apply math.sin/math.cos element by element, so
         every unmasked sample gets the float function's numbers bit for
         bit.  A masked sample's outputs are meaningless.  numpy_trig=True
         applies np.sin/np.cos to the whole array instead: the numbers of an
         evaluation over numpy arrays, which need not equal math's in the
         last bit on every platform.  Each temporary the batched function
-        does not return is deleted after the last statement that reads it,
-        so a call holds only its live arrays.
+        does not return is deleted after the last statement that reads it
+        (its name is not reused), so a call holds only its live arrays.
+
+        Compiling spends the tape: the recording is released before Python
+        compiles the source.
         """
+        source, env = self._source(outputs, name, batched, numpy_trig)
+        self.ops.clear()
+        self._shared.clear()
+        exec(compile(source, f"<{name}>", "exec"), env)
+        fn = env[name]
+        fn.source = source
+        return fn
+
+    def _source(self, outputs, name, batched, numpy_trig):
+        """compile's source text and the globals it runs in."""
         live = [False] * len(self.ops)
         uses = [0] * len(self.ops)       # references from live code
         stack = [r.idx for r in _recs(outputs)]
         for i in stack:
             uses[i] += 1
         stack += [i for i, (op, args) in enumerate(self.ops)
-                  if op == "check" or (op == "/" and type(args[1]) is Rec)]
+                  if op in ("check", "nonzero")
+                  or (op == "/" and type(args[1]) is Rec)]
         while stack:
             i = stack.pop()
             if not live[i]:
@@ -303,7 +329,7 @@ class Tape:
         tested = set()
         if batched:
             tested = {args[-1].idx for op, args in self.ops
-                      if op in ("/", "sin", "cos") and type(args[-1]) is Rec}
+                      if op in _TESTED and type(args[-1]) is Rec}
             trig = (np.sin, np.cos) if numpy_trig else (
                 _elementwise(math.sin), _elementwise(math.cos))
             env = {"sin": trig[0], "cos": trig[1], "isinf": np.isinf}
@@ -321,13 +347,6 @@ class Tape:
             env[key] = a
             return key
 
-        def nest(v):
-            if isinstance(v, list):
-                return "[" + ", ".join(map(nest, v)) + "]"
-            if isinstance(v, tuple):
-                return "(" + "".join(nest(e) + ", " for e in v) + ")"
-            return ref(v)
-
         lines = ["    bad = False"] if batched else []
         for i, (op, args) in enumerate(self.ops):
             if not live[i] or op == "in":
@@ -337,12 +356,16 @@ class Tape:
                 lines.append(f"    bad = bad | {a[0]}" if batched
                              else f"    if {a[0]}: raise OffTrace")
                 continue
-            if (batched and op in ("/", "sin", "cos")
-                    and type(args[-1]) is Rec):
+            if batched and op in _TESTED and type(args[-1]) is Rec:
                 test = "isinf({})" if op in ("sin", "cos") else "({} == 0.0)"
                 test = "    bad = bad | " + test.format(a[-1])
                 if test not in lines:       # one test per operand
                     lines.append(test)
+            if op == "nonzero":
+                if not batched:
+                    lines.append(f"    if {a[0]} == 0.0: "
+                                 "raise ZeroDivisionError")
+                continue
             if op in ("sin", "cos", "abs"):
                 expr = f"{op}({a[0]})"
             elif op == "neg":
@@ -359,19 +382,21 @@ class Tape:
                 names[i] = f"t{i}"
                 lines.append(f"    t{i} = {expr}")
         params = ", ".join(self._names.values())
-        result = f"{nest(outputs)}, bad" if batched else nest(outputs)
+        result = _nest(outputs, ref)
         if batched:
-            lines = _free_dead(lines, keep=set(_TEMP.findall(result)))
-        source = (f"def {name}({params}):\n" + "\n".join(lines)
-                  + f"\n    return {result}\n")
-        exec(compile(source, f"<{name}>", "exec"), env)
-        fn = env[name]
-        fn.source = source
-        return fn
+            result += ", bad"
+        dead = _dead_after(lines, keep=set(_TEMP.findall(result)))
+        if batched:
+            lines = _free_dead(lines, dead)
+        else:
+            lines, result = _reuse_names(lines, result, dead)
+        return (f"def {name}({params}):\n" + "\n".join(lines)
+                + f"\n    return {result}\n"), env
 
 
 # a compiled float function stops with one of these where its reference
-# raises: a recorded check that holds, an exact zero divisor, sin/cos of inf
+# raises: a recorded check that holds, an exact zero divisor (or the checked
+# denominator of a folded 0/x), sin/cos of inf
 STOPS = (OffTrace, ZeroDivisionError, ValueError)
 
 _COMPILED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -422,21 +447,57 @@ def chunks(kernel, comps, chunk: int):
 _TEMP = re.compile(r"\bt\d+\b")     # the names compile gives temporaries
 
 
-def _free_dead(lines, keep):
-    """lines with ``del`` after the last line that reads each temporary
-    (or defines it, if none reads it), except the names in keep."""
+def _dead_after(lines, keep):
+    """{n: temporaries} for each line n that is the last to read them (or
+    defines them, if none reads them); the names in keep stay alive."""
     last = {name: n for n, line in enumerate(lines)
             for name in _TEMP.findall(line)}
     dead: dict[int, list[str]] = {}
     for name, n in last.items():
         if name not in keep:
             dead.setdefault(n, []).append(name)
+    return dead
+
+
+def _free_dead(lines, dead):
+    """lines with a ``del`` of each temporary after its last reader."""
     out = []
     for n, line in enumerate(lines):
         out.append(line)
         if n in dead:
             out.append("    del " + ", ".join(dead[n]))
     return out
+
+
+def _reuse_names(lines, result, dead):
+    """lines and result with each temporary renamed to a name that is free
+    where it is defined: a name is free again once the last reader of its
+    temporary has run, so the function needs as many local names as it has
+    temporaries alive at once, not one per temporary."""
+    slot: dict[str, int] = {}       # temporary -> the number of its name
+    free: list[int] = []            # the numbers of the free names
+    count = 0
+
+    def rename(text):
+        return _TEMP.sub(lambda m: f"t{slot[m.group()]}", text)
+
+    out = []
+    for n, line in enumerate(lines):
+        target, eq, expr = line.strip().partition(" = ")
+        defines = eq and _TEMP.fullmatch(target)
+        line = rename(expr if defines else line)
+        gone = dead.get(n, ())
+        free += [slot[t] for t in gone if t in slot]  # read here, last time
+        if defines:
+            if not free:
+                free.append(count)
+                count += 1
+            slot[target] = free.pop()
+            line = f"    t{slot[target]} = {line}"
+            if target in gone:       # never read: free at once
+                free.append(slot[target])
+        out.append(line)
+    return out, rename(result)
 
 
 def _elementwise(fn):
@@ -446,6 +507,15 @@ def _elementwise(fn):
         return np.array([fn(e) if e - e == 0.0 else math.nan
                          for e in v.tolist()])
     return apply
+
+
+def _nest(v, ref):
+    """The source of a nest of lists and tuples, ref(leaf) at its leaves."""
+    if isinstance(v, list):
+        return "[" + ", ".join(_nest(e, ref) for e in v) + "]"
+    if isinstance(v, tuple):
+        return "(" + "".join(_nest(e, ref) + ", " for e in v) + ")"
+    return ref(v)
 
 
 def _recs(v):

@@ -6,13 +6,14 @@ bang value.  Steps are classical RK4 with the feedback law re-evaluated at
 every stage; holding it across a step lets the switching function drift.
 
 Two compiled kernels, each straight-line float code built by
-``duals.compiled`` from a Python reference, do the float work.  Every
-extremal stage is one call of ``extremal_kernel``, the reference
-``_extremal_rate`` (law, state rate and costate rate); the RK4 update and
-the guards stay here.  Replays step on ``replay_kernel``, one whole RK4
-step, ``_replay_step``.  A stage or step the kernel cannot take (singular
-mass matrix, exact zero divisor, sin/cos of inf) re-runs its reference,
-which raises what it always raised.
+``duals.compiled`` from a Python reference, do the float work, one call
+per RK4 step.  An extremal step is ``extremal_step_kernel``, the reference
+``_extremal_step`` (``_rk4_step`` over ``_extremal_rate``: law, state rate
+and costate rate at each stage), which also returns u1 at the step's
+start; the guards and the u1 bound test stay here.  Replays step on
+``replay_kernel``, the reference ``_replay_step``.  A step the kernel
+cannot take (singular mass matrix, exact zero divisor, sin/cos of inf)
+re-runs its reference stages, which raise what they always raised.
 
 Everything here is deterministic: same inputs, bit-identical output.  No
 adaptive stepping, no event location beyond the abort guards.
@@ -164,18 +165,7 @@ def integrate_extremal(sys: Arm2DOF, x0, lam0,
     ys = np.empty((nsteps + 1, 8))  # x, then lambda
     us = np.empty((nsteps + 1, 2))
 
-    kernel = extremal_kernel(sys)
-
-    def terms(y):
-        try:
-            return kernel(*y, c)
-        except STOPS:
-            # off the kernel's recorded branch the reference raises
-            return _extremal_rate(sys, y, c)
-
-    def rate(y, stage):
-        return terms(y)[0]
-
+    step = extremal_step_kernel(sys)
     y = x0 + lam0
     abort = None
     kept = 0
@@ -189,7 +179,13 @@ def integrate_extremal(sys: Arm2DOF, x0, lam0,
         if lambda4_degenerate(y[4:]):
             abort = {"flag": CostateDegenerate.__name__, "t": k * h}
             break
-        k1, u1 = terms(y)
+        try:
+            ahead, u1 = step(*y, c, h)
+        except STOPS:
+            # off the kernel's recorded branch: the reference stages, which
+            # raise what they raise
+            ahead = None
+            k1, u1 = _extremal_rate(sys, y, c)
         if not bounds.contains(0, u1):
             abort = {"flag": OutOfBounds.__name__, "t": k * h, "u1": u1}
             break
@@ -198,13 +194,15 @@ def integrate_extremal(sys: Arm2DOF, x0, lam0,
         kept = k + 1
         if k == nsteps:
             break
-        try:
-            y = _rk4_step(rate, y, h, k1)
-        except ValueError:
-            # math.sin of a stage state that overflowed to inf: the step
-            # has no finite result
-            abort = {"flag": NaNError.__name__, "t": (k + 1) * h}
-            break
+        if ahead is None:
+            try:
+                ahead = _extremal_step(sys, y, c, h, k1)
+            except ValueError:
+                # math.sin of a stage state that overflowed to inf: the
+                # step has no finite result
+                abort = {"flag": NaNError.__name__, "t": (k + 1) * h}
+                break
+        y = ahead
 
     if kept == 0:
         # even the initial sample was inadmissible; surface it as an error
@@ -234,17 +232,29 @@ def _extremal_rate(sys: Arm2DOF, y, c):
             + costate_rate(tab.df_cols, tab.dL, u, lam), u[0])
 
 
-def extremal_kernel(sys: Arm2DOF):
-    """``_extremal_rate`` as straight-line float code from
-    ``duals.compiled``: ``(x0, .., x3, l0, .., l3, c) -> (y', u1)``.
+def extremal_step_kernel(sys: Arm2DOF):
+    """One RK4 step of ``_extremal_rate`` (``_rk4_step`` over its stages) as
+    straight-line float code from ``duals.compiled``:
+    ``(x0, .., x3, l0, .., l3, c, h) -> (y after the step, u1 at y)``.
 
-    The same numbers (equal as floats) wherever the rate stays finite.
-    Raises OffTrace at the singular-mass guard and ZeroDivisionError at
-    an exact zero divisor, where ``_extremal_rate`` raises.
+    The same numbers (equal as floats) wherever the step stays finite.
+    Raises OffTrace at the singular-mass guard, ZeroDivisionError at an
+    exact zero divisor and ValueError at sin/cos of inf, where a stage of
+    the reference raises.
     """
-    inputs = [f"{v}{i}" for v in "xl" for i in range(4)] + ["c"]
-    return compiled(sys, "extremal_kernel", inputs,
-                    lambda *v: _extremal_rate(sys, list(v[:8]), v[8]))
+    inputs = [f"{v}{i}" for v in "xl" for i in range(4)] + ["c", "h"]
+
+    def record(*v):
+        y, c, h = list(v[:8]), v[8], v[9]
+        k1, u1 = _extremal_rate(sys, y, c)
+        return _extremal_step(sys, y, c, h, k1), u1
+
+    return compiled(sys, "extremal_step_kernel", inputs, record)
+
+
+def _extremal_step(sys: Arm2DOF, y, c, h, k1):
+    """``_rk4_step`` over ``_extremal_rate`` from y, given k1, its y' at y."""
+    return _rk4_step(lambda z, stage: _extremal_rate(sys, z, c)[0], y, h, k1)
 
 
 def _rk4_step(rate, y, h, k1):

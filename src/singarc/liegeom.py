@@ -11,8 +11,8 @@ field that can be bracketed again, up to words of length 4.
 
 The fused tableau of the singular law, ``u1_singular_brackets``, is the
 hand-written Dual/HyperDual reference for every input; ``pmp.law_kernel``
-and ``integrate.extremal_kernel`` compile it, with what follows it, into
-straight-line code.  ``dyn_jacobian`` is its first-order block, alone.
+and ``integrate.extremal_step_kernel`` compile it, with what follows it,
+into straight-line code.  ``dyn_jacobian`` is its first-order block, alone.
 
 Bracket words compile through ``word_kernel``, which records
 ``word_field`` for a tuple of words.  The certificates (``frame_rank``,
@@ -517,7 +517,7 @@ def u1_singular_brackets(sys: Arm2DOF, x) -> BracketTableau:
 
     The Dual/HyperDual reference over any scalar algebra of ``duals``
     (floats, arrays, nested duals, or ``Rec`` while ``pmp.law_kernel`` and
-    ``integrate.extremal_kernel`` are recorded from it).  One plain, four
+    ``integrate.extremal_step_kernel`` are recorded from it).  One plain, four
     first-order (``dyn_jacobian``) and four second-order evaluations of
     sys.dyn; all remaining brackets are assembled by matrix-vector work.
     """

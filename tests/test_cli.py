@@ -1,6 +1,8 @@
 """Command-line front end, exercised in-process through main(argv)."""
 import configparser
+import contextlib
 import gc
+import io
 import json
 import os
 import tracemalloc
@@ -10,11 +12,14 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference as ref
 from singarc import cli, duals, liegeom
 from singarc.cli import _numbers, load_config, main
-from singarc.errors import EXIT_PARTIAL_REGULARIZATION
+from singarc.errors import (EXIT_CODES, EXIT_OK, EXIT_PARTIAL_REGULARIZATION,
+                            EXIT_UNEXPECTED, EXIT_VIOLATIONS_REMAIN)
 from singarc.integrate import (Trajectory, hamiltonian_trace,
                                load_trajectory, save_trajectory)
 from singarc.liegeom import (WORD_CHUNK, alpha_coefficients,
@@ -521,6 +526,55 @@ def test_malformed_trajectory_files_exit_with_schema_error(
             rc = main([command, str(bad), "--out", str(tmp_path / "s.csv")])
         assert rc == 3  # SchemaError
         assert "SchemaError" in capsys.readouterr().err
+
+
+DOCUMENTED_EXITS = {EXIT_OK, EXIT_UNEXPECTED, EXIT_PARTIAL_REGULARIZATION,
+                    EXIT_VIOLATIONS_REMAIN, *EXIT_CODES.values()}
+
+
+@pytest.fixture(scope="module")
+def short_run(extremal, tmp_path_factory):
+    """A directory and the bytes of a 60-row copy of the run: CSV, sidecar."""
+    where = tmp_path_factory.mktemp("mutated")
+    rows = slice(0, 60)
+    save_trajectory(Trajectory(t=extremal.t[rows], x=extremal.x[rows],
+                               u=extremal.u[rows], lam=extremal.lam[rows],
+                               meta=extremal.meta), str(where / "run.csv"))
+    return where, {name: (where / name).read_bytes()
+                   for name in ("run.csv", "run.csv.meta.json")}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(("run.csv", "run.csv.meta.json")),
+       edits=st.lists(st.tuples(st.sampled_from(("replace", "insert",
+                                                 "delete")),
+                                st.integers(0, 2**16), st.binary(max_size=3)),
+                      min_size=1, max_size=3))
+def test_a_byte_mutated_file_exits_with_a_documented_code(short_run, name,
+                                                          edits):
+    """Bytes replaced, inserted or deleted anywhere in the CSV or in its
+    sidecar: diagnose and regularize end with a documented exit code and
+    an error line, never a traceback."""
+    where, files = short_run
+    data = bytearray(files[name])
+    for op, at, chunk in edits:
+        at %= len(data) + 1
+        if op == "replace":
+            data[at:at + len(chunk)] = chunk
+        elif op == "insert":
+            data[at:at] = chunk
+        else:
+            del data[at:at + 1 + len(chunk)]
+    for other, text in files.items():
+        (where / other).write_bytes(bytes(data) if other == name else text)
+    for command in ("diagnose", "regularize"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main([command, str(where / "run.csv"),
+                       "--out", str(where / "out.csv")])
+        assert rc in DOCUMENTED_EXITS, (command, rc, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 def test_regularize_restores_the_spiked_file(spiked_file, extremal, tmp_path,

@@ -110,11 +110,59 @@ def test_tape_rewrites_only_exact_identities():
     assert x * 1.0 is x and x + 0.0 is x and x - 0.0 is x
     assert x * y is y * x and x + y is y + x          # shared, canonical
     assert x - y is not y - x and x / y is not y / x
-    assert type(0.0 / x) is not float    # 0/x may raise: never folded
+    assert type(0.0 / x) is float and 0 / x == 0.0   # folded, checked
     sin(x) * 3.0                                       # recorded, unused
     fn = tape.compile([x * y + 2.0, (x / y, 0.0 - x, cos(y))])
     assert fn(3.0, 4.0) == [14.0, (0.75, -3.0, math.cos(4.0))]
     assert "sin" not in fn.source and "3.0" not in fn.source
+    # the folded 0/x divides by nothing and keeps a zero check of x
+    assert "0.0 / x" not in fn.source
+    assert "if x == 0.0: raise ZeroDivisionError" in fn.source
+    with pytest.raises(ZeroDivisionError):
+        fn(0.0, 4.0)
+
+
+def _zero_over(batched):
+    tape = Tape()
+    x = tape.input("x")
+    return tape.compile([0.0 / x, x + 1.0], batched=batched)
+
+
+def test_a_folded_zero_over_x_raises_where_the_division_raises():
+    """0.0 / x compiles to the structural 0.0 behind a zero check of x: the
+    float form raises ZeroDivisionError at x = +-0.0, as 0.0 / x does, and
+    returns 0.0 at finite nonzero x and at +-inf; the batched form masks
+    exactly the zero samples."""
+    fn = _zero_over(batched=False)
+    for x in (0.0, -0.0):
+        with pytest.raises(ZeroDivisionError):
+            0.0 / x
+        with pytest.raises(ZeroDivisionError):
+            fn(x)
+    xs = [2.5, -3.0, 5e-324, -1e300, math.inf, -math.inf]
+    for x in xs:
+        assert fn(x) == [0.0 / x, x + 1.0] and fn(x)[0] == 0.0
+    batch = np.array([1.0, 0.0, math.inf, -0.0, 5e-324, -math.inf, -2.0])
+    with np.errstate(all="ignore"):
+        (zero, inc), bad = _zero_over(batched=True)(batch)
+    npt.assert_array_equal(bad, batch == 0.0)
+    assert zero == 0.0
+    npt.assert_array_equal(inc, batch + 1.0)
+
+
+def test_a_float_kernel_reuses_the_names_of_dead_temporaries():
+    """A chain of 400 sines needs one temporary name, not 400: each name
+    is free again once its value's last reader has run."""
+    tape = Tape()
+    v = x = tape.input("x")
+    for _ in range(400):
+        v = sin(v)
+    fn = tape.compile([v, x * 2.0])
+    want = 0.5
+    for _ in range(400):
+        want = math.sin(want)
+    assert fn(0.5) == [want, 1.0]
+    assert fn.__code__.co_nlocals == 2
 
 
 def test_tape_checks_and_divisions_stay_in_recorded_order():

@@ -66,8 +66,8 @@ def test_integration_is_deterministic(arm, lam0):
 @pytest.mark.parametrize("stop", STOPS)
 def test_the_reference_stages_give_the_kernel_run(arm, lam0, monkeypatch,
                                                   stop):
-    """A kernel that stops at every stage sends each one to the
-    reference: the same run, bit for bit."""
+    """A step kernel that stops at every step sends each one to the
+    reference stages: the same run, bit for bit."""
     config = IntegratorConfig(horizon=0.02)
     assert config.n_steps == 200
     fast = integrate_extremal(arm, ref.X0, lam0, config, c=ref.U2_BANG)
@@ -77,9 +77,10 @@ def test_the_reference_stages_give_the_kernel_run(arm, lam0, monkeypatch,
         calls.append(y)
         raise stop
 
-    monkeypatch.setattr(integrate, "extremal_kernel", lambda plant: stopped)
+    monkeypatch.setattr(integrate, "extremal_step_kernel",
+                        lambda plant: stopped)
     slow = integrate_extremal(arm, ref.X0, lam0, config, c=ref.U2_BANG)
-    assert len(calls) == 4 * 200 + 1
+    assert len(calls) == 200 + 1     # one call per sample, the last too
     assert slow.meta == fast.meta
     for name in ("t", "x", "u", "lam"):
         npt.assert_array_equal(getattr(slow, name).view(np.int64),

@@ -1,8 +1,8 @@
 """The compiled kernels against their references: the law kernel against
-_law_terms of the Dual/HyperDual tableau, the extremal right-hand side against
-_extremal_rate, the bracket-word kernels against word_field, the replay
-step kernel against the Python RK4 stages; and the one store they are all
-built and cached in."""
+_law_terms of the Dual/HyperDual tableau, the extremal step kernel against
+_rk4_step over _extremal_rate, the bracket-word kernels against word_field,
+the replay step kernel against the Python RK4 stages; and the one store
+they are all built and cached in."""
 import gc
 import math
 import os
@@ -24,8 +24,9 @@ from singarc.duals import _COMPILED, OffTrace, compiled, cos
 from singarc.errors import (EXIT_CODES, CostateDegenerate, LinearSolveFailure,
                             NaNError, RkViolation)
 from singarc.integrate import (IntegratorConfig, Trajectory, _extremal_rate,
-                               _rk4_step, extremal_kernel, integrate_extremal,
-                               replay_kernel, resimulate, save_trajectory)
+                               _extremal_step, _rk4_step, extremal_step_kernel,
+                               integrate_extremal, replay_kernel, resimulate,
+                               save_trajectory)
 from singarc.liegeom import (B_SET_WORDS, WORD_CHUNK, _word_columns,
                              alpha_coefficients, b_set_certificate,
                              frame_rank, u1_singular_brackets, word_field,
@@ -247,46 +248,55 @@ def test_law_coefficients_match_the_reference_terms(arm):
     assert got == want
 
 
-# -- the extremal right-hand side against _extremal_rate -------------------
+# -- the extremal step kernel against _rk4_step over _extremal_rate ---------
 
 costates = st.floats(-20.0, 20.0)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+def _reference_step(plant, y, c, h):
+    """What extremal_step_kernel is recorded from, on floats: _rk4_step
+    over _extremal_rate, and u1 at y."""
+    k1, u1 = _extremal_rate(plant, y, c)
+    return _extremal_step(plant, y, c, h, k1), u1
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(x=st.tuples(angles, angles, rates, rates),
        lam=st.tuples(costates, costates, costates, costates),
-       c=st.one_of(st.sampled_from((-10.0, 10.0)), st.floats(-10.0, 10.0)))
-def test_extremal_kernel_equals_the_reference_rate(arm, x, lam, c):
-    """(y', u1) at admissible (x, lambda), c at and inside channel 2's
-    bounds: the kernel's numbers are _extremal_rate's."""
+       c=st.one_of(st.sampled_from((-10.0, 10.0)), st.floats(-10.0, 10.0)),
+       h=st.one_of(st.just(1e-4), st.floats(1e-6, 1e-2)))
+def test_extremal_step_kernel_equals_the_reference_step(arm, x, lam, c, h):
+    """(y after one step, u1 at y) at admissible (x, lambda), c at and
+    inside channel 2's bounds: the kernel's numbers are _rk4_step's over
+    _extremal_rate and its u1."""
     assume(in_Rk(x, 1e-3) and not lambda4_degenerate(lam))
     y = [*x, *lam]
-    got = extremal_kernel(arm)(*y, c)
-    _assert_same_numbers(got, _extremal_rate(arm, y, c))
+    got = extremal_step_kernel(arm)(*y, c, h)
+    _assert_same_numbers(got, _reference_step(arm, y, c, h))
     assert len(got) == 2 and len(got[0]) == 8
 
 
 def test_the_extremal_kernel_is_built_by_integrate_extremal_only(
         monkeypatch, tmp_path, lam0):
-    """Built on the first run, once per plant, alone: certify, diagnose
-    and regularize never build it."""
+    """The step kernel is built on the first run, once per plant, alone:
+    certify, diagnose and regularize never build it."""
     plant = Arm2DOF()
     config = IntegratorConfig(horizon=0.01)
     assert plant not in _COMPILED
     integrate_extremal(plant, ref.X0, lam0, config, c=ref.U2_BANG)
-    assert set(_COMPILED[plant]) == {("extremal_kernel", False)}
-    kernel = extremal_kernel(plant)
+    assert set(_COMPILED[plant]) == {("extremal_step_kernel", False)}
+    kernel = extremal_step_kernel(plant)
     integrate_extremal(plant, ref.X0, lam0, config, c=ref.U2_BANG)
-    assert _COMPILED[plant]["extremal_kernel", False] is kernel
-    assert extremal_kernel(Arm2DOF()) is not kernel
+    assert _COMPILED[plant]["extremal_step_kernel", False] is kernel
+    assert extremal_step_kernel(Arm2DOF()) is not kernel
 
     built = []
 
     def spy(plant):
         built.append(plant)
-        return extremal_kernel(plant)
+        return extremal_step_kernel(plant)
 
-    monkeypatch.setattr(integrate, "extremal_kernel", spy)
+    monkeypatch.setattr(integrate, "extremal_step_kernel", spy)
     run = str(tmp_path / "run.csv")
     assert cli.main(["construct", "--step", "1e-3", "--out", run]) == 0
     assert len(built) == 1
@@ -299,12 +309,17 @@ def test_the_extremal_kernel_is_built_by_integrate_extremal_only(
 
 def test_a_stage_the_kernel_cannot_take_runs_the_reference(monkeypatch,
                                                            arm, lam0):
-    """At the singular-mass guard the kernel stops and the reference
-    raises LinearSolveFailure, as the run always did; a stage at an
-    infinite angle ends the run with a NaNError abort."""
+    """At the singular-mass guard the step kernel stops and the reference
+    stage raises LinearSolveFailure, as the run always did; a step with a
+    stage at an infinite angle ends the run with a NaNError abort."""
     x = [0.1, SingularAtElbow.Q2, 0.3, 0.5]
     with pytest.raises(OffTrace):
-        extremal_kernel(SINGULAR_PLANT)(*x, *ref.LAM0, ref.U2_BANG)
+        extremal_step_kernel(SINGULAR_PLANT)(*x, *ref.LAM0, ref.U2_BANG,
+                                             1e-3)
+    config = IntegratorConfig(step=1e100, horizon=2e100)
+    with pytest.raises(ValueError):
+        extremal_step_kernel(arm)(*map(float, [*ref.X0, *lam0]), ref.U2_BANG,
+                                  config.step)
     calls = []
 
     def counting(plant, y, c):
@@ -316,11 +331,10 @@ def test_a_stage_the_kernel_cannot_take_runs_the_reference(monkeypatch,
         integrate_extremal(SINGULAR_PLANT, x, ref.LAM0,
                            IntegratorConfig(horizon=1e-3), c=ref.U2_BANG)
     assert calls == [SINGULAR_PLANT]
-    traj = integrate_extremal(arm, ref.X0, lam0,
-                              IntegratorConfig(step=1e100, horizon=2e100),
-                              c=ref.U2_BANG)
+    traj = integrate_extremal(arm, ref.X0, lam0, config, c=ref.U2_BANG)
     assert traj.meta["abort"] == {"flag": "NaNError", "t": 1e100}
-    assert calls == [SINGULAR_PLANT, arm]
+    # the reference's four stages of the first step; the last one raises
+    assert calls == [SINGULAR_PLANT] + [arm] * 4
 
 
 # -- the batched law against per-sample singular_u1 ------------------------
@@ -662,9 +676,22 @@ def test_batched_kernels_delete_each_dead_temporary_after_its_last_use():
         assert not deleted & set(TEMPORARY.findall(ret))
 
 
+def test_no_kernel_passes_255_local_names():
+    """Past 255 local names every further name costs an EXTENDED_ARG
+    prefix: the law kernel in both forms, the step and replay kernels and
+    every word tuple in both forms stay within 255."""
+    plant = Arm2DOF()
+    kernels = [law_kernel(plant), law_kernel(plant, batched=True),
+               extremal_step_kernel(plant), replay_kernel(plant)] + [
+        word_kernel(plant, words, batched)
+        for words in WORD_SETS for batched in (False, True)]
+    for kernel in kernels:
+        assert kernel.__code__.co_nlocals <= 255, kernel.__name__
+
+
 def test_float_kernels_delete_nothing():
     plant = Arm2DOF()
-    sources = [law_kernel(plant).source, extremal_kernel(plant).source,
+    sources = [law_kernel(plant).source, extremal_step_kernel(plant).source,
                replay_kernel(plant).source] + [
         word_kernel(plant, words).source for words in WORD_SETS]
     for source in sources:

@@ -14,7 +14,8 @@ from singarc.arm2dof import ControlBounds
 from singarc.errors import MissingCostates
 from singarc.integrate import (IntegratorConfig, Trajectory,
                                integrate_extremal, save_trajectory)
-from singarc.pmp import costate_ratio, switching
+from singarc.pmp import (costate_on_surface, costate_ratio,
+                         singular_law_coeffs, switching)
 from singarc.regularize import (LABEL_BANG_IN_BAND, LABEL_LOWER,
                                 LABEL_SINGULAR, LABEL_UNCHECKED, LABEL_UPPER,
                                 LABEL_VIOLATION, AuditResult,
@@ -286,6 +287,23 @@ def test_audit_of_the_clean_extremal(arm, extremal):
     assert audit.count(LABEL_VIOLATION) == 0
     assert audit.count(LABEL_SINGULAR, channel=1) == 7001
     assert audit.count(LABEL_LOWER, channel=2) == 7001
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(dx=st.tuples(*[st.floats(-0.05, 0.05)] * 4),
+       u1=st.floats(-19.9, 19.9))
+def test_extremals_from_admissible_starts_have_no_u1_violation(arm, dx, u1):
+    """From x0 within 0.05 of X0, with lambda2/lambda4 chosen so that the
+    first u1 lies inside its bounds: the audit of the run's kept prefix (a
+    run stops where u1 would leave its bounds) finds no u1 violation."""
+    x0 = ref.X0 + np.array(dx)
+    coeffs = singular_law_coeffs(arm, x0, c=ref.U2_BANG)
+    ratio = (u1 - coeffs.s) / coeffs.r      # u1 = r * lambda2/lambda4 + s
+    lam0 = costate_on_surface(arm, x0, ratio * ref.LAMBDA4, ref.LAMBDA4)
+    traj = integrate_extremal(arm, x0, lam0, IntegratorConfig(horizon=0.05),
+                              c=ref.U2_BANG)
+    assert traj.u[0, 0] == pytest.approx(u1, abs=1e-9)
+    assert pmp_audit(arm, traj).count(LABEL_VIOLATION, channel=1) == 0
 
 
 def test_audit_pinpoints_the_spiked_samples(arm, spiked):
