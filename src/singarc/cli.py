@@ -121,7 +121,6 @@ def load_config(path: str | None = None,
         step=_numbers(integ, "step", one=True)
         if overrides.get("step") is None else overrides["step"],
         horizon=_numbers(integ, "horizon", one=True),
-        rk_exclusion=_numbers(integ, "rk_exclusion", one=True),
     )
     tols = parser["tolerances"]
     tolerances = Tolerances(
@@ -129,7 +128,6 @@ def load_config(path: str | None = None,
         rel_band=_numbers(tols, "rel_band", one=True),
         min_samples=_numbers(tols, "min_samples", int, one=True),
         gap_samples=_numbers(tols, "gap_samples", int, one=True),
-        law_exclusion=_numbers(tols, "law_exclusion", one=True),
         u_tol=_numbers(tols, "u_tol", one=True),
         law_tol=_numbers(tols, "law_tol", one=True),
     )
@@ -364,6 +362,10 @@ def main(argv: list[str] | None = None) -> int:
         return exit_code_for(exc)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # e.g. the replay of a file whose last t asks for a huge array
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

@@ -33,8 +33,8 @@ from .errors import (ERRORS_BY_NAME, CostateDegenerate, MissingCostates,
                      MonotonicityError, NaNError, OutOfBounds, RkViolation,
                      SchemaError)
 from .liegeom import u1_singular_brackets
-from .pmp import (_law_terms, costate_rate, hamiltonian, in_Rk,
-                  lambda4_degenerate, law_u1, state_rate)
+from .pmp import (LAW_EXCLUSION, _law_terms, costate_rate, hamiltonian,
+                  in_Rk, lambda4_degenerate, law_u1, state_rate)
 
 STATE_COLUMNS = ("q1", "q2", "qd1", "qd2")
 CONTROL_COLUMNS = ("u1", "u2")
@@ -43,20 +43,11 @@ COSTATE_COLUMNS = ("l1", "l2", "l3", "l4")
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step controls for both the extremal integrator and replays (RK4).
-
-    rk_exclusion is the operative admissibility band: the run aborts when
-    the state comes that close to the singular-law breakdown set.  It is
-    deliberately tighter than the 1e-3 band the diagnostic predicates use,
-    because the law degenerates removably there; the wider band is advisory
-    while this one guards the actual division.
-    """
+    """Step controls for both the extremal integrator and replays (RK4)."""
 
     step: float = 1e-4
     horizon: float = 0.7
     interp: str = "zoh"
-    rk_exclusion: float = 1e-6
-    record_costates: bool = True
 
     def __post_init__(self):
         if not (self.step > 0.0 and math.isfinite(self.step)):
@@ -65,9 +56,6 @@ class IntegratorConfig:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         if self.interp not in ("zoh", "linear"):
             raise ValueError(f"unknown interpolation {self.interp!r}")
-        if not 0.0 <= self.rk_exclusion < math.inf:
-            raise ValueError(f"rk_exclusion must be finite and >= 0, "
-                             f"got {self.rk_exclusion}")
 
     @property
     def n_steps(self) -> int:
@@ -146,7 +134,8 @@ def integrate_extremal(sys: Arm2DOF, x0, lam0,
 
     Channel 2 is held at the bang value c for the whole horizon.  Aborts
     leave a partial trajectory behind, truncated at the last admissible
-    sample, with the reason in meta["abort"].
+    sample, with the reason in meta["abort"]; a state within
+    pmp.LAW_EXCLUSION of the breakdown set, where the law refuses, is one.
     """
     if config is None:
         config = IntegratorConfig()
@@ -161,7 +150,6 @@ def integrate_extremal(sys: Arm2DOF, x0, lam0,
 
     h = config.step
     nsteps = config.n_steps
-    band = config.rk_exclusion
     ys = np.empty((nsteps + 1, 8))  # x, then lambda
     us = np.empty((nsteps + 1, 2))
 
@@ -173,7 +161,7 @@ def integrate_extremal(sys: Arm2DOF, x0, lam0,
         if not all(map(math.isfinite, y)):
             abort = {"flag": NaNError.__name__, "t": k * h}
             break
-        if not in_Rk(y[:4], band):
+        if not in_Rk(y[:4], LAW_EXCLUSION):
             abort = {"flag": RkViolation.__name__, "t": k * h}
             break
         if lambda4_degenerate(y[4:]):
@@ -217,9 +205,8 @@ def integrate_extremal(sys: Arm2DOF, x0, lam0,
         "flags": [] if abort is None else [abort["flag"]],
         "abort": abort,
     }
-    lam_block = ys[:kept, 4:] if config.record_costates else None
     return Trajectory(t=np.arange(kept) * h, x=ys[:kept, :4], u=us[:kept],
-                      lam=lam_block, meta=meta)
+                      lam=ys[:kept, 4:], meta=meta)
 
 
 def _extremal_rate(sys: Arm2DOF, y, c):

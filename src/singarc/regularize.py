@@ -19,7 +19,8 @@ import numpy as np
 from .arm2dof import Arm2DOF, ControlBounds
 from .errors import MissingCostates
 from .integrate import IntegratorConfig, Trajectory, resimulate
-from .pmp import costate_norm, sign_rule, singular_u1_batch, switching
+from .pmp import (LAW_EXCLUSION, costate_norm, on_selected_bound, sign_rule,
+                  singular_u1_batch, switching)
 
 LABEL_UPPER = "upper-bang"
 LABEL_LOWER = "lower-bang"
@@ -37,24 +38,20 @@ class Tolerances:
 
     phi_band overrides the relative rule when set; otherwise the band is
     rel_band * max_t costate_norm(lambda) * max_t ||g||, which tracks the
-    scale of the ingested costates at any size.  law_exclusion is the
-    operative admissibility band for evaluating the closed form (see
-    IntegratorConfig.rk_exclusion for why it is tighter than the
-    diagnostic 1e-3).
+    scale of the ingested costates at any size.  The law's admissibility
+    band is pmp.LAW_EXCLUSION, the integrator's.
     """
 
     phi_band: float | None = None
     rel_band: float = 1e-3
     min_samples: int = 10
     gap_samples: int = 3
-    law_exclusion: float = 1e-6
     u_tol: float = 1e-6
     law_tol: float = 1e-6
 
     def __post_init__(self):
-        # the bands must be > 0, the exclusion and the tolerances >= 0
-        for name in ("phi_band", "rel_band", "law_exclusion", "u_tol",
-                     "law_tol"):
+        # the bands must be > 0, the tolerances >= 0
+        for name in ("phi_band", "rel_band", "u_tol", "law_tol"):
             v, band = getattr(self, name), name.endswith("_band")
             if v is not None and not (math.isfinite(v)
                                       and (v > 0.0 if band else v >= 0.0)):
@@ -66,7 +63,10 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class SingularInterval:
-    """One maximal run of band-satisfying samples on a single channel."""
+    """One maximal run of band-satisfying samples on a single channel,
+    less trimmed_start and trimmed_stop samples cut from its two ends:
+    those on the bound the sign of phi selects (see detect_singular_arcs).
+    """
 
     channel: int
     start: int
@@ -76,6 +76,8 @@ class SingularInterval:
     max_abs_phi: float
     max_abs_phi_dot: float
     u2_bang_value: float
+    trimmed_start: int = 0
+    trimmed_stop: int = 0
 
     def __post_init__(self):
         if not (self.stop > self.start and self.t_end > self.t_start):
@@ -98,7 +100,9 @@ class RegularizationReport:
     absolute in endpoint_error_abs).  pmp_consistency scores the *input*
     controls, before any rewrite, against the sign rule: u1 outside the
     singular intervals and u2 everywhere, per channel as agree / total /
-    fraction.  skipped_samples are the interval samples left as recorded,
+    fraction.  band is the absolute switching-function band detection
+    uses, and rel_band the relative rule it came from (None when phi_band
+    set it).  skipped_samples are the interval samples left as recorded,
     in order, and skipped_reasons names why for each: a pmp.LAW_REASONS
     guard, or "out-of-bounds" for a law value outside the u1 bounds.
     """
@@ -108,6 +112,8 @@ class RegularizationReport:
     endpoint_error: float
     endpoint_error_abs: float
     pmp_consistency: dict
+    band: float
+    rel_band: float | None
     skipped_samples: tuple[int, ...] = ()
     skipped_reasons: tuple[str, ...] = ()
     flags: tuple[str, ...] = ()
@@ -204,8 +210,12 @@ def detect_singular_arcs(sys: Arm2DOF, traj: Trajectory,
     """Maximal intervals where a switching function and its rate vanish.
 
     Short excursions out of the band (collocation ripple) are bridged when
-    they span at most gap_samples; the reported diagnostics are honest
-    maxima over the merged interval, bridged samples included.
+    they span at most gap_samples.  Then each run loses, from either end,
+    the contiguous samples whose control is on the bound the sign of phi
+    selects (pmp.on_selected_bound, the audit's bang-in-band rule): those
+    are the bang arcs at the junctions, which the law must not rewrite.
+    Such samples inside the interval stay in it.  The reported diagnostics
+    are honest maxima over the trimmed interval, bridged samples included.
     """
     if traj.lam is None:
         raise MissingCostates("detection needs costates")
@@ -218,8 +228,14 @@ def detect_singular_arcs(sys: Arm2DOF, traj: Trajectory,
     intervals: list[SingularInterval] = []
     for k in range(sys.n):
         mask = (np.abs(phi[:, k]) <= band) & (np.abs(phi_dot[:, k]) <= band)
-        runs = _merge_runs(_mask_runs(mask), tol.gap_samples)
-        for start, stop in runs:
+        at_bound = on_selected_bound(traj.u[:, k], phi[:, k], bounds.lower[k],
+                                     bounds.upper[k], tol.u_tol)
+        for first, last in _merge_runs(_mask_runs(mask), tol.gap_samples):
+            start, stop = first, last
+            while start <= stop and at_bound[start]:
+                start += 1
+            while stop > start and at_bound[stop]:
+                stop -= 1
             if stop - start + 1 < tol.min_samples:
                 continue
             window = slice(start, stop + 1)
@@ -233,6 +249,8 @@ def detect_singular_arcs(sys: Arm2DOF, traj: Trajectory,
                 max_abs_phi=float(np.abs(phi[window, k]).max()),
                 max_abs_phi_dot=float(np.abs(phi_dot[window, k]).max()),
                 u2_bang_value=bounds.nearest(1, u2_med),
+                trimmed_start=start - first,
+                trimmed_stop=last - stop,
             ))
     intervals.sort(key=lambda iv: (iv.start, iv.channel))
     return intervals
@@ -263,6 +281,7 @@ def regularize_u1(sys: Arm2DOF, traj: Trajectory,
         tol = Tolerances()
 
     phi, _ = switching_series(sys, traj)
+    band = _band_value(sys, traj, tol)
     n_samples = len(traj)
     new_u = np.array(traj.u)
     inside = np.zeros(n_samples, dtype=bool)
@@ -276,7 +295,7 @@ def regularize_u1(sys: Arm2DOF, traj: Trajectory,
         inside[window] = True
         u1, reason = singular_u1_batch(sys, traj.x[window].T,
                                        traj.lam[window].T, iv.u2_bang_value,
-                                       exclusion=tol.law_exclusion)
+                                       exclusion=LAW_EXCLUSION)
         ok = (reason == "ok") & bounds.contains(0, u1)
         rows = np.arange(iv.start, iv.stop + 1)
         skipped += rows[~ok].tolist()
@@ -319,7 +338,8 @@ def regularize_u1(sys: Arm2DOF, traj: Trajectory,
         if total == 0:
             agree[name] = {"agree": 0, "total": 0, "fraction": 1.0}
             continue
-        ok = np.abs(traj.u[mask, k] - bang[mask, k]) <= tol.u_tol
+        ok = on_selected_bound(traj.u[mask, k], phi[mask, k], bounds.lower[k],
+                               bounds.upper[k], tol.u_tol)
         agree[name] = {"agree": int(np.count_nonzero(ok)), "total": total,
                        "fraction": float(np.count_nonzero(ok)) / total}
 
@@ -329,6 +349,8 @@ def regularize_u1(sys: Arm2DOF, traj: Trajectory,
         endpoint_error=err_rel,
         endpoint_error_abs=err_abs,
         pmp_consistency=agree,
+        band=band,
+        rel_band=tol.rel_band if tol.phi_band is None else None,
         skipped_samples=tuple(skipped),
         skipped_reasons=tuple(reasons),
         flags=tuple(flags),
@@ -387,12 +409,12 @@ def pmp_audit(sys: Arm2DOF, traj: Trajectory,
         want, reason = singular_u1_batch(sys, traj.x[rows].T,
                                          traj.lam[rows].T,
                                          bounds.nearest(1, traj.u[rows, 1]),
-                                         exclusion=tol.law_exclusion)
+                                         exclusion=LAW_EXCLUSION)
         checked = reason == "ok"
-        # off the law, the bound sign(phi1) selects still maximizes H
-        signed = sign_rule(phi[rows, k], bounds.lower[k], bounds.upper[k])
         labels[rows[~checked], k] = LABEL_UNCHECKED
-        labels[rows[np.abs(u[rows] - signed) <= tol.u_tol],
+        # off the law, the bound sign(phi1) selects still maximizes H
+        labels[rows[on_selected_bound(u[rows], phi[rows, k], bounds.lower[k],
+                                      bounds.upper[k], tol.u_tol)],
                k] = LABEL_BANG_IN_BAND
         labels[rows[checked & (np.abs(u[rows] - want) <= tol.law_tol)],
                k] = LABEL_SINGULAR

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from singarc import cli, duals, liegeom
+from singarc import cli, duals, liegeom, regularize
 from singarc.cli import _numbers, load_config, main
 from singarc.errors import (EXIT_CODES, EXIT_OK, EXIT_PARTIAL_REGULARIZATION,
                             EXIT_UNEXPECTED, EXIT_VIOLATIONS_REMAIN)
@@ -108,8 +108,24 @@ def test_unknown_config_keys_are_rejected_by_name(tmp_path, capsys):
     # every packaged key, and the optional full costate, still loads
     good = tmp_path / "good.cfg"
     good.write_text("[initial]\nlambda0 = -5.85, -3.0, -10.23, -6.0\n"
-                    "[integrator]\nrk_exclusion = 1e-7\n")
-    assert load_config(str(good)).integrator.rk_exclusion == 1e-7
+                    "[integrator]\nhorizon = 0.5\n")
+    assert load_config(str(good)).integrator.horizon == 0.5
+
+
+@pytest.mark.parametrize("section, key", [("integrator", "rk_exclusion"),
+                                          ("tolerances", "law_exclusion")])
+def test_removed_band_keys_are_rejected_by_name(section, key, tmp_path,
+                                                capsys):
+    """R_k's operative band is one constant, pmp.LAW_EXCLUSION, shared by
+    the integrator and the law: neither old per-path key sets it."""
+    path = tmp_path / "old.cfg"
+    path.write_text(f"[{section}]\n{key} = 1e-6\n")
+    rc = main(["certify", "--config", str(path),
+               "--out", str(tmp_path / "never")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: unknown config keys in {path}: [{section}] {key}\n")
+    assert not (tmp_path / "never").exists()
 
 
 def _bad_numbers():
@@ -188,9 +204,9 @@ def test_a_negative_seed_in_the_config_is_rejected_by_name(tmp_path,
      "phi_band must be finite and > 0, got nan"),
     (["--tol-phi", "inf"], None,
      "phi_band must be finite and > 0, got inf"),
-    ([], "[tolerances]\nlaw_exclusion = nan\n",
-     "law_exclusion must be finite and >= 0, got nan"),
-], ids=["tol-phi-nan", "tol-phi-inf", "law-exclusion-nan"])
+    ([], "[tolerances]\nu_tol = nan\n",
+     "u_tol must be finite and >= 0, got nan"),
+], ids=["tol-phi-nan", "tol-phi-inf", "u-tol-nan"])
 def test_non_finite_tolerances_are_rejected(argv, config, message,
                                             extremal_file, tmp_path, capsys):
     """A nan band compares false everywhere: it would detect nothing or
@@ -591,6 +607,30 @@ def test_regularize_restores_the_spiked_file(spiked_file, extremal, tmp_path,
     assert report["flags"] == []
     assert report["max_deviation"][0] == pytest.approx(5.0, abs=1e-9)
     assert report["endpoint_error"] <= 1e-3
+    # the band that decided the interval, and what its edges lost
+    assert report["rel_band"] == 1e-3 and report["band"] > 0.0
+    assert report["intervals"][0]["trimmed_start"] == 0
+    assert report["intervals"][0]["trimmed_stop"] == 0
+
+
+def test_a_replay_out_of_memory_ends_with_one_error_line(
+        extremal_file, tmp_path, capsys, monkeypatch):
+    """The endpoint replay steps to the file's last t: one edited to 5.9e6 s
+    asks numpy for a 472 GB array.  Its MemoryError ends the command with
+    exit 1 and one error line, not a traceback.  The replay is stubbed to
+    raise it, so nothing is allocated."""
+    message = ("Unable to allocate 440. GiB for an array with shape "
+               "(59000000001,) and data type float64")
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(regularize, "resimulate", no_memory)
+    out = tmp_path / "never.csv"
+    rc = main(["regularize", extremal_file, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: MemoryError: {message}\n"
+    assert not out.exists()
 
 
 def test_regularize_flags_partial_coverage(partial_file, tmp_path, capsys):

@@ -23,7 +23,7 @@ from singarc.integrate import (IntegratorConfig, Trajectory,
                                hamiltonian_trace, integrate_extremal,
                                load_trajectory, model_signature, resimulate,
                                save_trajectory)
-from singarc.pmp import hamiltonian
+from singarc.pmp import LAW_EXCLUSION, hamiltonian
 
 
 @pytest.mark.parametrize("bad", [
@@ -31,9 +31,9 @@ from singarc.pmp import hamiltonian
     {"step": float("inf")},
     {"horizon": -0.1},
     {"interp": "cubic"},
-    {"rk_exclusion": -1e-9},
-    {"rk_exclusion": float("nan")},
-    {"rk_exclusion": float("inf")},
+    {"step": float("nan")},
+    {"horizon": float("nan")},
+    {"horizon": float("inf")},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -374,12 +374,6 @@ def test_trajectory_arrays_are_read_only(extremal):
         extremal.u[0, 0] = 1.0
 
 
-def test_costates_can_be_left_unrecorded(arm, lam0):
-    cfg = IntegratorConfig(horizon=0.01, record_costates=False)
-    traj = integrate_extremal(arm, ref.X0, lam0, cfg, c=ref.U2_BANG)
-    assert traj.lam is None and not traj.has_costates
-
-
 def test_abort_when_the_law_leaves_the_torque_bounds(arm, lam0):
     tight = ControlBounds(lower=(-17.0, -10.0), upper=(20.0, 10.0))
     traj = integrate_extremal(arm, ref.X0, lam0, IntegratorConfig(step=1e-3),
@@ -391,15 +385,22 @@ def test_abort_when_the_law_leaves_the_torque_bounds(arm, lam0):
     assert np.all(traj.u[:, 0] >= -17.0)
 
 
-def test_abort_near_the_admissibility_wall(arm, lam0):
-    cfg = IntegratorConfig(step=1e-3, rk_exclusion=1e-3)
-    traj = integrate_extremal(arm, ref.X0, lam0, cfg, c=ref.U2_BANG)
-    assert len(traj) == 659
+def test_abort_near_the_admissibility_wall(arm, extremal):
+    """The run stops where the state comes within pmp.LAW_EXCLUSION of the
+    law's breakdown set: from the reference run's last sample before
+    thetadot1 + thetadot2 changes sign (1.26e-4), steps of 1e-6 reach it."""
+    start = 6595
+    assert extremal.x[start + 1, 2] + extremal.x[start + 1, 3] < 0.0
+    traj = integrate_extremal(arm, extremal.x[start], extremal.lam[start],
+                              IntegratorConfig(step=1e-6, horizon=2e-4),
+                              c=ref.U2_BANG)
+    assert len(traj) == 83
     assert traj.meta["abort"]["flag"] == "RkViolation"
-    assert traj.meta["abort"]["t"] == pytest.approx(0.659)
-    # the velocity-sum factor is what degenerates there
-    vsum = traj.x[-1, 2] + traj.x[-1, 3]
-    assert abs(vsum) < 5e-3
+    assert traj.meta["abort"]["t"] == pytest.approx(8.3e-5)
+    # the velocity-sum factor is what degenerates there; the last kept
+    # sample is still outside the band
+    vsum = traj.x[:, 2] + traj.x[:, 3]
+    assert np.all(vsum > LAW_EXCLUSION) and vsum[-1] < 2.0 * LAW_EXCLUSION
 
 
 def test_inadmissible_initial_samples_raise(arm, lam0):

@@ -41,3 +41,9 @@ def test_each_rule_has_one_home():
             assert not hasattr(home, name), name
     params = inspect.signature(regularize.regularize_u1).parameters
     assert "resim_config" not in params
+    # one operative R_k band, read by the integrator and the law alike
+    assert not {"rk_exclusion", "record_costates"} & set(
+        integrate.IntegratorConfig.__dataclass_fields__)
+    assert "law_exclusion" not in regularize.Tolerances.__dataclass_fields__
+    assert integrate.LAW_EXCLUSION is regularize.LAW_EXCLUSION \
+        is pmp.LAW_EXCLUSION

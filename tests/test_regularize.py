@@ -20,6 +20,7 @@ from singarc.regularize import (LABEL_BANG_IN_BAND, LABEL_LOWER,
                                 LABEL_SINGULAR, LABEL_UNCHECKED, LABEL_UPPER,
                                 LABEL_VIOLATION, AuditResult,
                                 SingularInterval, Tolerances, _band_value,
+                                _mask_runs, _merge_runs,
                                 detect_singular_arcs, ingest, pmp_audit,
                                 regularize_u1, switching_series)
 
@@ -348,6 +349,79 @@ def test_audit_labels_sign_consistent_flanks_bang_in_band(arm, sat_sing_sat):
     assert audit.count(LABEL_VIOLATION) == 0
 
 
+@pytest.mark.parametrize("rel_band, trimmed", [(1e-3, (500, 500)),
+                                               (1e-5, (5, 8))])
+def test_the_repair_leaves_the_bang_flanks_alone(arm, sat_sing_sat, rel_band,
+                                                 trimmed):
+    """Detection cuts the flank samples the audit calls bang-in-band from
+    both ends of the run, from the default band's [0, 6000] as from
+    criterion 08's [495, 5508]: the interval is the core, the 1000 flank
+    controls stay +20 bit for bit, and the replay meets criterion 07's
+    endpoint bound (on [0, 6000] the law's flanks missed by 0.232)."""
+    traj, core_start, core_stop = sat_sing_sat
+    tol = Tolerances(rel_band=rel_band)
+    intervals = detect_singular_arcs(arm, traj, tol=tol)
+    assert [(iv.channel, iv.start, iv.stop, iv.trimmed_start, iv.trimmed_stop)
+            for iv in intervals] == [(1, core_start, core_stop, *trimmed)]
+    fixed, report = regularize_u1(arm, traj, intervals, tol=tol)
+    flanks = np.r_[0:core_start, core_stop + 1:len(traj)]
+    assert fixed.u[flanks].tobytes() == traj.u[flanks].tobytes()
+    assert report.endpoint_error <= 1e-3
+    assert (report.band, report.rel_band) == (_band_value(arm, traj, tol),
+                                              rel_band)
+
+
+SUBSAMPLE = 10      # sat_sing_sat[::10]: flanks [0, 50) and (550, 600]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(left=st.integers(0, 50), right=st.integers(0, 50),
+       head=st.integers(0, 4), tail=st.integers(0, 4),
+       marks=st.lists(st.tuples(st.integers(0, 600), st.booleans()),
+                      max_size=8))
+def test_the_trim_cuts_only_selected_bound_runs_at_the_ends(
+        arm, sat_sing_sat, left, right, head, tail, marks):
+    """On bang-singular-bang patterns (flanks of 0-50 samples at +20, the
+    first and last 0-4 core samples and up to 8 random samples put on the
+    bound sign(phi) selects or off both bounds), each detected interval is
+    an untrimmed run less the contiguous selected-bound samples at its two
+    ends, and nothing else."""
+    full, core_start, core_stop = sat_sing_sat
+    core = slice(core_start // SUBSAMPLE, core_stop // SUBSAMPLE + 1)
+    rows = np.arange(core.start - left, core.stop + right)
+    x, lam = full.x[::SUBSAMPLE][rows], full.lam[::SUBSAMPLE][rows]
+    u = np.array(full.u[::SUBSAMPLE][rows])
+    phi1 = switching(arm, x.T, lam.T).phi[0]
+    selected = np.where(phi1 > 0.0, 20.0, -20.0)
+    u[left:left + head, 0] = selected[left:left + head]
+    end = len(rows) - right
+    u[end - tail:end, 0] = selected[end - tail:end]
+    for i, on in marks:
+        if i < len(rows):
+            u[i, 0] = selected[i] if on else 0.0
+    traj = Trajectory(t=np.arange(len(rows)) * SUBSAMPLE * 1e-4, x=x, u=u,
+                      lam=lam)
+    tol, bounds = Tolerances(), ControlBounds()
+
+    phi, phi_dot = switching_series(arm, traj)
+    band = _band_value(arm, traj, tol)
+    want = []
+    for k in range(2):
+        mask = (np.abs(phi[:, k]) <= band) & (np.abs(phi_dot[:, k]) <= band)
+        at_bound = ((phi[:, k] > 0.0)
+                    & (np.abs(u[:, k] - bounds.upper[k]) <= tol.u_tol)
+                    | (phi[:, k] < 0.0)
+                    & (np.abs(u[:, k] - bounds.lower[k]) <= tol.u_tol))
+        for first, last in _merge_runs(_mask_runs(mask), tol.gap_samples):
+            keep = np.flatnonzero(~at_bound[first:last + 1]) + first
+            if keep.size and keep[-1] - keep[0] + 1 >= tol.min_samples:
+                want.append((keep[0], k + 1, keep[-1], keep[0] - first,
+                             last - keep[-1]))
+    got = [(iv.start, iv.channel, iv.stop, iv.trimmed_start, iv.trimmed_stop)
+           for iv in detect_singular_arcs(arm, traj, bounds, tol)]
+    assert got == sorted(want)
+
+
 def test_audit_ranks_the_flat_band_verdicts(arm):
     """Every sample sits in the flat band (phi_band 1e6).  Precedence:
     singular > bang-in-band > singular-unchecked > violation, and an exact
@@ -480,15 +554,15 @@ def test_tolerances_validation():
         Tolerances(gap_samples=-1)
 
 
-@pytest.mark.parametrize("name", ["phi_band", "rel_band", "law_exclusion",
-                                  "u_tol", "law_tol"])
+@pytest.mark.parametrize("name", ["phi_band", "rel_band", "u_tol",
+                                  "law_tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-9])
 def test_tolerance_bands_must_be_finite_and_in_range(name, value):
     with pytest.raises(ValueError, match=name):
         Tolerances(**{name: value})
 
 
-@pytest.mark.parametrize("name", ["law_exclusion", "u_tol", "law_tol"])
+@pytest.mark.parametrize("name", ["u_tol", "law_tol"])
 def test_zero_is_a_valid_exclusion_or_tolerance(name):
     assert getattr(Tolerances(**{name: 0.0}), name) == 0.0
 
@@ -506,7 +580,17 @@ def test_interval_validation_and_report_serialization(arm, extremal):
     intervals = detect_singular_arcs(arm, extremal)
     _, report = regularize_u1(arm, extremal, intervals)
     assert json.loads(report.to_json()) == report.as_dict()
-    assert report.as_dict()["intervals"][0]["stop"] == 7000
+    as_dict = report.as_dict()
+    assert as_dict["intervals"][0]["stop"] == 7000
+    # u1 starts at 19.67 and ends at 17.43, so no edge sample is trimmed
+    assert as_dict["intervals"][0]["trimmed_start"] == 0
+    assert as_dict["intervals"][0]["trimmed_stop"] == 0
+    assert as_dict["band"] == _band_value(arm, extremal, Tolerances())
+    assert as_dict["rel_band"] == 1e-3
+    # a given phi_band is the band itself; no relative rule made it
+    _, report = regularize_u1(arm, extremal, intervals,
+                              tol=Tolerances(phi_band=0.25))
+    assert (report.band, report.rel_band) == (0.25, None)
 
 
 def test_audit_count_over_all_channels():
