@@ -57,10 +57,6 @@ class ControlBounds:
         if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("need lower[i] < upper[i] for every channel")
 
-    @property
-    def n(self) -> int:
-        return len(self.lower)
-
     def contains(self, i: int, u):
         """lower[i] <= u <= upper[i]; elementwise on arrays, False on nan."""
         return (self.lower[i] <= u) & (u <= self.upper[i])

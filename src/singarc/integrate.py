@@ -33,8 +33,8 @@ from .errors import (ERRORS_BY_NAME, CostateDegenerate, MissingCostates,
                      MonotonicityError, NaNError, OutOfBounds, RkViolation,
                      SchemaError)
 from .liegeom import u1_singular_brackets
-from .pmp import (LAW_EXCLUSION, _law_terms, costate_rate, hamiltonian,
-                  in_Rk, lambda4_degenerate, law_u1, state_rate)
+from .pmp import (_law_terms, costate_rate, hamiltonian, in_Rk,
+                  lambda4_degenerate, law_u1, state_rate)
 
 STATE_COLUMNS = ("q1", "q2", "qd1", "qd2")
 CONTROL_COLUMNS = ("u1", "u2")
@@ -161,7 +161,7 @@ def integrate_extremal(sys: Arm2DOF, x0, lam0,
         if not all(map(math.isfinite, y)):
             abort = {"flag": NaNError.__name__, "t": k * h}
             break
-        if not in_Rk(y[:4], LAW_EXCLUSION):
+        if not in_Rk(y[:4]):
             abort = {"flag": RkViolation.__name__, "t": k * h}
             break
         if lambda4_degenerate(y[4:]):

@@ -26,13 +26,11 @@ from .liegeom import (BracketTableau, _alpha_solve, _frame_words,
                       _word_columns, u1_singular_brackets, word_field)
 
 LAMBDA4_RTOL = 1e-9
-# R_k's two bands.  LAW_EXCLUSION is the operative one: the integrator's
-# guard and the law's domain guard both read it, so they agree on R_k.  It
-# is tighter than the diagnostic predicates' ADVISORY_EXCLUSION because the
-# law degenerates removably there: the wide band warns, the narrow one
-# guards the actual division.
+# R_k's one band: the default of in_Rk and of every law entry point, so the
+# integrator's guard, the law's domain guard and diagnose's in_rk column
+# give one verdict per state.  It guards the law's actual division; how far
+# a state sits from the wall is a margin to report, not a second band.
 LAW_EXCLUSION = 1e-6
-ADVISORY_EXCLUSION = 1e-3
 _EXACT_SUM = 2.0 ** -900    # square sums this large lose nothing to underflow
 _SMALLEST_NORMAL = 2.0 ** -1022
 DEGENERACY_TOL = 1e-12
@@ -164,7 +162,7 @@ def on_selected_bound(u, phi, lower, upper, u_tol):
     return abs(u - sign_rule(phi, lower, upper)) <= u_tol
 
 
-def in_Rk(x, exclusion: float = ADVISORY_EXCLUSION):
+def in_Rk(x, exclusion: float = LAW_EXCLUSION):
     """Admissible-set membership for the arm's singular law.
 
     Excludes theta2 within `exclusion` of any multiple of pi/2 and
@@ -240,7 +238,7 @@ def costate_on_surface(sys: Arm2DOF, x, lambda2: float,
     evaluation does not pay for recording and compiling the float
     law_kernel, whose terms are the reference's under ==.
     """
-    coeffs = _law_coeffs(sys, x, 0.0, ADVISORY_EXCLUSION, kernel=False)
+    coeffs = _law_coeffs(sys, x, 0.0, kernel=False)
     lam = lambda2 * coeffs.a_basis + lambda4 * coeffs.b_basis
     return lam
 
@@ -342,7 +340,7 @@ def _law_error(reason: str, x) -> Exception:
 
 
 def singular_law_coeffs(sys: Arm2DOF, x, c: float,
-                        exclusion: float = ADVISORY_EXCLUSION
+                        exclusion: float = LAW_EXCLUSION
                         ) -> SingularLawCoeffs:
     """Closed-form law coefficients at x with the second control at c.
 
@@ -355,7 +353,8 @@ def singular_law_coeffs(sys: Arm2DOF, x, c: float,
     return _law_coeffs(sys, x, c, exclusion)
 
 
-def _law_coeffs(sys: Arm2DOF, x, c: float, exclusion: float,
+def _law_coeffs(sys: Arm2DOF, x, c: float,
+                exclusion: float = LAW_EXCLUSION,
                 kernel: bool = True) -> SingularLawCoeffs:
     """singular_law_coeffs, through the float law_kernel or, with kernel
     False, the reference tableau."""
@@ -372,7 +371,7 @@ def _law_coeffs(sys: Arm2DOF, x, c: float, exclusion: float,
 
 
 def singular_u1(sys: Arm2DOF, x, lam, c: float,
-                exclusion: float = ADVISORY_EXCLUSION) -> float:
+                exclusion: float = LAW_EXCLUSION) -> float:
     """u1 = r(x) * lambda2/lambda4 + s(x) on a u1-singular arc."""
     lam = np.asarray(lam, dtype=float)
     reason, law = _law_at(sys, x, lam, c, exclusion)
@@ -382,7 +381,7 @@ def singular_u1(sys: Arm2DOF, x, lam, c: float,
 
 
 def singular_u1_batch(sys: Arm2DOF, X, Lam, c,
-                      exclusion: float = ADVISORY_EXCLUSION):
+                      exclusion: float = LAW_EXCLUSION):
     """singular_u1 at every column of X and Lam (4, N), without raising.
 
     c is one float or one per sample.  Returns (u1, reason): reason holds

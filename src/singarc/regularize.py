@@ -18,8 +18,9 @@ import numpy as np
 
 from .arm2dof import Arm2DOF, ControlBounds
 from .errors import MissingCostates
-from .integrate import IntegratorConfig, Trajectory, resimulate
-from .pmp import (LAW_EXCLUSION, costate_norm, on_selected_bound, sign_rule,
+from .integrate import (IntegratorConfig, Trajectory, load_trajectory,
+                        resimulate)
+from .pmp import (costate_norm, on_selected_bound, sign_rule,
                   singular_u1_batch, switching)
 
 LABEL_UPPER = "upper-bang"
@@ -146,8 +147,6 @@ class AuditResult:
 
 def ingest(path: str) -> Trajectory:
     """Read an external trajectory export and normalize its metadata."""
-    from .integrate import load_trajectory
-
     traj = load_trajectory(path)
     meta = dict(traj.meta)
     meta.setdefault("source", "ingested")
@@ -294,8 +293,7 @@ def regularize_u1(sys: Arm2DOF, traj: Trajectory,
         window = iv.indices
         inside[window] = True
         u1, reason = singular_u1_batch(sys, traj.x[window].T,
-                                       traj.lam[window].T, iv.u2_bang_value,
-                                       exclusion=LAW_EXCLUSION)
+                                       traj.lam[window].T, iv.u2_bang_value)
         ok = (reason == "ok") & bounds.contains(0, u1)
         rows = np.arange(iv.start, iv.stop + 1)
         skipped += rows[~ok].tolist()
@@ -408,8 +406,7 @@ def pmp_audit(sys: Arm2DOF, traj: Trajectory,
         # the u2 bang the law assumes at every row
         want, reason = singular_u1_batch(sys, traj.x[rows].T,
                                          traj.lam[rows].T,
-                                         bounds.nearest(1, traj.u[rows, 1]),
-                                         exclusion=LAW_EXCLUSION)
+                                         bounds.nearest(1, traj.u[rows, 1]))
         checked = reason == "ok"
         labels[rows[~checked], k] = LABEL_UNCHECKED
         # off the law, the bound sign(phi1) selects still maximizes H

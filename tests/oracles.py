@@ -30,8 +30,8 @@ from singarc.arm2dof import _components
 from singarc.errors import CostateDegenerate, RkViolation
 from singarc.integrate import Trajectory
 from singarc.liegeom import _stacked_fields, alpha_coefficients, word_field
-from singarc.pmp import (LAW_EXCLUSION, _dot, costate_norm, singular_u1,
-                         state_rate, switching)
+from singarc.pmp import (_dot, costate_norm, singular_u1, state_rate,
+                         switching)
 from singarc.regularize import (LABEL_BANG_IN_BAND, LABEL_LOWER,
                                 LABEL_SINGULAR, LABEL_UNCHECKED, LABEL_UPPER,
                                 LABEL_VIOLATION, _band_value, switching_series)
@@ -156,8 +156,7 @@ def audit_labels(sys_, traj, bounds, tol):
                 if k == 0 and abs(phi_dot[i, k]) <= band:
                     try:
                         want = singular_u1(sys_, traj.x[i], traj.lam[i],
-                                           bounds.nearest(1, traj.u[i, 1]),
-                                           exclusion=LAW_EXCLUSION)
+                                           bounds.nearest(1, traj.u[i, 1]))
                     except (RkViolation, CostateDegenerate):
                         want = None
                     if want is not None and abs(u - want) <= tol.law_tol:

@@ -110,7 +110,7 @@ def test_control_bounds_validation_and_queries():
         ControlBounds(lower=(0.0, 5.0), upper=(1.0, 5.0))
 
     b = ControlBounds()
-    assert b.n == 2
+    assert len(b.lower) == len(b.upper) == 2
     assert b.contains(0, 20.0) and b.contains(0, -20.0)
     assert not b.contains(1, 10.000001)
     assert b.nearest(0, 19.0) == 20.0
@@ -126,7 +126,7 @@ def test_control_bound_queries_are_elementwise():
     b = ControlBounds()
     u = np.array([-20.0, 20.0, np.nextafter(20.0, 21.0), -21.0, 0.0, -9.7,
                   15.0])
-    for i in range(b.n):
+    for i in range(2):
         npt.assert_array_equal(b.contains(i, u),
                                [b.contains(i, float(v)) for v in u])
         npt.assert_array_equal(b.nearest(i, u),

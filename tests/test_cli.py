@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import tracemalloc
 import warnings
@@ -11,6 +12,7 @@ import weakref
 from importlib import resources
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +26,10 @@ from singarc.integrate import (Trajectory, hamiltonian_trace,
                                load_trajectory, save_trajectory)
 from singarc.liegeom import (WORD_CHUNK, alpha_coefficients,
                              b_set_certificate, frame_rank)
-from singarc.pmp import costate_ratio, in_Rk
-from singarc.regularize import ingest, pmp_audit, switching_series
+from singarc.pmp import (costate_ratio, in_Rk, lambda4_degenerate,
+                         singular_law_coeffs, singular_u1_batch)
+from singarc.regularize import (LABEL_SINGULAR, LABEL_UNCHECKED, ingest,
+                                pmp_audit, switching_series)
 
 
 @pytest.fixture(scope="module")
@@ -365,14 +369,62 @@ def test_diagnose_full_summary(extremal_file, tmp_path, capsys):
     assert summary["samples"] == 7001
     assert summary["max_abs_phi1"] <= 1e-12
     assert summary["H_variation"] <= 1e-12
-    assert summary["in_rk_fraction"] >= 0.99
+    # one R_k band: every row the law checks is in R_k, rows 6590-6602
+    # (within 1e-3 of the wall) among them
+    assert summary["in_rk_fraction"] == 1.0
     assert summary["classification"] == {"lower-bang": 7001,
                                          "singular": 7001}
     assert summary["lambda_degenerate_rows"] == []
     with open(series) as fh:
         header = fh.readline().strip()
     assert header.startswith("t,phi1,phi1_dot,phi2")
-    assert sum(1 for _ in open(series)) == 7002
+    rows = _series(series)
+    assert len(rows) == 7001
+    assert (rows["in_rk"][6590:6603] == 1).all()
+
+
+def _series(path):
+    return np.genfromtxt(path, delimiter=",", names=True, dtype=None,
+                         encoding="utf-8")
+
+
+def test_diagnose_gives_one_r_k_verdict_per_sample(arm, extremal, tmp_path,
+                                                   capsys):
+    """in_rk and the audit read one band.  Rows 6500-6699 of the reference
+    run hold 6590-6602, within 1e-3 but not 1e-6 of the wall; a few more
+    are moved within 1e-6 of it (|thetadot1 + thetadot2| or theta2 - pi/2)
+    and given the surface costate with the row's lambda2 and lambda4.
+    in_rk is 0 exactly where the law refuses for its domain, the audit
+    leaves exactly those u1 rows unchecked, and no other label moves."""
+    rows = slice(6500, 6700)
+    t = extremal.t[rows] - extremal.t[6500]
+    x, u, lam = extremal.x[rows], extremal.u[rows], extremal.lam[rows]
+    moved_x, moved_lam = x.copy(), lam.copy()
+    for i, wall, d in ((10, 3, 5e-7), (20, 3, -9e-7), (30, 1, 5e-7),
+                       (40, 1, -9e-7), (150, 1, -3e-7)):
+        moved_x[i, wall] = d - x[i, 2] if wall == 3 else math.pi / 2 + d
+        law = singular_law_coeffs(arm, moved_x[i], 0.0, exclusion=0.0)
+        moved_lam[i] = lam[i, 1] * law.a_basis + lam[i, 3] * law.b_basis
+    assert not lambda4_degenerate(moved_lam.T).any()
+    runs = []
+    for name, xs, lams in (("kept", x, lam), ("moved", moved_x, moved_lam)):
+        path, series = tmp_path / f"{name}.csv", tmp_path / f"{name}.s.csv"
+        save_trajectory(Trajectory(t=t, x=xs, u=u, lam=lams), str(path))
+        assert main(["diagnose", str(path), "--out", str(series)]) == 0
+        capsys.readouterr()
+        runs.append(_series(series))
+    kept, moved = runs
+    _, reason = singular_u1_batch(arm, moved_x.T, moved_lam.T, ref.U2_BANG)
+    refused = np.flatnonzero(reason == "domain")
+    assert refused.tolist() == [10, 20, 30, 40, 150]
+    npt.assert_array_equal(np.flatnonzero(moved["in_rk"] == 0), refused)
+    npt.assert_array_equal(
+        np.flatnonzero(moved["label_u1"] == LABEL_UNCHECKED), refused)
+    assert (kept["in_rk"] == 1).all()
+    assert (kept["label_u1"] == LABEL_SINGULAR).all()
+    others = np.setdiff1d(np.arange(len(t)), refused)
+    for column in ("label_u1", "label_u2"):
+        npt.assert_array_equal(moved[column][others], kept[column][others])
 
 
 def test_huge_costates_are_diagnosed_without_a_warning(extremal, tmp_path,

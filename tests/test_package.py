@@ -33,6 +33,7 @@ def test_each_rule_has_one_home():
                      "phi_second_derivative"),
                liegeom: ("lie_bracket",), liegeom.AlphaTensor: ("beta",),
                arm2dof: ("FullyActuatedSystem",),
+               arm2dof.ControlBounds: ("n",),
                arm2dof.Arm2DOF: ("drift", "input_columns", "mass_matrix",
                                  "coriolis")}
     for home, names in removed.items():
@@ -41,9 +42,12 @@ def test_each_rule_has_one_home():
             assert not hasattr(home, name), name
     params = inspect.signature(regularize.regularize_u1).parameters
     assert "resim_config" not in params
-    # one operative R_k band, read by the integrator and the law alike
+    # one R_k band, the default of every predicate the integrator, the
+    # law and diagnose read
     assert not {"rk_exclusion", "record_costates"} & set(
         integrate.IntegratorConfig.__dataclass_fields__)
     assert "law_exclusion" not in regularize.Tolerances.__dataclass_fields__
-    assert integrate.LAW_EXCLUSION is regularize.LAW_EXCLUSION \
-        is pmp.LAW_EXCLUSION
+    for fn in (pmp.in_Rk, pmp.singular_u1, pmp.singular_u1_batch,
+               pmp.singular_law_coeffs):
+        default = inspect.signature(fn).parameters["exclusion"].default
+        assert default is pmp.LAW_EXCLUSION, fn.__name__

@@ -200,8 +200,9 @@ def test_admissible_set_membership():
 
 def test_admissibility_predicates_agree_at_the_band_edge():
     """pmp.in_Rk draws the edge the math.remainder oracle draws: at +-40
-    ulps around every k*pi/2 +- band, for both bands in use, batched and
-    one float list at a time (the integrator's call)."""
+    ulps around every k*pi/2 +- band, for R_k's band LAW_EXCLUSION and a
+    wider caller-given one, batched and one float list at a time (the
+    integrator's call)."""
     for band in (1e-6, 1e-3):
         edges = [k * math.pi / 2 + sign * band
                  for k in range(-4, 5) for sign in (-1.0, 1.0)]
@@ -323,6 +324,27 @@ def test_law_refuses_states_outside_the_admissible_set(arm):
         singular_law_coeffs(arm, [0.1, math.pi / 2, 0.3, 0.5], c=-10.0)
     with pytest.raises(RkViolation):
         singular_u1(arm, [0.1, 0.2, 0.3, -0.3], ref.LAM0, c=-10.0)
+
+
+def test_the_law_holds_up_to_r_k_one_band(arm):
+    """R_k has one band, LAW_EXCLUSION: 5e-4 from the wall
+    |thetadot1 + thetadot2| = 0 the state is admissible to every entry
+    point, the lifted costate sits on the singular surface and the law
+    returns; 5e-7 from it all three refuse."""
+    x = [0.1, 0.4, 0.3, -0.3 + 5e-4]
+    lam = costate_on_surface(arm, x, ref.LAMBDA2, ref.LAMBDA4)
+    rec = switching(arm, x, lam)
+    assert abs(rec.phi[0]) <= 1e-15 * costate_norm(lam)
+    assert abs(rec.phi_dot[0]) <= 1e-15 * costate_norm(lam)
+    assert math.isfinite(singular_u1(arm, x, lam, ref.U2_BANG))
+    assert math.isfinite(singular_law_coeffs(arm, x, ref.U2_BANG).r)
+    x[3] = -0.3 + 5e-7
+    with pytest.raises(RkViolation):
+        costate_on_surface(arm, x, ref.LAMBDA2, ref.LAMBDA4)
+    with pytest.raises(RkViolation):
+        singular_u1(arm, x, lam, ref.U2_BANG)
+    with pytest.raises(RkViolation):
+        singular_law_coeffs(arm, x, ref.U2_BANG)
 
 
 def test_singular_u1_reference_value_and_admissibility(arm, bounds):

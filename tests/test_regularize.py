@@ -195,6 +195,28 @@ def test_regularization_is_idempotent(arm, extremal):
     assert float(np.abs(twice.u - once.u).max()) == 0.0
 
 
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(fraction=st.floats(0.01, 0.1), seed=st.integers(0, 2 ** 32 - 1))
+def test_regularization_is_idempotent_under_spikes(arm, extremal, fraction,
+                                                   seed):
+    """Every 4th row of the reference run with +-5 N.m spikes on 1-10% of
+    its u1 samples: a second detection and repair of the repaired run
+    finds the same intervals, skips the same samples and leaves u alone,
+    bit for bit."""
+    rows = slice(None, None, 4)
+    traj, _ = ref.with_spiked_u1(
+        Trajectory(t=extremal.t[rows], x=extremal.x[rows],
+                   u=extremal.u[rows], lam=extremal.lam[rows]),
+        np.random.default_rng(seed), fraction)
+    intervals = detect_singular_arcs(arm, traj)
+    once, report1 = regularize_u1(arm, traj, intervals)
+    again = detect_singular_arcs(arm, once)
+    twice, report2 = regularize_u1(arm, once, again)
+    assert again == intervals
+    assert report2.skipped_samples == report1.skipped_samples
+    assert twice.u.tobytes() == once.u.tobytes()
+
+
 def test_regularization_fills_bang_samples_outside_intervals(arm):
     lam_out = np.array([0.0, 0.0, 1.0, 0.0])  # phi1 = mu > 0, upper bang
     traj = _assembled(_surface_rows(12) + [lam_out] * 20)
