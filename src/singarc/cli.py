@@ -27,7 +27,7 @@ from .errors import (ERRORS_BY_NAME, EXIT_CODES, EXIT_OK,
                      EXIT_PARTIAL_REGULARIZATION, EXIT_VIOLATIONS_REMAIN,
                      MissingCostates, SingArcError, exit_code_for)
 from .integrate import (IntegratorConfig, hamiltonian_trace,
-                        integrate_extremal, resimulate, save_trajectory,
+                        integrate_extremal, replay_miss, save_trajectory,
                         write_csv)
 from .liegeom import WORD_CHUNK, certify_sweep
 from .pmp import costate_norm, costate_on_surface, costate_ratio, in_Rk
@@ -116,6 +116,9 @@ def load_config(path: str | None = None,
     if len(x0) != 4:
         raise ValueError("x0 needs exactly four components")
     lambda0 = _numbers(initial, "lambda0") if "lambda0" in initial else None
+    if lambda0 is not None and len(lambda0) != 4:
+        raise ValueError("[initial] lambda0 needs exactly four components, "
+                         f"got {initial['lambda0']!r}")
     integ = parser["integrator"]
     integrator = IntegratorConfig(
         step=_numbers(integ, "step", one=True)
@@ -207,17 +210,12 @@ def cmd_diagnose(traj_path: str, cfg: RunConfig, out: str) -> int:
     sys_ = cfg.system()
     traj = ingest(traj_path)
     if traj.lam is None:
-        resim = resimulate(
-            sys_, traj.x[0], traj,
-            IntegratorConfig(step=cfg.integrator.step,
-                             horizon=traj.horizon, interp="linear"))
-        drift = float(np.linalg.norm(resim.x[-1] - traj.x[-1]))
         summary = {
             "costates": False,
             "notice": "MissingCostates: only resimulation diagnostics "
                       "are available for this file",
             "samples": len(traj),
-            "resim_endpoint_drift": drift,
+            "resim_endpoint_drift": replay_miss(sys_, traj),
         }
         print(json.dumps(summary, indent=2, sort_keys=True))
         return EXIT_OK
@@ -310,42 +308,41 @@ def cmd_certify(cfg: RunConfig, out: str | None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="config file overlaying the packaged defaults")
-    common.add_argument("--out", metavar="PATH",
-                        help="output file for the command's artifact")
-    common.add_argument("--samples", type=int, metavar="N",
-                        help="sample count for certify sweeps")
-    common.add_argument("--seed", type=int, metavar="N",
-                        help="RNG seed for certify sweeps")
-    common.add_argument("--step", type=float, metavar="S",
-                        help="integrator step override")
-    common.add_argument("--tol-phi", type=float, metavar="E",
-                        dest="tol_phi",
-                        help="absolute switching-function band override")
     top = argparse.ArgumentParser(
         prog="singular-arc",
         description="Singular-arc construction and regularization for the "
                     "torque-limited 2-DOF arm")
     sub = top.add_subparsers(dest="command", required=True)
-    sub.add_parser("construct", parents=[common],
-                   help="integrate the reference singular extremal")
-    p = sub.add_parser("diagnose", parents=[common],
-                       help="switching/PMP diagnostics for a trajectory file")
-    p.add_argument("trajectory", help="trajectory CSV")
-    p = sub.add_parser("regularize", parents=[common],
-                       help="detect singular arcs and rewrite u1")
-    p.add_argument("trajectory", help="trajectory CSV")
-    sub.add_parser("certify", parents=[common],
-                   help="sampled independence certificates")
+    cmd = {}
+    for name, summary in (
+            ("construct", "integrate the reference singular extremal"),
+            ("diagnose", "switching/PMP diagnostics for a trajectory file"),
+            ("regularize", "detect singular arcs and rewrite u1"),
+            ("certify", "sampled independence certificates")):
+        cmd[name] = p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", metavar="PATH",
+                       help="config file overlaying the packaged defaults")
+        p.add_argument("--out", metavar="PATH",
+                       help="output file for the command's artifact")
+    # beyond these, each command takes the flags it reads and no other
+    cmd["construct"].add_argument("--step", type=float, metavar="S",
+                                  help="integrator step override")
+    for p in (cmd["diagnose"], cmd["regularize"]):
+        p.add_argument("trajectory", help="trajectory CSV")
+        p.add_argument("--tol-phi", type=float, metavar="E", dest="tol_phi",
+                       help="absolute switching-function band override")
+    cmd["certify"].add_argument("--samples", type=int, metavar="N",
+                                help="sample count of the sweep")
+    cmd["certify"].add_argument("--seed", type=int, metavar="N",
+                                help="RNG seed of the sweep")
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {"step": args.step, "samples": args.samples,
-                 "seed": args.seed, "tol_phi": args.tol_phi}
+    # a flag the command does not take is absent, as if not given
+    overrides = {name: getattr(args, name, None)
+                 for name in ("step", "samples", "seed", "tol_phi")}
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "construct":

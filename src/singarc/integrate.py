@@ -356,6 +356,20 @@ def resimulate(sys: Arm2DOF, x0, control,
     return Trajectory(t=ts, x=xs, u=table[:, 0], lam=None, meta=meta)
 
 
+REPLAY_STEP = 1e-4   # the step of every endpoint replay
+
+
+def replay_miss(sys: Arm2DOF, traj: Trajectory) -> float:
+    """How far traj's recorded controls miss its recorded endpoint:
+    ||x(t[-1]) - x[-1]|| for the replay from x[0], at step REPLAY_STEP
+    with the controls linearly interpolated."""
+    resim = resimulate(sys, traj.x[0], traj,
+                       IntegratorConfig(step=REPLAY_STEP,
+                                        horizon=traj.horizon,
+                                        interp="linear"))
+    return float(np.linalg.norm(resim.x[-1] - traj.x[-1]))
+
+
 def hamiltonian_trace(sys: Arm2DOF, traj: Trajectory) -> np.ndarray:
     """H(t) = <lambda, xdot> - 1 along a recorded trajectory."""
     if traj.lam is None:

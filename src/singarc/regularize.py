@@ -18,8 +18,7 @@ import numpy as np
 
 from .arm2dof import Arm2DOF, ControlBounds
 from .errors import MissingCostates
-from .integrate import (IntegratorConfig, Trajectory, load_trajectory,
-                        resimulate)
+from .integrate import Trajectory, load_trajectory, replay_miss
 from .pmp import (costate_norm, on_selected_bound, sign_rule,
                   singular_u1_batch, switching)
 
@@ -58,8 +57,11 @@ class Tolerances:
                                       and (v > 0.0 if band else v >= 0.0)):
                 raise ValueError(f"{name} must be finite and "
                                  f"{'> 0' if band else '>= 0'}, got {v}")
-        if self.min_samples < 1 or self.gap_samples < 0:
-            raise ValueError("detection tolerances out of range")
+        # a SingularInterval needs stop > start: two samples at least
+        for name, least in (("min_samples", 2), ("gap_samples", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -266,8 +268,7 @@ def regularize_u1(sys: Arm2DOF, traj: Trajectory,
     or leaves the admissible set keeps its recorded value, is excluded from
     the rewrite, and shows up in skipped_samples with a partial flag; the
     theory stops applying there, so silent repair would be a lie.  The
-    endpoint error replays the rewritten control to t[-1] with step 1e-4
-    and linear interpolation.
+    endpoint error is integrate.replay_miss of the rewritten run.
     """
     if traj.lam is None:
         raise MissingCostates("regularization needs costates")
@@ -321,12 +322,8 @@ def regularize_u1(sys: Arm2DOF, traj: Trajectory,
     meta["flags"] = sorted(set(meta.get("flags", [])) | set(flags))
     out = Trajectory(t=traj.t, x=traj.x, u=new_u, lam=traj.lam, meta=meta)
 
-    resim = resimulate(sys, traj.x[0], out,
-                       IntegratorConfig(step=1e-4, horizon=float(traj.t[-1]),
-                                        interp="linear"))
-    target = traj.x[-1]
-    err_abs = float(np.linalg.norm(resim.x[-1] - target))
-    err_rel = err_abs / max(float(np.linalg.norm(target)), 1e-30)
+    err_abs = replay_miss(sys, out)
+    err_rel = err_abs / max(float(np.linalg.norm(traj.x[-1])), 1e-30)
 
     agree = {}
     for k, name in ((0, "u1"), (1, "u2")):

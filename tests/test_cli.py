@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from singarc import cli, duals, liegeom, regularize
+from singarc import cli, duals, liegeom
 from singarc.cli import _numbers, load_config, main
 from singarc.errors import (EXIT_CODES, EXIT_OK, EXIT_PARTIAL_REGULARIZATION,
                             EXIT_UNEXPECTED, EXIT_VIOLATIONS_REMAIN)
@@ -291,10 +291,95 @@ def test_bounds_need_one_entry_per_channel(command, entries, extremal_file,
     assert not (tmp_path / "never.csv").exists()
 
 
+@pytest.mark.parametrize("text", ["1, 2, 3", "1, 2, 3, 4, 5"])
+def test_a_lambda0_of_other_than_four_entries_is_rejected_by_name(
+        text, tmp_path, capsys):
+    """A full costate has four entries; another count ends with exit 1
+    and names the key before any integration, not with the schema error
+    (exit 3) of a malformed trajectory file."""
+    path = tmp_path / "short.cfg"
+    path.write_text(f"[initial]\nlambda0 = {text}\n")
+    rc = main(["construct", "--config", str(path),
+               "--out", str(tmp_path / "never.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: [initial] lambda0 needs exactly four components, "
+        f"got {text!r}\n")
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_min_samples_below_two_is_rejected_by_name(arm, extremal, tmp_path,
+                                                   capsys):
+    """A SingularInterval spans two samples or more, so min_samples = 1
+    is refused by name before detection, which would meet a one-sample run
+    here: the 20-row slice keeps only row 10 on the singular surface."""
+    rows = slice(3000, 3020)
+    lam = np.array(extremal.lam[rows])
+    lam[np.arange(20) != 10, 2] += 5.0        # phi1 = O(1) off row 10
+    path = str(tmp_path / "one.csv")
+    save_trajectory(Trajectory(t=extremal.t[rows] - extremal.t[3000],
+                               x=extremal.x[rows], u=extremal.u[rows],
+                               lam=lam), path)
+    cfg = tmp_path / "ms.cfg"
+    cfg.write_text("[tolerances]\nmin_samples = 1\n")
+    rc = main(["regularize", path, "--config", str(cfg),
+               "--out", str(tmp_path / "never.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: min_samples must be >= 2, got 1\n"
+    assert not (tmp_path / "never.csv").exists()
+    # at min_samples = 2 the same file runs, and row 10 alone is in the
+    # band the report names
+    cfg.write_text("[tolerances]\nmin_samples = 2\n")
+    main(["regularize", path, "--config", str(cfg),
+          "--out", str(tmp_path / "f.csv")])
+    capsys.readouterr()
+    band = json.loads((tmp_path / "f.csv.report.json").read_text())["band"]
+    phi, phi_dot = switching_series(arm, load_trajectory(path))
+    in_band = (np.abs(phi[:, 0]) <= band) & (np.abs(phi_dot[:, 0]) <= band)
+    assert np.flatnonzero(in_band).tolist() == [10]
+
+
 def test_cli_requires_a_command():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# the flags each command reads, and each flag's text, dest and parsed value
+_TAKES = {"construct": ("--config", "--out", "--step"),
+          "diagnose": ("--config", "--out", "--tol-phi"),
+          "regularize": ("--config", "--out", "--tol-phi"),
+          "certify": ("--config", "--out", "--samples", "--seed")}
+_FLAG_VALUES = {"--config": ("x.cfg", "config", "x.cfg"),
+                "--out": ("o.csv", "out", "o.csv"),
+                "--step": ("1e-3", "step", 1e-3),
+                "--tol-phi": ("0.25", "tol_phi", 0.25),
+                "--samples": ("7", "samples", 7),
+                "--seed": ("3", "seed", 3)}
+
+
+@pytest.mark.parametrize("command", list(_TAKES))
+@pytest.mark.parametrize("flag", list(_FLAG_VALUES))
+def test_a_command_takes_only_the_flags_it_reads(command, flag,
+                                                 extremal_file, tmp_path,
+                                                 monkeypatch, capsys):
+    """A flag changes some output of the command it is given to, or the
+    command refuses it with argparse's usage error (exit 2) and writes
+    nothing."""
+    monkeypatch.chdir(tmp_path)
+    text, dest, value = _FLAG_VALUES[flag]
+    argv = [command] + ([extremal_file] if command in ("diagnose",
+                                                       "regularize") else [])
+    argv += [flag, text]
+    if flag in _TAKES[command]:
+        assert getattr(cli._build_parser().parse_args(argv), dest) == value
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {text}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_construct_writes_run_and_reports(tmp_path, monkeypatch, capsys):
@@ -549,6 +634,28 @@ def test_diagnose_costate_free_files(extremal, tmp_path, capsys):
     assert summary["resim_endpoint_drift"] <= 1e-6
 
 
+def test_diagnose_and_regularize_share_one_endpoint_replay(
+        extremal, extremal_file, tmp_path, capsys):
+    """Both commands report the miss of the same replay: the step of the
+    replay is no config value, so [integrator] step does not move it.
+    The repair leaves the reference run's u1 as it is (the law's own
+    bits), so the costate-free copy records the same controls."""
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("[integrator]\nstep = 1e-3\n")
+    bare = str(tmp_path / "bare.csv")
+    save_trajectory(Trajectory(t=extremal.t, x=extremal.x, u=extremal.u),
+                    bare)
+    assert main(["diagnose", bare, "--config", str(cfg)]) == 0
+    drift = json.loads(capsys.readouterr().out)["resim_endpoint_drift"]
+    fixed = tmp_path / "fixed.csv"
+    assert main(["regularize", extremal_file, "--config", str(cfg),
+                 "--out", str(fixed)]) == 0
+    capsys.readouterr()
+    npt.assert_array_equal(load_trajectory(str(fixed)).u, extremal.u)
+    report = json.loads((tmp_path / "fixed.csv.report.json").read_text())
+    assert report["endpoint_error_abs"] == drift
+
+
 def test_diagnose_rejects_malformed_files(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,trajectory\n1,2,3\n")
@@ -677,7 +784,7 @@ def test_a_replay_out_of_memory_ends_with_one_error_line(
     def no_memory(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(regularize, "resimulate", no_memory)
+    monkeypatch.setattr("singarc.integrate.resimulate", no_memory)
     out = tmp_path / "never.csv"
     rc = main(["regularize", extremal_file, "--out", str(out)])
     assert rc == 1

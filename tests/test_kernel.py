@@ -760,7 +760,7 @@ def test_construct_and_certify_build_no_replay_kernel(monkeypatch, tmp_path):
     plain = str(tmp_path / "plain.csv")
     traj = integrate.load_trajectory(run)
     save_trajectory(Trajectory(t=traj.t, x=traj.x, u=traj.u), plain)
-    assert cli.main(["diagnose", plain, "--step", "1e-3"]) == 0
+    assert cli.main(["diagnose", plain]) == 0
     assert len(built) == 1
 
 

@@ -572,6 +572,9 @@ def test_tolerances_validation():
         Tolerances(rel_band=0.0)
     with pytest.raises(ValueError):
         Tolerances(min_samples=0)
+    # a SingularInterval needs two samples
+    with pytest.raises(ValueError, match="min_samples must be >= 2, got 1"):
+        Tolerances(min_samples=1)
     with pytest.raises(ValueError):
         Tolerances(gap_samples=-1)
 
