@@ -4,6 +4,9 @@ Every command reads the packaged defaults, overlays an optional config
 file, then applies command-line flags, and is deterministic given those
 inputs.  Outputs are plain CSV series and JSON summaries; no plotting.
 
+certify sweeps its states in forked worker processes, one per CPU the
+process may run on, and writes what one process writes.
+
 The module keeps one plant, for the last parameter set a command ran on:
 commands in one process on the same ``[model]`` share it and so the
 compiled kernels cached on it (see ``duals.compiled``), and a one-shot
@@ -16,6 +19,8 @@ import configparser
 import functools
 import json
 import math
+import os
+import pickle
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -29,7 +34,8 @@ from .errors import (ERRORS_BY_NAME, EXIT_CODES, EXIT_OK,
 from .integrate import (IntegratorConfig, hamiltonian_trace,
                         integrate_extremal, replay_miss, save_trajectory,
                         write_csv)
-from .liegeom import WORD_CHUNK, certify_sweep
+from .liegeom import (WORD_CHUNK, SweepReduction, certify_sweep,
+                      merge_sweeps, record_sweep_kernels)
 from .pmp import costate_norm, costate_on_surface, costate_ratio, in_Rk
 from .regularize import (AUDIT_LABELS, LABEL_VIOLATION, Tolerances,
                          detect_singular_arcs, ingest, pmp_audit,
@@ -114,7 +120,8 @@ def load_config(path: str | None = None,
     initial = parser["initial"]
     x0 = _numbers(initial, "x0")
     if len(x0) != 4:
-        raise ValueError("x0 needs exactly four components")
+        raise ValueError("[initial] x0 needs exactly four components, "
+                         f"got {initial['x0']!r}")
     lambda0 = _numbers(initial, "lambda0") if "lambda0" in initial else None
     if lambda0 is not None and len(lambda0) != 4:
         raise ValueError("[initial] lambda0 needs exactly four components, "
@@ -275,18 +282,96 @@ def cmd_regularize(traj_path: str, cfg: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_certify(cfg: RunConfig, out: str | None) -> int:
-    sys_ = cfg.system()
-    rng = np.random.default_rng(cfg.seed)
+def _workers() -> int:
+    """The processes certify may sweep in at once: one per CPU this
+    process may run on (Linux), else one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _sweep(sys_, cfg: RunConfig) -> SweepReduction:
+    """certify_sweep over cfg's states, block i in worker i mod W.
+
+    Worker 0 is this process and the others are forked children.  The
+    sweep's kernels are recorded before the first fork, so the children
+    share them with the plant even in a one-shot certify; os.fork and a
+    pipe load no module, where multiprocessing would add its import and
+    a pool's start-up to each certify.
+    Each worker draws the whole stream from one generator and keeps its
+    own blocks, so every state has the bits of a single draw, and
+    merge_sweeps gives what one sweep over all the blocks gives.  Every
+    child is reaped, on success and on error alike; a child's exception
+    is raised here.
+    """
     lo = np.asarray(cfg.box_low)
     hi = np.asarray(cfg.box_high)
-    # drawn one chunk at a time: consecutive draws from one generator give
-    # the bits of a single draw of all the states
-    blocks = (rng.uniform(lo, hi, size=(min(WORD_CHUNK, cfg.samples - start),
-                                        lo.size))
-              for start in range(0, cfg.samples, WORD_CHUNK))
-    sweep = certify_sweep(sys_, blocks,
-                          (cfg.bounds.lower[0], cfg.bounds.upper[0]))
+    starts = range(0, cfg.samples, WORD_CHUNK)
+    workers = min(_workers(), len(starts))
+    bang_values = (cfg.bounds.lower[0], cfg.bounds.upper[0])
+
+    def blocks(worker):
+        # every worker draws the whole stream, one block at a time, and
+        # keeps its own: consecutive draws from one generator give the
+        # bits of a single draw of all the states
+        rng = np.random.default_rng(cfg.seed)
+        for i, start in enumerate(starts):
+            block = rng.uniform(lo, hi, size=(
+                min(WORD_CHUNK, cfg.samples - start), lo.size))
+            if i % workers == worker:
+                yield block
+
+    record_sweep_kernels(sys_)
+    children = []
+    try:
+        for worker in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    try:
+                        result = certify_sweep(sys_, blocks(worker),
+                                               bang_values)
+                    except Exception as exc:    # the parent raises it
+                        result = exc
+                    with os.fdopen(write, "wb") as fh:
+                        pickle.dump(result, fh)
+                    status = 0
+                finally:
+                    # no atexit handler, no flush of the parent's buffers
+                    os._exit(status)
+            os.close(write)
+            children.append((worker, pid, read))
+        mine = certify_sweep(sys_, blocks(0), bang_values)
+    finally:
+        results = [_reap(*child) for child in children]
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return merge_sweeps([mine, *results])
+
+
+def _reap(worker: int, pid: int, read: int):
+    """A child's unpickled result or exception, once it has exited."""
+    with os.fdopen(read, "rb") as fh:
+        data = fh.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if data and status == 0:
+        return pickle.loads(data)
+    how = f"signal {-status}" if status < 0 else f"exit status {status}"
+    return ChildProcessError(f"certify worker {worker} ended with {how} "
+                             "and no result")
+
+
+def cmd_certify(cfg: RunConfig, out: str | None) -> int:
+    sweep = _sweep(cfg.system(), cfg)
     report = {
         "samples": cfg.samples,
         "seed": cfg.seed,
@@ -307,12 +392,24 @@ def cmd_certify(cfg: RunConfig, out: str | None) -> int:
     return EXIT_OK
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: an argument it does not take is its own usage
+    error, printed with its own usage line, not the top parser's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: " + " ".join(extra))
+        return args, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="singular-arc",
         description="Singular-arc construction and regularization for the "
                     "torque-limited 2-DOF arm")
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True,
+                             parser_class=_CommandParser)
     cmd = {}
     for name, summary in (
             ("construct", "integrate the reference singular extremal"),

@@ -310,6 +310,20 @@ def resimulate(sys: Arm2DOF, x0, control,
     through the plant, state only: one replay_kernel call per step."""
     if config is None:
         config = IntegratorConfig()
+    replay = _replay(sys, x0, control, config)
+    meta = {
+        "source": "resimulated",
+        "model": model_signature(sys),
+        "config": {**asdict(config), "method": "rk4"},
+        "flags": [],
+        "abort": None,
+    }
+    return Trajectory(t=replay.t, x=replay.x, u=replay.u, meta=meta)
+
+
+def _replay(sys: Arm2DOF, x0, control,
+            config: IntegratorConfig) -> Trajectory:
+    """resimulate's trajectory, without its metadata."""
     if isinstance(control, Trajectory):
         t_knots, u_knots = control.t, control.u
     else:
@@ -345,15 +359,7 @@ def resimulate(sys: Arm2DOF, x0, control,
             # the Python stages: they raise the plant's own error here,
             # e.g. LinearSolveFailure at a singular mass matrix
             x = _replay_step(sys, x, (u[0:2], u[2:4], u[4:6]), h)
-
-    meta = {
-        "source": "resimulated",
-        "model": model_signature(sys),
-        "config": {**asdict(config), "method": "rk4"},
-        "flags": [],
-        "abort": None,
-    }
-    return Trajectory(t=ts, x=xs, u=table[:, 0], lam=None, meta=meta)
+    return Trajectory(t=ts, x=xs, u=table[:, 0])
 
 
 REPLAY_STEP = 1e-4   # the step of every endpoint replay
@@ -362,12 +368,12 @@ REPLAY_STEP = 1e-4   # the step of every endpoint replay
 def replay_miss(sys: Arm2DOF, traj: Trajectory) -> float:
     """How far traj's recorded controls miss its recorded endpoint:
     ||x(t[-1]) - x[-1]|| for the replay from x[0], at step REPLAY_STEP
-    with the controls linearly interpolated."""
-    resim = resimulate(sys, traj.x[0], traj,
-                       IntegratorConfig(step=REPLAY_STEP,
-                                        horizon=traj.horizon,
-                                        interp="linear"))
-    return float(np.linalg.norm(resim.x[-1] - traj.x[-1]))
+    with the controls linearly interpolated.  It builds no metadata, so
+    it never loads hashlib for model_signature."""
+    replay = _replay(sys, traj.x[0], traj,
+                     IntegratorConfig(step=REPLAY_STEP, horizon=traj.horizon,
+                                      interp="linear"))
+    return float(np.linalg.norm(replay.x[-1] - traj.x[-1]))
 
 
 def hamiltonian_trace(sys: Arm2DOF, traj: Trajectory) -> np.ndarray:

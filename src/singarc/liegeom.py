@@ -20,10 +20,12 @@ Bracket words compile through ``word_kernel``, which records
 their columns from it, batches in chunks of ``WORD_CHUNK`` samples.
 ``certify_sweep`` runs the three certificates over blocks of states one
 such chunk at a time and keeps only their reductions, so a sweep holds
-no N-sized array.  Two screens with a priori rounding bounds keep
-LAPACK off most states there: ``_frame_screen`` brackets each frame's
-sigma_min through the Pfaffian of its skew part, so only the states
-that can hold the minimum take frame_rank's SVD, and ``_b_set_screen``
+no N-sized array, and ``merge_sweeps`` folds the sweeps of disjoint
+parts of the states into the sweep of them all.  Two screens with a
+priori rounding bounds keep LAPACK off most states there:
+``_frame_screen`` brackets each frame's sigma_min through the Pfaffian
+of its skew part, so only the states that can hold the minimum take
+frame_rank's SVD, and ``_b_set_screen``
 decides, from one cofactor vector, the B-set failures that no SVD could
 pass, so only the undecided states take ``_b_set_verdict``'s SVD.
 ``word_field`` and ``iterated_bracket`` stay the reference and never run
@@ -160,11 +162,15 @@ def alpha_coefficients(sys: Arm2DOF, x, rtol: float = 1e-9) -> AlphaTensor:
     violation signals a modeling bug.  The columns come from word_kernel.
     """
     n = sys.n
-    words = [f"g{k + 1}" for k in range(n)] + \
-            [f"g{i + 1}fg{j + 1}" for i in range(n) for j in range(i, n)]
-    cols = np.asarray(_word_columns(sys, words, x))
+    cols = np.asarray(_word_columns(sys, _alpha_words(n), x))
     # the bottom block of g_k is column k of L = M^-1
     return _alpha_solve(np.swapaxes(cols[:n, n:], 0, 1), cols[n:], rtol)
+
+
+def _alpha_words(n: int) -> tuple[str, ...]:
+    """alpha_coefficients' columns: g_1..g_n, then g_i f g_j for i <= j."""
+    return tuple(f"g{k + 1}" for k in range(n)) + \
+        tuple(f"g{i + 1}fg{j + 1}" for i in range(n) for j in range(i, n))
 
 
 def _alpha_solve(L, gfg, rtol: float = 1e-9) -> AlphaTensor:
@@ -486,6 +492,35 @@ def certify_sweep(sys: Arm2DOF, blocks, bang_values) -> SweepReduction:
         b_set=tuple((c, count, float(v) if count else None)
                     for c, count, v in zip(bang_values, failures, velocity)),
         frame_svd_states=frame_svd, b_set_svd_states=b_set_svd)
+
+
+def record_sweep_kernels(sys: Arm2DOF) -> None:
+    """Build the batched kernels certify_sweep runs on sys (the frame's,
+    alpha's and the B-set's words), so that processes forked afterwards
+    share them instead of each recording its own."""
+    for words in (_frame_words(sys.n), _alpha_words(sys.n), B_SET_WORDS):
+        word_kernel(sys, words, batched=True)
+
+
+def merge_sweeps(parts: Sequence[SweepReduction]) -> SweepReduction:
+    """The reduction of one certify_sweep over all the parts' states, from
+    the parts' own sweeps (on the same bang values): min, max and counts do
+    not depend on how the states are split, and np.minimum/np.maximum keep
+    a nan as the sweep does.  The SVD counts are sums over the parts."""
+    b_set = []
+    for k, (c, _, _) in enumerate(parts[0].b_set):
+        failures = sum(part.b_set[k][1] for part in parts)
+        velocities = [part.b_set[k][2] for part in parts if part.b_set[k][1]]
+        b_set.append((c, failures, float(np.maximum.reduce(velocities))
+                      if velocities else None))
+    return SweepReduction(
+        min_frame_rank=float(np.minimum.reduce(
+            [part.min_frame_rank for part in parts])),
+        max_abs_alpha_ij1=float(np.maximum.reduce(
+            [part.max_abs_alpha_ij1 for part in parts])),
+        b_set=tuple(b_set),
+        frame_svd_states=sum(part.frame_svd_states for part in parts),
+        b_set_svd_states=sum(part.b_set_svd_states for part in parts))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import signal
 import tracemalloc
 import warnings
 import weakref
@@ -21,7 +22,8 @@ import reference as ref
 from singarc import cli, duals, liegeom
 from singarc.cli import _numbers, load_config, main
 from singarc.errors import (EXIT_CODES, EXIT_OK, EXIT_PARTIAL_REGULARIZATION,
-                            EXIT_UNEXPECTED, EXIT_VIOLATIONS_REMAIN)
+                            EXIT_UNEXPECTED, EXIT_VIOLATIONS_REMAIN,
+                            SpanViolation)
 from singarc.integrate import (Trajectory, hamiltonian_trace,
                                load_trajectory, save_trajectory)
 from singarc.liegeom import (WORD_CHUNK, alpha_coefficients,
@@ -294,18 +296,20 @@ def test_bounds_need_one_entry_per_channel(command, entries, extremal_file,
 @pytest.mark.parametrize("text", ["1, 2, 3", "1, 2, 3, 4, 5"])
 def test_a_lambda0_of_other_than_four_entries_is_rejected_by_name(
         text, tmp_path, capsys):
-    """A full costate has four entries; another count ends with exit 1
-    and names the key before any integration, not with the schema error
-    (exit 3) of a malformed trajectory file."""
+    """A full costate, like the initial state x0, has four entries;
+    another count ends with exit 1 and names the key before any
+    integration, not with the schema error (exit 3) of a malformed
+    trajectory file."""
     path = tmp_path / "short.cfg"
-    path.write_text(f"[initial]\nlambda0 = {text}\n")
-    rc = main(["construct", "--config", str(path),
-               "--out", str(tmp_path / "never.csv")])
-    assert rc == 1
-    assert capsys.readouterr().err == (
-        "error: [initial] lambda0 needs exactly four components, "
-        f"got {text!r}\n")
-    assert not (tmp_path / "never.csv").exists()
+    for key in ("lambda0", "x0"):
+        path.write_text(f"[initial]\n{key} = {text}\n")
+        rc = main(["construct", "--config", str(path),
+                   "--out", str(tmp_path / "never.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: [initial] {key} needs exactly four components, "
+            f"got {text!r}\n")
+        assert not (tmp_path / "never.csv").exists()
 
 
 def test_min_samples_below_two_is_rejected_by_name(arm, extremal, tmp_path,
@@ -365,8 +369,8 @@ def test_a_command_takes_only_the_flags_it_reads(command, flag,
                                                  extremal_file, tmp_path,
                                                  monkeypatch, capsys):
     """A flag changes some output of the command it is given to, or the
-    command refuses it with argparse's usage error (exit 2) and writes
-    nothing."""
+    command refuses it with argparse's usage error (exit 2), under its own
+    usage line, and writes nothing."""
     monkeypatch.chdir(tmp_path)
     text, dest, value = _FLAG_VALUES[flag]
     argv = [command] + ([extremal_file] if command in ("diagnose",
@@ -378,7 +382,9 @@ def test_a_command_takes_only_the_flags_it_reads(command, flag,
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} {text}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: singular-arc {command} ")
+    assert f"unrecognized arguments: {flag} {text}" in err
     assert os.listdir(tmp_path) == []
 
 
@@ -784,7 +790,7 @@ def test_a_replay_out_of_memory_ends_with_one_error_line(
     def no_memory(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr("singarc.integrate.resimulate", no_memory)
+    monkeypatch.setattr("singarc.integrate._replay", no_memory)
     out = tmp_path / "never.csv"
     rc = main(["regularize", extremal_file, "--out", str(out)])
     assert rc == 1
@@ -913,7 +919,8 @@ def test_the_streamed_sweep_reports_the_full_batch_certificates(
 
 def test_certify_sends_few_b_set_verdicts_to_the_svd(monkeypatch, capsys):
     """The screen decides all but a few of the 10^5 B-set verdicts of
-    certify --samples 50000 --seed 1: at most 1% reach the SVD."""
+    certify --samples 50000 --seed 1: at most 1% reach the SVD.  In one
+    worker, so that the spy sees every verdict."""
     verdict = liegeom._b_set_verdict
     sent = []
 
@@ -922,6 +929,7 @@ def test_certify_sends_few_b_set_verdicts_to_the_svd(monkeypatch, capsys):
         return verdict(family, c, rtol)
 
     monkeypatch.setattr(liegeom, "_b_set_verdict", spy)
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
     assert main(["certify", "--samples", "50000", "--seed", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [b["failures"] for b in report["b_set"].values()] == [50000] * 2
@@ -929,19 +937,96 @@ def test_certify_sends_few_b_set_verdicts_to_the_svd(monkeypatch, capsys):
 
 
 def test_certify_takes_lapack_at_few_states(monkeypatch, capsys):
-    """certify --samples 50000 --seed 1 sends 2 of its 5 * 10^4 frames and
-    13 of its 10^5 B-set verdicts to LAPACK; the rest are screened."""
-    sweeps = []
+    """certify --samples 50000 --seed 1 sends a few of its 5 * 10^4 frames
+    and 13 of its 10^5 B-set verdicts to LAPACK, counted over every
+    worker (each worker's frame screen sends at least one); the rest are
+    screened.  At W = 1 and 2, pinned, whatever the host's CPUs."""
+    merged = []
 
-    def spy(*args):
-        sweeps.append(liegeom.certify_sweep(*args))
-        return sweeps[-1]
+    def spy(parts):
+        merged.append(liegeom.merge_sweeps(parts))
+        return merged[-1]
 
-    monkeypatch.setattr(cli, "certify_sweep", spy)
-    assert main(["certify", "--samples", "50000", "--seed", "1"]) == 0
+    monkeypatch.setattr(cli, "merge_sweeps", spy)
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_workers", lambda w=workers: w)
+        assert main(["certify", "--samples", "50000", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert workers <= merged[-1].frame_svd_states <= 10
+        assert merged[-1].b_set_svd_states <= 100
+
+
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("samples", [1, 2049, 5000])
+@pytest.mark.parametrize("second", [False, True])
+def test_certify_writes_the_same_bytes_in_any_number_of_workers(
+        samples, second, tmp_path, monkeypatch, capsys):
+    """certify deals its blocks of states round-robin to W processes (at
+    most one per block); at W = 1, 2 and 3 it writes the same report, byte
+    for byte, on the packaged arm and on a second plant."""
+    argv = ["certify", "--samples", str(samples)]
+    if second:
+        (tmp_path / "second.cfg").write_text(SECOND_PLANT)
+        argv += ["--config", str(tmp_path / "second.cfg")]
+    written = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cli, "_workers", lambda w=workers: w)
+        out = tmp_path / f"w{workers}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        written.append(out.read_bytes())
     capsys.readouterr()
-    assert 1 <= sweeps[0].frame_svd_states <= 10
-    assert sweeps[0].b_set_svd_states <= 100
+    assert written[1] == written[0] and written[2] == written[0]
+    _no_child_is_left()
+
+
+@pytest.mark.parametrize("parent_fails", [False, True])
+def test_a_span_violation_in_any_worker_keeps_its_exit_code(
+        parent_fails, monkeypatch, capsys):
+    """A SpanViolation raised in a forked worker, or in the parent while a
+    worker runs, ends certify with SpanViolation's exit code and message,
+    and every worker has been reaped."""
+    parent = os.getpid()
+    sweep = liegeom.certify_sweep
+
+    def failing(*args):
+        if (os.getpid() == parent) == parent_fails:
+            raise SpanViolation("g1ffg2 left the span")
+        return sweep(*args)
+
+    monkeypatch.setattr(cli, "certify_sweep", failing)
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    rc = main(["certify", "--samples", "5000"])
+    assert rc == EXIT_CODES[SpanViolation]
+    assert capsys.readouterr() == (
+        "", "error: SpanViolation: g1ffg2 left the span\n")
+    _no_child_is_left()
+
+
+@pytest.mark.parametrize("death, status", [
+    (lambda: os._exit(3), "exit status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9")])
+def test_a_worker_that_dies_ends_certify_with_one_error_line(
+        death, status, monkeypatch, capsys):
+    """A worker that ends without a result ends certify with exit 1 and
+    one error line naming how it ended; no report, no child left."""
+    parent = os.getpid()
+    sweep = liegeom.certify_sweep
+
+    def dying(*args):
+        if os.getpid() != parent:
+            death()
+        return sweep(*args)
+
+    monkeypatch.setattr(cli, "certify_sweep", dying)
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    assert main(["certify", "--samples", "5000"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: certify worker 1 ended with {status} and no result\n")
+    _no_child_is_left()
 
 
 def _certify_peak(samples):
@@ -954,10 +1039,12 @@ def _certify_peak(samples):
         tracemalloc.stop()
 
 
-def test_certify_memory_does_not_grow_with_the_sweep(capsys):
+def test_certify_memory_does_not_grow_with_the_sweep(monkeypatch, capsys):
     """certify draws its states a chunk at a time: 4 * WORD_CHUNK more
     states add less to the peak than one chunk of states (32 bytes each;
-    drawing all the states at once added 32 bytes per extra state)."""
+    drawing all the states at once added 32 bytes per extra state).  In
+    one worker, so that tracemalloc sees every block."""
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
     main(["certify", "--samples", "10"])         # one-time allocations
     small = _certify_peak(WORD_CHUNK)
     large = _certify_peak(5 * WORD_CHUNK)

@@ -434,14 +434,23 @@ def test_overflow_mid_run_is_a_nan_abort(arm, lam0):
     assert traj.meta["abort"] == {"flag": "NaNError", "t": 1e100}
 
 
-def test_only_a_sidecar_loads_hashlib():
+def test_only_a_sidecar_loads_hashlib(extremal_file, tmp_path):
     """SHA-256 (and the OpenSSL it loads) is imported by model_signature
-    when a sidecar is written, not by importing the command line."""
+    when a sidecar of a new run is written, not by importing the command
+    line, nor by regularize, whose endpoint replay builds no metadata."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         integrate.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", "import sys, singarc.cli; "
                     "assert 'hashlib' not in sys.modules"], check=True,
-                   env={**os.environ, "PYTHONPATH": src})
+                   env=env)
+    subprocess.run([sys.executable, "-c", "import sys; "
+                    "from singarc.cli import main; "
+                    "main(['regularize', *sys.argv[1:]]); "
+                    "assert not {'hashlib', '_hashlib'} & set(sys.modules)",
+                    extremal_file, "--out", str(tmp_path / "fixed.csv")],
+                   check=True, env=env, stdout=subprocess.DEVNULL)
+    assert (tmp_path / "fixed.csv").exists()
 
 
 def test_model_signature_tracks_plant_and_bounds(arm, bounds):

@@ -16,7 +16,7 @@ from singarc.liegeom import (B_SET_RTOL, WORD_CHUNK, _alpha_solve, _b_set_family
                              _frame_words, _word_columns, alpha_coefficients,
                              b_set_certificate, bracket_field, certify_sweep,
                              drift_field, frame_rank, input_field,
-                             iterated_bracket, parse_word,
+                             iterated_bracket, merge_sweeps, parse_word,
                              u1_singular_brackets, word_field)
 from singarc.pmp import general_singular_system
 
@@ -443,20 +443,26 @@ SPLIT_STATES[5::97, 2:] *= 1e12         # undecided by the B-set screen
 @given(sizes=st.lists(st.sampled_from([1, 7, WORD_CHUNK - 1, WORD_CHUNK,
                                        WORD_CHUNK + 1, 3 * WORD_CHUNK]),
                       min_size=1, max_size=8),
-       second=st.booleans())
+       second=st.booleans(), workers=st.integers(1, 4))
 def test_the_sweep_does_not_depend_on_how_the_states_are_split(
-        arm, sizes, second):
+        arm, sizes, second, workers):
     """certify_sweep over the rows of one array cut into blocks (of 1,
     WORD_CHUNK +- 1 or more rows, the last one what is left) reports what
-    it reports over the whole array as one block, under ==."""
+    it reports over the whole array as one block, under ==; and so does
+    merge_sweeps of the sweeps of the blocks dealt round-robin to up to
+    four workers, as certify deals them."""
     plant = SECOND if second else arm
     want = certify_sweep(plant, (SPLIT_STATES,), BANGS)
     cuts = np.cumsum(sizes)
     blocks = np.split(SPLIT_STATES, cuts[cuts < len(SPLIT_STATES)])
     got = certify_sweep(plant, iter(blocks), BANGS)
-    assert got.min_frame_rank == want.min_frame_rank
-    assert got.max_abs_alpha_ij1 == want.max_abs_alpha_ij1
-    assert got.b_set == want.b_set
+    merged = merge_sweeps([certify_sweep(plant, iter(blocks[w::workers]),
+                                         BANGS)
+                           for w in range(min(workers, len(blocks)))])
+    for sweep in (got, merged):
+        assert sweep.min_frame_rank == want.min_frame_rank
+        assert sweep.max_abs_alpha_ij1 == want.max_abs_alpha_ij1
+        assert sweep.b_set == want.b_set
 
 
 def test_b_set_certificate_requires_two_channels(arm):
