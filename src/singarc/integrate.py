@@ -12,8 +12,9 @@ per RK4 step.  An extremal step is ``extremal_step_kernel``, the reference
 and costate rate at each stage), which also returns u1 at the step's
 start; the guards and the u1 bound test stay here.  Replays step on
 ``replay_kernel``, the reference ``_replay_step``.  A step the kernel
-cannot take (singular mass matrix, exact zero divisor, sin/cos of inf)
-re-runs its reference stages, which raise what they always raised.
+cannot take re-runs its reference stages, which raise there:
+LinearSolveFailure at a singular mass matrix, ZeroDivisionError at an
+exact zero divisor, ValueError at sin/cos of inf.
 
 Everything here is deterministic: same inputs, bit-identical output.  No
 adaptive stepping, no event location beyond the abort guards.
@@ -110,10 +111,6 @@ class Trajectory:
     @property
     def horizon(self) -> float:
         return float(self.t[-1])
-
-    @property
-    def has_costates(self) -> bool:
-        return self.lam is not None
 
 
 def model_signature(sys: Arm2DOF, bounds: ControlBounds | None = None) -> str:

@@ -682,7 +682,7 @@ def _word_columns(sys: Arm2DOF, words, x):
     WORD_CHUNK samples at a time.  The reference runs instead for other
     scalar types, at non-finite states and where the compiled code stops:
     it raises LinearSolveFailure at a singular mass matrix and gives nan
-    at a non-finite state, as it always did.
+    at a non-finite state.
     """
     comps = list(_components(x))
     if all(type(v) is float for v in comps):

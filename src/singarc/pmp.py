@@ -302,8 +302,9 @@ def _law_at(sys: Arm2DOF, x, lam, c: float, exclusion: float,
     None, or "ok" and the _law_terms tuple.
 
     Plain floats take the float law_kernel unless kernel is False; off its
-    branch, or for other scalars, the reference tableau, which raises what
-    it always raised (mu is guarded before _law_terms divides by it).
+    branch, or for other scalars, the reference tableau, which raises
+    LinearSolveFailure at a singular mass matrix and ZeroDivisionError at
+    an exact zero divisor (mu is guarded before _law_terms divides by it).
     """
     comps = list(_components(x))
     terms = tab = None

@@ -397,7 +397,7 @@ def test_construct_writes_run_and_reports(tmp_path, monkeypatch, capsys):
     assert os.path.exists("extremal.csv")
     assert os.path.exists("extremal.csv.meta.json")
     traj = load_trajectory("extremal.csv")
-    assert len(traj) == 701 and traj.has_costates
+    assert len(traj) == 701 and traj.lam is not None
     rel = float(out.split("(")[1].split(" of")[0])
     assert rel <= 1e-6
 

@@ -156,7 +156,7 @@ def test_replaying_the_recorded_control_recovers_the_states(arm, extremal):
     scale = np.linalg.norm(extremal.x[-1])
     assert np.linalg.norm(replay.x[-1] - extremal.x[-1]) <= 1e-6 * scale
     assert replay.meta["source"] == "resimulated"
-    assert not replay.has_costates
+    assert replay.lam is None
 
     held = resimulate(arm, ref.X0, extremal,
                       IntegratorConfig(horizon=0.0, interp="zoh"))
@@ -304,7 +304,7 @@ def test_csv_round_trip_is_bit_exact_for_any_finite_run(n, costates, t0,
         path = os.path.join(tmp, "run.csv")
         save_trajectory(traj, path)
         back = load_trajectory(path)
-    assert back.has_costates is costates
+    assert (back.lam is not None) is costates
     assert back.meta == traj.meta
     for name in ("t", "x", "u") + (("lam",) if costates else ()):
         _assert_same_bits(getattr(back, name), getattr(traj, name))
@@ -324,7 +324,7 @@ def test_costate_free_files_round_trip(arm, extremal, tmp_path):
     path = str(tmp_path / "states.csv")
     save_trajectory(bare, path)
     back = load_trajectory(path)
-    assert not back.has_costates
+    assert back.lam is None
     npt.assert_array_equal(back.x, bare.x)
 
 

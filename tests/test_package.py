@@ -1,5 +1,7 @@
 """The package's public surface."""
+import ast
 import inspect
+from pathlib import Path
 
 import singarc
 from singarc import arm2dof, integrate, liegeom, pmp, regularize
@@ -35,7 +37,8 @@ def test_each_rule_has_one_home():
                arm2dof: ("FullyActuatedSystem",),
                arm2dof.ControlBounds: ("n",),
                arm2dof.Arm2DOF: ("drift", "input_columns", "mass_matrix",
-                                 "coriolis")}
+                                 "coriolis"),
+               integrate.Trajectory: ("has_costates",)}
     for home, names in removed.items():
         for name in names:
             assert name not in singarc.__all__
@@ -51,3 +54,32 @@ def test_each_rule_has_one_home():
                pmp.singular_law_coeffs):
         default = inspect.signature(fn).parameters["exclusion"].default
         assert default is pmp.LAW_EXCLUSION, fn.__name__
+
+
+def _walk(paths):
+    for path in paths:
+        yield from ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                      str(path)))
+
+
+def test_no_definition_in_the_package_only_tests_read():
+    """Every def and class in src/singarc, methods and properties included,
+    is public (in singarc.__all__) or read by name somewhere in the package
+    or in the benchmark's own modules; dunders are called by Python."""
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "singarc").glob("*.py"))
+    bench = sorted(p for p in (root / "perfbench").glob("*.py")
+                   if not p.name.startswith("test_"))
+    defined = {node.name for node in _walk(package)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))}
+    read = set()
+    for node in _walk(package + bench):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            read.add(node.attr)
+    unread = {name for name in defined - read - set(singarc.__all__)
+              if not (name.startswith("__") and name.endswith("__"))}
+    assert not unread, sorted(unread)
